@@ -347,51 +347,68 @@ def _max_vertex_disjoint(g: Graph, s: int, t: int, limit: int) -> int:
     """Internally vertex-disjoint s-t paths for non-adjacent s, t, capped at limit.
 
     Unit-capacity max-flow on the split digraph (v_in -> v_out per inner
-    vertex), one BFS augmentation per path.
+    vertex, u_out -> v_in per edge direction). Internally disjoint paths
+    carry at most one unit per arc, so the flow is stored per vertex: the
+    ``used`` mask of inner vertices on a path and ``pred[v]``, the vertex
+    whose out-node feeds v_in. Common neighbors of s and t seed the flow
+    as paths of length 2; each further path is one depth-first search of
+    the residual split graph, expanding an out-node v by
+    ``adj[v] & ~seen_in``, so a flow costs O(limit * n) Python steps and
+    builds no per-edge structure.
     """
-    n = g.vertex_count
-    # Node ids: 2v = v_in, 2v+1 = v_out. Source = 2s+1, sink = 2t.
-    size = 2 * n
-    succ: list[list[int]] = [[] for _ in range(size)]
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            succ[a].append(b)
-            succ[b].append(a)
-            cap[a, b] = 0
-            cap[b, a] = 0
-        cap[a, b] += c
-
-    for v in range(n):
-        if v not in (s, t):
-            add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add(2 * u + 1, 2 * v, limit)
-        add(2 * v + 1, 2 * u, limit)
-
-    source, sink = 2 * s + 1, 2 * t
+    adj = g.adj
+    t_bit = 1 << t
+    pred = [s] * g.vertex_count  # s feeds every seeded path
+    used = 0
     flow = 0
+    for c in iter_bits(adj[s] & adj[t]):
+        if flow >= limit:
+            return flow
+        used |= 1 << c
+        flow += 1
     while flow < limit:
-        prev = [-1] * size
-        prev[source] = source
-        queue = [source]
-        while queue and prev[sink] == -1:
-            nxt = []
-            for a in queue:
-                for b in succ[a]:
-                    if prev[b] == -1 and cap[a, b] > 0:
-                        prev[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if prev[sink] == -1:
-            break
-        b = sink
-        while b != source:
-            a = prev[b]
-            cap[a, b] -= 1
-            cap[b, a] += 1
-            b = a
+        # via_in[w]: out-node that reached w_in (w itself for the backward
+        # split arc w_out -> w_in); via_out[x]: in-node that reached x_out
+        # (x itself for the split arc x_in -> x_out).
+        via_in: dict[int, int] = {}
+        via_out: dict[int, int] = {}
+        seen_in = 1 << s
+        seen_out = 1 << s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            fresh = adj[x] & ~seen_in
+            if used >> x & 1 and not seen_in >> x & 1:
+                fresh |= 1 << x
+            if fresh & t_bit:
+                via_in[t] = x
+                break
+            seen_in |= fresh
+            for w in iter_bits(fresh):
+                via_in[w] = x
+                # A free w_in leads on to w_out; a used one only back
+                # along its flow arc, to pred[w]_out.
+                y = pred[w] if used >> w & 1 else w
+                if not seen_out >> y & 1:
+                    seen_out |= 1 << y
+                    via_out[y] = w
+                    stack.append(y)
+        else:
+            break  # no augmenting path: the flow is maximum
+        # Walk the path back from t_in, flipping the split arcs it crosses
+        # and recording the new in-arc of every in-node it enters forward.
+        v = t
+        while True:
+            x = via_in[v]
+            if x == v:
+                used &= ~(1 << v)
+            elif v != t:
+                pred[v] = x
+            if x == s:
+                break
+            v = via_out[x]
+            if v == x:
+                used |= 1 << x
         flow += 1
     return flow
 
@@ -399,9 +416,14 @@ def _max_vertex_disjoint(g: Graph, s: int, t: int, limit: int) -> int:
 def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
     """Minimum number of vertex deletions disconnecting g; n-1 for complete graphs.
 
-    Menger's theorem: the minimum over non-adjacent pairs of the maximum
-    number of internally disjoint paths. With ``at_most`` the computation
-    is capped, returning min(kappa, at_most).
+    Menger's theorem: kappa is the minimum over non-adjacent pairs of the
+    maximum number of internally disjoint paths. Flows run only from
+    sources u < best, the smallest count so far (S. Even, SIAM J.
+    Comput. 4, 1975): a minimum separator misses one of 0..kappa, and the
+    first vertex it misses is separated from some later non-neighbor.
+    Since best >= kappa, that source is reached unless best == kappa
+    already. That is O(kappa * n) flows of O(kappa * n) steps each. With
+    ``at_most`` the computation is capped, returning min(kappa, at_most).
     """
     n = g.vertex_count
     if n <= 1:
@@ -413,6 +435,8 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
         return cap_limit if at_most is not None else n - 1
     best = cap_limit
     for u in range(n):
+        if u >= best:
+            break
         rest = ~g.adj[u] & ~((1 << (u + 1)) - 1) & ((1 << n) - 1)
         for v in iter_bits(rest):
             best = min(best, _max_vertex_disjoint(g, u, v, best))

@@ -22,9 +22,9 @@ from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
                                enumerate_rainbow_paths, is_rainbow_k_connected,
                                max_disjoint_paths, rc_lower_bound, search_two_coloring,
                                short_rainbow_paths)
-from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, certify_by_structure,
-                                 standard_suite)
-from util import brute_vertex_connectivity
+from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED,
+                                 brute_force_vertex_connectivity as brute_vertex_connectivity,
+                                 certify_by_structure, standard_suite)
 
 
 @pytest.fixture(scope="module")

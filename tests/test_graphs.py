@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from ncrainbow.graphs import (SearchBudgetExceeded, are_isomorphic, complement,
-                              complete_graph, complete_multipartite,
+from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_isomorphic,
+                              complement, complete_graph, complete_multipartite,
                               detect_complete_multipartite, edgeless_graph,
                               graph_from_edges, johnson, lexicographic_product,
                               read_graph_file, vertex_connectivity, write_graph_file)
-from util import brute_isomorphic, brute_vertex_connectivity
+from ncrainbow.groups import dicyclic, dihedral, metacyclic
+from ncrainbow.ncgraph import noncommuting_graph
+from ncrainbow.reproduce import brute_force_vertex_connectivity as brute_vertex_connectivity
+from util import brute_isomorphic
 
 
 def random_graph(rng, n, p=0.5):
@@ -149,6 +152,64 @@ def test_connectivity_against_brute_force():
     for trial in range(25):
         g = random_graph(rng, rng.randint(2, 8), p=rng.choice([0.3, 0.5, 0.8]))
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+
+def _assert_connectivity_matches_networkx(nx, g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.vertex_count))
+    ref.add_edges_from(g.edges)
+    kappa = nx.node_connectivity(ref)
+    assert vertex_connectivity(g) == kappa
+    for k in range(1, 5):
+        assert vertex_connectivity(g, at_most=k) == min(kappa, k)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.8])
+def test_connectivity_against_networkx_random(p):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(int(p * 100))
+    for trial in range(8):
+        _assert_connectivity_matches_networkx(nx, random_graph(rng, rng.randint(10, 40), p))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_connectivity_against_networkx_planted_separator(k):
+    # Two random blocks meeting only through {0..k-1}: the separator holds
+    # the first k sources, so only flows from a later source find it.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(k)
+    for trial in range(8):
+        n = k + rng.randint(k + 1, 15) + rng.randint(k + 1, 15)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u < k or side[u] == side[v]) and rng.random() < 0.6]
+        _assert_connectivity_matches_networkx(nx, graph_from_edges(n, edges))
+
+
+def test_flow_counts_against_networkx_cubic():
+    # Sparse regular graphs make augmenting paths reroute earlier ones.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import (build_auxiliary_node_connectivity,
+                                                  local_node_connectivity)
+    rng = random.Random(3)
+    for trial in range(8):
+        ref = nx.random_regular_graph(3, 2 * rng.randint(6, 12), seed=rng.randrange(2**32))
+        n = ref.number_of_nodes()
+        g = graph_from_edges(n, list(ref.edges()))
+        aux = build_auxiliary_node_connectivity(ref)
+        for s in range(n):
+            for t in range(s + 1, n):
+                if not g.adjacent(s, t):
+                    flow = local_node_connectivity(ref, s, t, auxiliary=aux)
+                    assert _max_vertex_disjoint(g, s, t, n) == flow, (trial, s, t)
+                    assert _max_vertex_disjoint(g, s, t, 2) == min(flow, 2), (trial, s, t)
+
+
+@pytest.mark.parametrize("group", [dihedral(10), dicyclic(10), metacyclic(24, 7)],
+                         ids=lambda g: g.name)
+def test_connectivity_against_networkx_noncommuting(group):
+    nx = pytest.importorskip("networkx")
+    _assert_connectivity_matches_networkx(nx, noncommuting_graph(group).graph)
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used as independent oracles."""
 
-from itertools import combinations, permutations
+from itertools import permutations
 
-from ncrainbow.graphs import Graph, iter_bits
+from ncrainbow.graphs import Graph
 
 
 def brute_center(table):
@@ -69,27 +69,17 @@ def group_isomorphism(g, h):
     return list(mapping) if extend() else None
 
 
-def brute_vertex_connectivity(g: Graph) -> int:
-    n = g.vertex_count
-    if n <= 1:
-        return 0
-    for size in range(n - 1):
-        for cut in combinations(range(n), size):
-            keep = set(range(n)) - set(cut)
-            if len(keep) < 2:
-                continue
-            start = next(iter(keep))
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in iter_bits(g.adj[v]):
-                    if w in keep and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != keep:
-                return size
-    return n - 1
+def brute_associativity_violation(table):
+    """First (i, j, k) in index order with (i*j)*k != i*(j*k), or None; O(n^3)."""
+    n = len(table)
+    for i in range(n):
+        row_i = table[i]
+        for j in range(n):
+            lhs = list(table[row_i[j]])
+            rhs = [row_i[x] for x in table[j]]
+            if lhs != rhs:
+                return i, j, next(k for k in range(n) if lhs[k] != rhs[k])
+    return None
 
 
 def brute_simple_paths(g: Graph, x: int, y: int, max_len: int):
