@@ -14,7 +14,7 @@ from .groups import (ElementSet, Group, GroupError, central_product, cyclic, dic
                      metacyclic, semidirect_product, write_cayley_table)
 from .ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                       abelian_extension_check, common_neighbor_floor_check,
-                      edge_count_identity_check, noncommuting_graph, tau)
+                      edge_count_identity_check, noncommuting_graph, pair_profile, tau)
 from .rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                       RainbowCertificate, Rc2Certificate, certify_rc2,
                       enumerate_rainbow_paths, is_rainbow_k_connected, rc_lower_bound,

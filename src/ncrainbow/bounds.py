@@ -10,33 +10,14 @@ boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 from typing import Sequence
 
 from .groups import Group
-from .ncgraph import AbelianGroup
-
-
-def _noncentral_pairs(group: Group):
-    """Yield (tau, adjacent) over unordered pairs of distinct non-central elements.
-
-    tau is |G| - |C(x) ∪ C(y)|, the number of elements commuting with
-    neither x nor y; adjacency means x and y themselves do not commute.
-    """
-    n = group.order
-    center_mask = group.center().mask
-    vertices = [e for e in range(n) if not center_mask >> e & 1]
-    masks = [group.centralizer_mask(e) for e in vertices]
-    table = group.table
-    for i, x in enumerate(vertices):
-        row = table[x]
-        for j in range(i + 1, len(vertices)):
-            y = vertices[j]
-            t = n - (masks[i] | masks[j]).bit_count()
-            yield t, row[y] != table[y][x]
+from .ncgraph import AbelianGroup, noncommuting_graph, pair_profile
 
 
 def failure_bound(group: Group, k: int = 2) -> Fraction:
@@ -47,26 +28,19 @@ def failure_bound(group: Group, k: int = 2) -> Fraction:
     paths of length <= 2: an adjacent pair already has the direct edge
     and needs k-1 bichromatic 2-paths among its tau common neighbors, a
     non-adjacent pair needs k of them, so the per-pair terms are binomial
-    tails at 1/2. Exact rational output; every denominator is a power of 2.
+    tails at 1/2. A pair's term depends only on its tau and adjacency, so
+    the sum runs over the keys of `pair_profile`, each term times its
+    count. Exact rational output; every denominator is a power of 2.
+    Raises AbelianGroup for an abelian group, whose graph has no vertices.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if group.is_abelian:
-        raise AbelianGroup(f"{group.name} is abelian")
     total = Fraction(0)
-    for t, adjacent in _noncentral_pairs(group):
+    for (t, adjacent), count in pair_profile(noncommuting_graph(group)).items():
         misses = k - 2 if adjacent else k - 1
         head = sum(comb(t, i) for i in range(misses + 1))
-        total += Fraction(head, 1 << t)
+        total += Fraction(count * head, 1 << t)
     return total
-
-
-def tau_breakdown(group: Group) -> dict[tuple[int, bool], int]:
-    """Histogram of (tau, adjacent) over non-central pairs."""
-    hist: dict[tuple[int, bool], int] = {}
-    for key in _noncentral_pairs(group):
-        hist[key] = hist.get(key, 0) + 1
-    return hist
 
 
 @dataclass(frozen=True)
@@ -148,7 +122,6 @@ class BoundReport:
     center_size: int
     value: Fraction | None
     error: str | None = None
-    breakdown: dict[tuple[int, bool], int] | None = field(default=None, compare=False)
 
     @property
     def flagged(self) -> bool:
@@ -173,8 +146,7 @@ class BoundReport:
         return out
 
 
-def scan_exception_report(groups: Sequence[Group], k: int = 2,
-                          include_breakdown: bool = False) -> list[BoundReport]:
+def scan_exception_report(groups: Sequence[Group], k: int = 2) -> list[BoundReport]:
     """failure_bound for each group, flagging values >= 1; input order kept."""
     reports = []
     for group in groups:
@@ -185,9 +157,7 @@ def scan_exception_report(groups: Sequence[Group], k: int = 2,
             reports.append(BoundReport(group.name, group.order, center_size,
                                        None, error=type(exc).__name__))
             continue
-        breakdown = tau_breakdown(group) if include_breakdown else None
-        reports.append(BoundReport(group.name, group.order, center_size,
-                                   value, breakdown=breakdown))
+        reports.append(BoundReport(group.name, group.order, center_size, value))
     return reports
 
 

@@ -83,21 +83,21 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return len(self.center().members) == self.order
+        return self.center_mask.bit_count() == self.order
 
     def centralizer(self, g: int) -> "ElementSet":
         """Elements commuting with g; always a subgroup containing the center."""
         if not 0 <= g < self.order:
             raise IndexError(f"element {g} out of range for order {self.order}")
-        row = self.table[g]
-        members = tuple(x for x in range(self.order) if self.table[x][g] == row[x])
-        return ElementSet(self, members)
+        return ElementSet(self, self._centralizer_masks[g])
 
     def centralizer_mask(self, g: int) -> int:
         return self._centralizer_masks[g]
 
     @cached_property
     def _centralizer_masks(self) -> tuple[int, ...]:
+        """Centralizer of every element as a mask; the one place commutation
+        is decided on the group side."""
         masks = []
         for g in range(self.order):
             row = self.table[g]
@@ -108,35 +108,35 @@ class Group:
             masks.append(m)
         return tuple(masks)
 
+    @cached_property
+    def center_mask(self) -> int:
+        """Mask of the z whose centralizer is the whole group."""
+        full = (1 << self.order) - 1
+        return sum(1 << z for z, c in enumerate(self._centralizer_masks) if c == full)
+
     def center(self) -> "ElementSet":
         """Elements commuting with everything; contains index 0."""
-        members = tuple(
-            z
-            for z in range(self.order)
-            if all(self.table[z][g] == self.table[g][z] for g in range(self.order))
-        )
-        return ElementSet(self, members)
+        return ElementSet(self, self.center_mask)
 
 
 @dataclass(frozen=True)
 class ElementSet:
-    """Sorted set of element indices of a fixed group."""
+    """Set of element indices of a fixed group, as a mask over the indices."""
 
     group: Group
-    members: tuple[int, ...]
+    mask: int
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+    def members(self) -> tuple[int, ...]:
+        """The element indices in increasing order."""
+        return tuple(x for x in range(self.group.order) if self.mask >> x & 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        # The range check keeps a negative x from reaching a shift.
+        return 0 <= x < self.group.order and bool(self.mask >> x & 1)
 
 
 def _validate_table(table: list[list[int]], name: str) -> None:

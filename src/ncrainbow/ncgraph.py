@@ -4,15 +4,14 @@ The non-commuting graph of a non-abelian group has the non-central
 elements as vertices and an edge between x and y exactly when xy != yx.
 Common-neighbor counts can be computed two independent ways (adjacency
 intersection on the graph side, centralizer unions on the group side);
-`tau` cross-asserts them by default because that identity is the
-backbone of everything downstream.
+`tau` and `pair_profile` cross-assert them on every pair because that
+identity is the backbone of everything downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .graphs import Graph, lexicographic_product, edgeless_graph
 from .groups import Group, cyclic, direct_product
@@ -32,10 +31,6 @@ class NonCommutingGraph:
     group: Group
     vertex_to_element: tuple[int, ...]
 
-    @cached_property
-    def element_to_vertex(self) -> dict[int, int]:
-        return {e: v for v, e in enumerate(self.vertex_to_element)}
-
     def centralizer_mask(self, vertex: int) -> int:
         """Centralizer of the underlying element, as a mask over group elements."""
         return self.group.centralizer_mask(self.vertex_to_element[vertex])
@@ -45,9 +40,8 @@ def noncommuting_graph(group: Group) -> NonCommutingGraph:
     """Graph on the non-central elements, joined when they do not commute."""
     if group.is_abelian:
         raise AbelianGroup(f"{group.name} is abelian")
-    center_mask = group.center().mask
+    center_mask = group.center_mask
     vertices = [e for e in range(group.order) if not center_mask >> e & 1]
-    index_of = {e: v for v, e in enumerate(vertices)}
     table = group.table
     adj = [0] * len(vertices)
     for i, x in enumerate(vertices):
@@ -62,24 +56,50 @@ def noncommuting_graph(group: Group) -> NonCommutingGraph:
     return NonCommutingGraph(g, group, tuple(vertices))
 
 
-def tau(ncg: NonCommutingGraph, x: int, y: int, cross_check: bool = True) -> int:
+def _tau_mismatch(x: int, y: int, graph_side: int, group_side: int) -> BoundViolated:
+    return BoundViolated(
+        f"tau mismatch at ({x},{y}): graph {graph_side}, group {group_side}"
+    )
+
+
+def tau(ncg: NonCommutingGraph, x: int, y: int) -> int:
     """Number of common neighbors of vertices x and y.
 
-    With cross_check, also computes |G| - |C(x) ∪ C(y)| on the group side
-    and asserts agreement.
+    Also computes |G| - |C(x) ∪ C(y)| on the group side and asserts
+    agreement.
     """
     if x == y:
         raise ValueError("tau requires two distinct vertices")
     g = ncg.graph
     graph_side = (g.adj[x] & g.adj[y]).bit_count()
-    if cross_check:
-        union = ncg.centralizer_mask(x) | ncg.centralizer_mask(y)
-        group_side = ncg.group.order - union.bit_count()
-        if group_side != graph_side:
-            raise BoundViolated(
-                f"tau mismatch at ({x},{y}): graph {graph_side}, group {group_side}"
-            )
+    union = ncg.centralizer_mask(x) | ncg.centralizer_mask(y)
+    group_side = ncg.group.order - union.bit_count()
+    if group_side != graph_side:
+        raise _tau_mismatch(x, y, graph_side, group_side)
     return graph_side
+
+
+def pair_profile(ncg: NonCommutingGraph) -> dict[tuple[int, bool], int]:
+    """Histogram of (tau, adjacent) over unordered pairs of distinct vertices.
+
+    One pass over the pairs. tau is counted on the graph side and checked
+    on every pair against |G| - |C(x) ∪ C(y)| from the group side, as in
+    `tau`. Every group-side pair quantity (the failure bound for any k, the
+    6*tau >= |G| floor) is a function of this histogram.
+    """
+    adj = ncg.graph.adj
+    cent = [ncg.centralizer_mask(v) for v in range(len(adj))]
+    order = ncg.group.order
+    hist: dict[tuple[int, bool], int] = {}
+    for x, (ax, cx) in enumerate(zip(adj, cent)):
+        for y in range(x + 1, len(adj)):
+            t = (ax & adj[y]).bit_count()
+            group_side = order - (cx | cent[y]).bit_count()
+            if t != group_side:
+                raise _tau_mismatch(x, y, t, group_side)
+            key = (t, (ax >> y & 1) == 1)
+            hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 @dataclass(frozen=True)
@@ -98,14 +118,10 @@ def common_neighbor_floor_check(group: Group) -> CommonNeighborReport:
     raised as BoundViolated (it would indicate a bug) rather than reported.
     """
     ncg = noncommuting_graph(group)
+    t = min(key[0] for key in pair_profile(ncg))
+    # The witness is the first pair in index order with the least tau.
     n = ncg.graph.vertex_count
-    best = None
-    for x in range(n):
-        for y in range(x + 1, n):
-            t = tau(ncg, x, y)
-            if best is None or t < best[0]:
-                best = (t, x, y)
-    t, x, y = best
+    x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if tau(ncg, x, y) == t)
     if 6 * t < group.order:
         raise BoundViolated(
             f"{group.name}: 6*tau({ncg.graph.labels[x]},{ncg.graph.labels[y]})"

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,8 @@ from ncrainbow.bounds import (DyadicBound, coarse_bound, coarse_bound_holds,
                               failure_bound, mid_bound, scan_exception_report,
                               threshold_for_k, write_bound_reports)
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
-from ncrainbow.ncgraph import AbelianGroup
+from ncrainbow.ncgraph import AbelianGroup, noncommuting_graph, pair_profile
+from util import brute_pair_profile, brute_pairs
 
 SUITE = [dihedral(n) for n in range(3, 9)] + [dicyclic(m) for m in (2, 3, 4)] + [
     metacyclic(8, 3), metacyclic(8, 5), direct_product(dihedral(3), cyclic(3))]
@@ -49,6 +51,27 @@ def test_pinned_values():
 @pytest.mark.parametrize("group", SUITE, ids=lambda g: g.name)
 def test_matches_ordered_pair_oracle(group):
     assert failure_bound(group, 2) == ordered_pair_accumulation(group)
+
+
+def per_pair_sum(group, k):
+    """One Fraction per pair: P(fewer than k-1 bichromatic 2-paths among
+    tau) for an adjacent pair, fewer than k for a non-adjacent one."""
+    total = Fraction(0)
+    for t, adjacent in brute_pairs(group):
+        need = k - 1 if adjacent else k
+        total += sum(Fraction(comb(t, i), 2 ** t) for i in range(need))
+    return total
+
+
+@pytest.mark.parametrize("group", SUITE, ids=lambda g: g.name)
+def test_pair_profile_matches_brute(group):
+    assert pair_profile(noncommuting_graph(group)) == brute_pair_profile(group)
+
+
+@pytest.mark.parametrize("group", SUITE, ids=lambda g: g.name)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_matches_per_pair_oracle(group, k):
+    assert failure_bound(group, k) == per_pair_sum(group, k)
 
 
 @pytest.mark.parametrize("group", SUITE[:6], ids=lambda g: g.name)

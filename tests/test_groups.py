@@ -6,6 +6,7 @@ from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
                               dicyclic, dihedral, direct_product, group_from_cayley_table,
                               load_cayley_table, metacyclic, semidirect_product,
                               write_cayley_table)
+from ncrainbow.reproduce import order16_family
 from util import brute_center, group_isomorphism
 
 S3_TABLE = [
@@ -160,6 +161,23 @@ def test_central_products():
         central_product(d8, d8, 1, 2)
     with pytest.raises(OrderMismatch):
         central_product(cyclic(4), cyclic(2), 1, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_central_product_rejects_out_of_range(bad):
+    # Out-of-range indices are not central; they never reach a mask shift.
+    d8 = dihedral(4)
+    with pytest.raises(NotCentral):
+        central_product(d8, d8, bad, 2)
+    with pytest.raises(NotCentral):
+        central_product(d8, d8, 2, bad)
+
+
+@pytest.mark.parametrize("group", order16_family(), ids=lambda g: g.name)
+def test_order16_center_matches_brute(group):
+    brute = brute_center([list(r) for r in group.table])
+    assert len(group.center()) == len(brute)
+    assert list(group.center().members) == brute
 
 
 def test_centralizers():

@@ -1,10 +1,12 @@
 import pytest
 
-from ncrainbow.graphs import detect_complete_multipartite, read_graph_file, write_graph_file
+from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
+                              write_graph_file)
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
-from ncrainbow.ncgraph import (AbelianGroup, abelian_extension_check,
-                               common_neighbor_floor_check, edge_count_identity_check,
-                               noncommuting_graph, tau)
+from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
+                               abelian_extension_check, common_neighbor_floor_check,
+                               edge_count_identity_check, noncommuting_graph, pair_profile,
+                               tau)
 
 
 def test_small_structures():
@@ -64,6 +66,25 @@ def test_tau_matches_neighbor_intersection(group):
         for y in range(x + 1, g.vertex_count):
             common = nx & set(g.neighbors(y))
             assert tau(ncg, x, y) == len(common)
+
+
+def test_cross_check_catches_a_flipped_edge():
+    # Toggle the edge a-b on both sides of the D8 graph: the common-neighbor
+    # count of a and any other neighbor c of b moves by one on the graph
+    # side only, so the centralizer-union cross-check must fire.
+    ncg = noncommuting_graph(dihedral(4))
+    a, b = 0, 1
+    c = next(v for v in ncg.graph.neighbors(b) if v != a)
+    adj = list(ncg.graph.adj)
+    adj[a] ^= 1 << b
+    adj[b] ^= 1 << a
+    graph = Graph(ncg.graph.vertex_count, ncg.graph.labels, tuple(adj))
+    bad = NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element)
+    assert tau(ncg, a, c) == 2
+    with pytest.raises(BoundViolated):
+        tau(bad, a, c)
+    with pytest.raises(BoundViolated):
+        pair_profile(bad)
 
 
 def test_floor_reports():

@@ -1,5 +1,6 @@
 """Brute-force reference implementations used as independent oracles."""
 
+from collections import Counter
 from itertools import permutations
 
 from ncrainbow.graphs import Graph
@@ -9,6 +10,24 @@ def brute_center(table):
     n = len(table)
     return [z for z in range(n)
             if all(table[z][g] == table[g][z] for g in range(n))]
+
+
+def brute_pairs(group):
+    """(tau, adjacent) for each unordered pair of distinct non-central
+    elements, in index order: tau = |G| - |C(x) ∪ C(y)| from centralizer
+    sets, adjacency from the table."""
+    n = group.order
+    table = group.table
+    centralizer = [{x for x in range(n) if table[x][g] == table[g][x]} for g in range(n)]
+    vertices = [g for g in range(n) if len(centralizer[g]) < n]
+    for i, x in enumerate(vertices):
+        for y in vertices[i + 1:]:
+            yield n - len(centralizer[x] | centralizer[y]), table[x][y] != table[y][x]
+
+
+def brute_pair_profile(group):
+    """Histogram of brute_pairs, the reference for ncgraph.pair_profile."""
+    return Counter(brute_pairs(group))
 
 
 def group_isomorphism(g, h):
