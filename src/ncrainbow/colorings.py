@@ -27,7 +27,9 @@ class InvalidSpec(Exception):
 class EdgeColoring:
     """Total assignment of colors 1..color_count to the edges of a graph.
 
-    Immutable once built. ``edge_colors`` is aligned with ``graph.edges``.
+    Immutable once built. ``edge_colors`` is aligned with ``graph.edges``;
+    ``masks[c][v]`` is the set of neighbors of v through color-c edges
+    (row 0 unused), built in the same pass that range-checks the colors.
     """
 
     def __init__(self, graph: Graph, color_count: int, edge_colors: Sequence[int],
@@ -38,14 +40,19 @@ class EdgeColoring:
             raise ValueError(
                 f"{len(edge_colors)} colors for {graph.edge_count} edges"
             )
-        for c in edge_colors:
+        masks = [[0] * graph.vertex_count for _ in range(color_count + 1)]
+        for (u, v), c in zip(graph.edges, edge_colors):
+            # c indexes masks: unchecked, 0 would land in the unused row and -1 in the last
             if not 1 <= c <= color_count:
                 raise ValueError(f"color {c} outside 1..{color_count}")
+            row = masks[c]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
         self.graph = graph
         self.color_count = color_count
         self.edge_colors = tuple(edge_colors)
         self.seed = seed
-        self._masks: tuple[tuple[int, ...], ...] | None = None
+        self.masks = tuple(tuple(m) for m in masks)
 
     @classmethod
     def from_function(cls, graph: Graph, color_count: int,
@@ -53,23 +60,14 @@ class EdgeColoring:
         return cls(graph, color_count, [fn(u, v) for u, v in graph.edges], seed)
 
     def color_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.edge_colors[self.graph.edge_index[(u, v)]]
+        if 0 <= u < self.graph.vertex_count and v >= 0:  # a negative u would wrap
+            for c in range(1, self.color_count + 1):
+                if self.masks[c][u] >> v & 1:
+                    return c
+        raise ValueError(f"({u},{v}) is not an edge")
 
     def assignment(self) -> dict[tuple[int, int], int]:
         return dict(zip(self.graph.edges, self.edge_colors))
-
-    def color_masks(self) -> tuple[tuple[int, ...], ...]:
-        """masks[c][v] = neighbors of v through color-c edges (index 0 unused)."""
-        if self._masks is None:
-            n = self.graph.vertex_count
-            masks = [[0] * n for _ in range(self.color_count + 1)]
-            for (u, v), c in zip(self.graph.edges, self.edge_colors):
-                masks[c][u] |= 1 << v
-                masks[c][v] |= 1 << u
-            self._masks = tuple(tuple(m) for m in masks)
-        return self._masks
 
     def colors_used(self) -> set[int]:
         return set(self.edge_colors)
@@ -285,7 +283,8 @@ def read_coloring_file(path: str | Path, graph: Graph) -> EdgeColoring:
     missing = [e for e in graph.edges if e not in colors]
     if missing:
         raise ValueError(f"{path}: no color for edge {missing[0]}")
-    extra = [e for e in colors if e not in graph.edge_index]
+    edges = set(graph.edges)
+    extra = [e for e in colors if e not in edges]
     if extra:
         raise ValueError(f"{path}: colored pair {extra[0]} is not a graph edge")
     return EdgeColoring(graph, color_count, [colors[e] for e in graph.edges])

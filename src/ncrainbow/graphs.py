@@ -50,10 +50,6 @@ class Graph:
             out.extend((u, v) for v in iter_bits(rest))
         return tuple(out)
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

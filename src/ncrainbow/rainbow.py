@@ -9,13 +9,17 @@ colors fall back to enumeration plus backtracking selection, intended
 only for small exhaustive studies.
 
 Certificates returned by the verifier are always re-checked by an
-independent validator that shares no code with the path selector.
+independent validator that shares no code with the path selector. The
+selector reads the coloring's per-color masks (``col.masks``); the
+validator reads only the color list ``col.edge_colors``, so a fault in
+building the masks cannot make both agree on a bad certificate.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -99,7 +103,7 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     paths: list[Path_] = []
     if g.adjacent(x, y):
         paths.append((x, y))
-    masks = col.color_masks()
+    masks = col.masks
     bichromatic = 0
     for c1 in range(1, col.color_count + 1):
         for c2 in range(1, col.color_count + 1):
@@ -162,14 +166,6 @@ def max_disjoint_paths(paths: Sequence[Path_]) -> int:
     return k
 
 
-def _pair_paths(g: Graph, col: EdgeColoring, x: int, y: int, k: int) -> list[Path_] | None:
-    if col.color_count <= 2:
-        shorts = short_rainbow_paths(g, col, x, y)
-        return shorts[:k] if len(shorts) >= k else None
-    paths = enumerate_rainbow_paths(g, col, x, y, max_len=col.color_count)
-    return select_disjoint_paths(paths, k)
-
-
 def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, int] | None:
     """First vertex pair (in index order) lacking k disjoint rainbow paths.
 
@@ -178,8 +174,7 @@ def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, in
     """
     if col.color_count != 2:
         raise ValueError("fast counting is defined for 2-colorings only")
-    masks = col.color_masks()
-    m1, m2 = masks[1], masks[2]
+    m1, m2 = col.masks[1], col.masks[2]
     n = g.vertex_count
     for x in range(n):
         ax = g.adj[x]
@@ -201,14 +196,17 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
     for x in range(n):
         for y in range(x + 1, n):
-            paths = _pair_paths(g, col, x, y, k)
-            if paths is None:
-                if col.color_count <= 2:
-                    found = len(short_rainbow_paths(g, col, x, y))
-                else:
-                    found = max_disjoint_paths(
-                        enumerate_rainbow_paths(g, col, x, y, col.color_count))
-                return FailureWitness((x, y), k, found)
+            if col.color_count <= 2:
+                paths = short_rainbow_paths(g, col, x, y)
+                if len(paths) < k:  # short paths are pairwise internally disjoint
+                    return FailureWitness((x, y), k, len(paths))
+                paths = paths[:k]
+            else:
+                paths = enumerate_rainbow_paths(g, col, x, y, col.color_count)
+                chosen = select_disjoint_paths(paths, k)
+                if chosen is None:
+                    return FailureWitness((x, y), k, max_disjoint_paths(paths))
+                paths = chosen
             per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
@@ -220,8 +218,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
 
     Deliberately shares no code with the selector: path validity, rainbow
     condition, pairwise internal disjointness, and pair coverage are all
-    rederived from the graph and coloring alone.
+    rederived from the graph and the color list ``col.edge_colors`` alone,
+    never from ``col.masks``.
     """
+    edge_color = col.assignment()
     n = g.vertex_count
     expected_pairs = {(x, y) for x in range(n) for y in range(x + 1, n)}
     if set(cert.per_pair) != expected_pairs:
@@ -241,7 +241,7 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
             for a, b in zip(p, p[1:]):
                 if not g.adjacent(a, b):
                     raise ValueError(f"path {p} uses non-edge ({a},{b})")
-                colors.append(col.color_of(a, b))
+                colors.append(edge_color[(a, b) if a < b else (b, a)])
             if len(set(colors)) != len(colors):
                 raise ValueError(f"path {p} repeats a color")
             internal_sets.append(set(p[1:-1]))
@@ -254,6 +254,7 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
 
 
 def _search_chunk(args) -> int | None:
+    """Lowest attempt index in [start, stop) whose coloring passes, or None."""
     g, k, seed, start, stop = args
     for i in range(start, stop):
         col = random_two_coloring(g, seed + i)
@@ -266,10 +267,10 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
                         workers: int = 1) -> EdgeColoring | None:
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
-    Attempt i draws random_two_coloring(g, seed + i). Single-worker runs
-    return the lowest-index success; with workers > 1 attempt blocks are
-    distributed and any verified success may be returned. None after the
-    budget is exhausted.
+    Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
+    success is returned, for every worker count: with workers > 1 attempt
+    blocks run in a pool of min(workers, cpu count) processes and their
+    results are read in block order. None after the budget is exhausted.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -278,23 +279,19 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
     if attempts < 1:
         return None
 
-    winner: int | None = None
     if workers <= 1:
-        for i in range(attempts):
-            col = random_two_coloring(g, seed + i)
-            if two_color_failure_pair(g, col, k) is None:
-                winner = i
-                break
+        winner = _search_chunk((g, k, seed, 0, attempts))
     else:
-        chunk = max(1, attempts // (workers * 8))
+        size = min(workers, os.cpu_count() or 1)
+        chunk = max(1, attempts // (size * 8))
         jobs = [(g, k, seed, lo, min(lo + chunk, attempts))
                 for lo in range(0, attempts, chunk)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for res in pool.imap_unordered(_search_chunk, jobs):
-                if res is not None:
-                    winner = res
-                    pool.terminate()
-                    break
+        with multiprocessing.get_context("fork").Pool(size) as pool:
+            # Blocks ascend and each returns its lowest success, so the first
+            # success in block order is the lowest overall; leaving the with
+            # block terminates the workers still running later blocks.
+            results = pool.imap(_search_chunk, jobs)
+            winner = next((res for res in results if res is not None), None)
     if winner is None:
         return None
     col = random_two_coloring(g, seed + winner)

@@ -155,3 +155,18 @@ def test_reproduce_quick(capsys):
     lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_verify_refuses_a_coloring_with_a_non_edge_pair(tmp_path, capsys):
+    graph = tmp_path / "p3.graph"
+    col = tmp_path / "p3.col"
+    graph.write_text("graph 3 2\n0 1\n1 2\n")
+    for line in ("0 2 1", "-1 0 1", "0 99 1"):
+        col.write_text(f"coloring 2\n0 1 1\n1 2 2\n{line}\n")
+        code, manifest, captured = run(capsys, "verify", "--graph", str(graph),
+                                       "--coloring", str(col), "--k", "1")
+        assert code == 2 and manifest is None
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ValueError" and "is not a graph edge" in error["message"]

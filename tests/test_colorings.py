@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from ncrainbow.colorings import (EdgeColoring, InvalidSpec, PartitionSpec,
@@ -5,7 +8,7 @@ from ncrainbow.colorings import (EdgeColoring, InvalidSpec, PartitionSpec,
                                  multipartite_two_coloring, random_two_coloring,
                                  read_coloring_file, transfer_coloring,
                                  write_coloring_file)
-from ncrainbow.graphs import complete_graph, edgeless_graph
+from ncrainbow.graphs import complete_graph, edgeless_graph, graph_from_edges
 
 
 def test_spec_validation():
@@ -137,3 +140,49 @@ def test_transfer_along_permutation():
     assert moved.color_of(0, 1) == col.color_of(3, 2)
     with pytest.raises(ValueError):
         transfer_coloring(col, [0, 0, 1, 2], g)
+
+
+def test_color_range_is_checked_before_indexing():
+    g = complete_graph(3)
+    for bad in (0, -1, 3):
+        with pytest.raises(ValueError, match=f"color {bad} outside 1..2"):
+            EdgeColoring(g, 2, [1, bad, 2])
+    with pytest.raises(ValueError, match="at least one color"):
+        EdgeColoring(g, 0, [1, 1, 1])
+
+
+def test_coloring_file_names_a_non_edge_pair(tmp_path):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = tmp_path / "extra.col"
+    for line, pair in (("0 2 1", "(0, 2)"), ("-1 0 1", "(-1, 0)"), ("0 99 1", "(0, 99)")):
+        path.write_text(f"coloring 2\n0 1 1\n1 2 2\n2 3 1\n{line}\n")
+        message = re.escape(f"colored pair {pair} is not a graph edge")
+        with pytest.raises(ValueError, match=message):
+            read_coloring_file(path, g)
+
+
+def test_color_of_is_symmetric_and_refuses_non_edges():
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 3)])
+    col = EdgeColoring(g, 3, [3, 1, 2])
+    for (u, v), c in col.assignment().items():
+        assert col.color_of(u, v) == col.color_of(v, u) == c
+    for u, v in ((0, 3), (3, 0), (1, 2), (2, 3), (-1, 0), (0, -1), (0, 9), (9, 0)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            col.color_of(u, v)
+
+
+def test_masks_match_assignment():
+    rng = random.Random(21)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = graph_from_edges(n, edges)
+        count = rng.randint(1, 3)
+        col = EdgeColoring(g, count, [rng.randint(1, count) for _ in edges])
+        assigned = col.assignment()
+        assert len(col.masks) == count + 1 and not any(col.masks[0])
+        for c in range(1, count + 1):
+            for u in range(n):
+                for v in range(n):
+                    key = (min(u, v), max(u, v))
+                    assert (col.masks[c][u] >> v & 1) == (assigned.get(key) == c)

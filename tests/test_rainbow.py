@@ -5,6 +5,7 @@ import pytest
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
 from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
+from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                                RainbowCertificate, certify_rc2, enumerate_rainbow_paths,
                                is_rainbow_k_connected, max_disjoint_paths,
@@ -194,3 +195,80 @@ def test_certificate_json_round_trip(tmp_path):
         for path_vertices, path_colors in zip(entry["paths"], entry["colors_used"]):
             assert len(path_colors) == len(path_vertices) - 1
             assert len(set(path_colors)) == len(path_colors)
+
+
+def test_validator_reads_edge_colors_not_masks():
+    g, good = multipartite_two_coloring(PartitionSpec(1, 4, 1))
+    bad = EdgeColoring(g, 2, [1] * g.edge_count)
+    bad.masks = good.masks  # the selector now finds paths the colors do not allow
+    with pytest.raises(ValueError, match="repeats a color"):
+        is_rainbow_k_connected(g, bad, 2)
+
+
+def test_three_color_failure_is_first_pair_with_max_found():
+    rng = random.Random(8)
+    failures = 0
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        g = graph_from_edges(n, edges)
+        col = EdgeColoring(g, 3, [rng.randint(1, 3) for _ in edges])
+        colors = col.assignment()
+        k = rng.randint(1, 3)
+        found = {}
+        for x in range(n):
+            for y in range(x + 1, n):
+                paths = [p for p in brute_simple_paths(g, x, y, max_len=3)
+                         if len({colors[min(a, b), max(a, b)] for a, b in zip(p, p[1:])})
+                         == len(p) - 1]
+                found[(x, y)] = max_disjoint_paths(paths)
+        failing = [pair for pair, count in found.items() if count < k]
+        result = is_rainbow_k_connected(g, col, k)
+        if not failing:
+            assert isinstance(result, RainbowCertificate)
+            continue
+        failures += 1
+        x, y = failing[0]
+        assert result == FailureWitness((x, y), k, found[(x, y)])
+        assert result.found == max_disjoint_paths(enumerate_rainbow_paths(g, col, x, y, 3))
+    assert failures >= 10
+
+
+def test_search_winner_does_not_depend_on_workers():
+    g = complete_multipartite([2, 2, 2])
+    serial = search_two_coloring(g, 2, 800, seed=1799)
+    assert serial.seed - 1799 == 44
+    for _ in range(5):
+        assert search_two_coloring(g, 2, 800, seed=1799, workers=2).seed == serial.seed
+
+
+def test_pool_is_clamped_to_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process; unordered results come
+        last block first, one of the orders a real pool may produce."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, reversed(jobs))
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(rainbow.multiprocessing, "get_context", lambda method: Context())
+    monkeypatch.setattr(rainbow.os, "cpu_count", lambda: 2)
+    g = complete_multipartite([2, 2, 2])
+    col = search_two_coloring(g, 2, 800, seed=1799, workers=64)
+    assert sizes == [2] and col.seed - 1799 == 44
