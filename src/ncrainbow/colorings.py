@@ -224,17 +224,20 @@ def j62_graph_and_coloring() -> tuple[Graph, EdgeColoring]:
     return g, EdgeColoring.from_function(g, 2, color)
 
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(seed: int) -> Iterator[int]:
-    """The splitmix64 stream; fixed constants, platform independent."""
-    state = seed & _MASK64
+    """The splitmix64 stream; output j is mix((seed + (j+1)*SPLITMIX_GAMMA) mod 2^64)."""
+    state = seed & MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + SPLITMIX_GAMMA) & MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & MASK64
+        z = ((z ^ (z >> 27)) * SPLITMIX_MUL2) & MASK64
         yield z ^ (z >> 31)
 
 

@@ -13,6 +13,11 @@ independent validator that shares no code with the path selector. The
 selector reads the coloring's per-color masks (``col.masks``); the
 validator reads only the color list ``col.edge_colors``, so a fault in
 building the masks cannot make both agree on a bad certificate.
+
+The search kernel reads only ``g.adj``, ``g.edges``, k and the seed: it
+draws each attempt's colors from the splitmix64 constants straight into
+color-1 masks and never builds an EdgeColoring. The winner is redrawn by
+random_two_coloring and goes through the verifier and the validator.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .colorings import EdgeColoring, random_two_coloring
+from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
+                        random_two_coloring)
 from .graphs import Graph, connectivity_at_least, iter_bits
 
 
@@ -113,76 +119,50 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     return paths
 
 
-def _internal_mask(path: Path_) -> int:
-    m = 0
-    for v in path[1:-1]:
-        m |= 1 << v
-    return m
-
-
 def select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
-    """Pick k pairwise internally-disjoint paths, or None if impossible."""
+    """Pick k pairwise internally-disjoint paths, or None if impossible.
+
+    Backtracks over the paths in list order, each taken before it is
+    skipped, with an explicit stack instead of recursion.
+    """
     if k == 0:
         return []
-    p = len(paths)
-    if p < k:
+    if len(paths) < k:
         return None
-    internals = [_internal_mask(path) for path in paths]
-    conflict = [0] * p
-    for i in range(p):
-        for j in range(i + 1, p):
-            if internals[i] & internals[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-
+    users: dict[int, int] = {}  # vertex -> mask of the paths with it inside
+    for i, path in enumerate(paths):
+        for v in path[1:-1]:
+            users[v] = users.get(v, 0) | 1 << i
     chosen: list[int] = []
-
-    def bt(avail: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if avail.bit_count() < need:
-            return False
+    skipped: list[int] = []  # skipped[d]: candidates left if chosen[d] is skipped
+    avail = (1 << len(paths)) - 1
+    while len(chosen) < k:
+        if avail.bit_count() < k - len(chosen):
+            if not chosen:
+                return None
+            chosen.pop()
+            avail = skipped.pop()
+            continue
         low = avail & -avail
-        i = low.bit_length() - 1
-        chosen.append(i)
-        if bt(avail & ~low & ~conflict[i], need - 1):
-            return True
-        chosen.pop()
-        return bt(avail & ~low, need)
-
-    if bt((1 << p) - 1, k):
-        return [paths[i] for i in chosen]
-    return None
+        chosen.append(low.bit_length() - 1)
+        avail ^= low
+        skipped.append(avail)
+        for v in paths[chosen[-1]][1:-1]:
+            avail &= ~users[v]
+    return [paths[i] for i in chosen]
 
 
 def max_disjoint_paths(paths: Sequence[Path_]) -> int:
-    """Largest number of pairwise internally-disjoint paths in the list."""
-    best = 0
-    k = len(paths)
-    while k > best:
-        if select_disjoint_paths(paths, k) is not None:
-            return k
-        k -= 1
-    return k
-
-
-def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, int] | None:
-    """First vertex pair (in index order) lacking k disjoint rainbow paths.
-
-    Count-only fast path for 2-colorings; used by the random search inner
-    loop. None means the coloring passes.
-    """
-    if col.color_count != 2:
-        raise ValueError("fast counting is defined for 2-colorings only")
-    m1, m2 = col.masks[1], col.masks[2]
-    n = g.vertex_count
-    for x in range(n):
-        ax = g.adj[x]
-        for y in range(x + 1, n):
-            count = ((m1[x] & m2[y]) | (m2[x] & m1[y])).bit_count() + (ax >> y & 1)
-            if count < k:
-                return (x, y)
-    return None
+    """Largest number of pairwise internally-disjoint paths in the list,
+    by bisection: k disjoint paths contain j disjoint ones for every j < k."""
+    lo, hi = 0, len(paths)  # lo is always achievable
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if select_disjoint_paths(paths, mid) is not None:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
@@ -254,13 +234,45 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
 
 
 def _search_chunk(args) -> int | None:
-    """Lowest attempt index in [start, stop) whose coloring passes, or None."""
+    """Lowest attempt index in [start, stop) whose coloring passes, or None.
+
+    Attempt i decides random_two_coloring(g, seed + i) without building
+    it. Row u of the plan holds each edge (u, v > u) as the splitmix64
+    offset (j+1) * gamma of its index j, and for each a < u the common
+    neighbours of a and u and the rainbow 2-paths they still need. A 2-path
+    a-w-u is rainbow when exactly one of its edges is color 1, and all of
+    them lie in rows <= u, so pair (a, u) is decided once row u is drawn.
+    """
     g, k, seed, start, stop = args
+    adj = g.adj
+    draws = [[] for _ in adj]
+    for j, (u, v) in enumerate(g.edges):
+        draws[u].append(((j + 1) * SPLITMIX_GAMMA & MASK64, v, 1 << v))
+    plan = [(u, 1 << u, draws[u],
+             [a & au for a in adj[:u]], [k - (a >> u & 1) for a in adj[:u]])
+            for u, au in enumerate(adj)]
     for i in range(start, stop):
-        col = random_two_coloring(g, seed + i)
-        if two_color_failure_pair(g, col, k) is None:
+        if _attempt_passes(plan, seed + i):
             return i
     return None
+
+
+def _attempt_passes(plan, s: int) -> bool:
+    r1 = [0] * len(plan)  # r1[v]: neighbours of v through color-1 edges
+    for u, bu, draws, commons, needs in plan:
+        ru = r1[u]
+        for offset, v, bv in draws:
+            z = (s + offset) & MASK64
+            z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & MASK64
+            z = (z ^ (z >> 27)) * SPLITMIX_MUL2  # only bits 0 and 31 are read below
+            if not (z ^ (z >> 31)) & 1:
+                ru |= bv
+                r1[v] |= bu
+        r1[u] = ru
+        for ra, common, need in zip(r1, commons, needs):
+            if ((ru ^ ra) & common).bit_count() < need:
+                return False
+    return True
 
 
 def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,

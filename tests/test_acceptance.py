@@ -177,6 +177,7 @@ def test_criterion_10_rainbow_3():
     assert kappa >= 3
     coloring = search_two_coloring(g14, 3, 10 ** 5, seed=1)
     assert coloring is not None
+    assert coloring.seed == 45_484
     result = is_rainbow_k_connected(g14, coloring, 3)
     assert isinstance(result, RainbowCertificate)
     assert threshold_for_k(2) == 126

@@ -11,9 +11,8 @@ from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKap
                                is_rainbow_k_connected, max_disjoint_paths,
                                rc_lower_bound, read_certificate, search_two_coloring,
                                select_disjoint_paths, short_rainbow_paths,
-                               two_color_failure_pair, validate_certificate,
-                               write_certificate)
-from util import brute_simple_paths
+                               validate_certificate, write_certificate)
+from util import brute_simple_paths, two_color_failure_pair
 
 
 def colored(g, colors):

@@ -2,8 +2,12 @@
 
 from collections import Counter
 from itertools import permutations
+from typing import Sequence
 
+from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph
+
+Path_ = tuple[int, ...]
 
 
 def brute_center(table):
@@ -130,3 +134,67 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
                for u in range(n) for v in range(n) if u != v):
             return True
     return False
+
+
+def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, int] | None:
+    """First vertex pair (in index order) lacking k disjoint rainbow paths.
+
+    Count-only check for 2-colorings over the coloring's masks; the oracle
+    the search kernel is tested against. None means the coloring passes.
+    """
+    if col.color_count != 2:
+        raise ValueError("fast counting is defined for 2-colorings only")
+    m1, m2 = col.masks[1], col.masks[2]
+    n = g.vertex_count
+    for x in range(n):
+        ax = g.adj[x]
+        for y in range(x + 1, n):
+            count = ((m1[x] & m2[y]) | (m2[x] & m1[y])).bit_count() + (ax >> y & 1)
+            if count < k:
+                return (x, y)
+    return None
+
+
+def _internal_mask(path: Path_) -> int:
+    m = 0
+    for v in path[1:-1]:
+        m |= 1 << v
+    return m
+
+
+def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
+    """Pick k pairwise internally-disjoint paths, or None if impossible.
+
+    The recursive selector, one level per candidate; the reference for the
+    selection order of rainbow.select_disjoint_paths."""
+    if k == 0:
+        return []
+    p = len(paths)
+    if p < k:
+        return None
+    internals = [_internal_mask(path) for path in paths]
+    conflict = [0] * p
+    for i in range(p):
+        for j in range(i + 1, p):
+            if internals[i] & internals[j]:
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+
+    chosen: list[int] = []
+
+    def bt(avail: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if avail.bit_count() < need:
+            return False
+        low = avail & -avail
+        i = low.bit_length() - 1
+        chosen.append(i)
+        if bt(avail & ~low & ~conflict[i], need - 1):
+            return True
+        chosen.pop()
+        return bt(avail & ~low, need)
+
+    if bt((1 << p) - 1, k):
+        return [paths[i] for i in chosen]
+    return None
