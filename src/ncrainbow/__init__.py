@@ -9,12 +9,12 @@ from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complement,
                      complete_graph, complete_multipartite, detect_complete_multipartite,
                      edgeless_graph, graph_from_edges, johnson, lexicographic_product,
                      read_graph_file, vertex_connectivity, write_graph_file)
-from .groups import (ElementSet, Group, GroupError, central_product, cyclic, dicyclic,
-                     dihedral, direct_product, group_from_cayley_table, load_cayley_table,
-                     metacyclic, semidirect_product, write_cayley_table)
+from .groups import (Group, GroupError, central_product, cyclic, dicyclic, dihedral,
+                     direct_product, group_from_cayley_table, load_cayley_table, metacyclic,
+                     semidirect_product, write_cayley_table)
 from .ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                       abelian_extension_check, common_neighbor_floor_check,
-                      edge_count_identity_check, noncommuting_graph, pair_profile, tau)
+                      edge_count_identity_check, noncommuting_graph, pair_profile)
 from .rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                       RainbowCertificate, Rc2Certificate, certify_rc2,
                       enumerate_rainbow_paths, is_rainbow_k_connected, rc_lower_bound,

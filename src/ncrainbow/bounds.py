@@ -56,11 +56,6 @@ class DyadicBound:
         p, q = self.prefactor.numerator, self.prefactor.denominator
         return p ** 6 < q ** 6 << self.sixth_log2
 
-    def as_fraction(self) -> Fraction:
-        if self.sixth_log2 % 6:
-            raise ValueError(f"2^({self.sixth_log2}/6) is not rational")
-        return self.prefactor / (1 << (self.sixth_log2 // 6))
-
     def leq(self, other: "DyadicBound") -> bool:
         if self.sixth_log2 != other.sixth_log2:
             raise ValueError("comparison requires a common exponent")
@@ -150,7 +145,7 @@ def scan_exception_report(groups: Sequence[Group], k: int = 2) -> list[BoundRepo
     """failure_bound for each group, flagging values >= 1; input order kept."""
     reports = []
     for group in groups:
-        center_size = len(group.center())
+        center_size = group.center_mask.bit_count()
         try:
             value = failure_bound(group, k)
         except AbelianGroup as exc:

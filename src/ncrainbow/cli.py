@@ -90,7 +90,7 @@ def cmd_group_build(args) -> int:
                               "zg": args.zg, "zh": args.zh},
               inputs=inputs, outputs=[args.out],
               outcome={"name": group.name, "order": group.order,
-                       "center_size": len(group.center())})
+                       "center_size": group.center_mask.bit_count()})
     return 0
 
 

@@ -69,9 +69,6 @@ class EdgeColoring:
     def assignment(self) -> dict[tuple[int, int], int]:
         return dict(zip(self.graph.edges, self.edge_colors))
 
-    def colors_used(self) -> set[int]:
-        return set(self.edge_colors)
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

@@ -72,26 +72,6 @@ class Graph:
             seen |= frontier
         return seen == (1 << n) - 1
 
-    def diameter(self) -> int:
-        """Longest BFS eccentricity; raises on disconnected graphs."""
-        n = self.vertex_count
-        best = 0
-        for s in range(n):
-            dist = 0
-            seen = 1 << s
-            frontier = seen
-            while seen != (1 << n) - 1:
-                nxt = 0
-                for v in iter_bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~seen
-                if not frontier:
-                    raise ValueError("diameter of a disconnected graph")
-                seen |= frontier
-                dist += 1
-            best = max(best, dist)
-        return best
-
 
 def graph_from_edges(
     n: int,

@@ -85,13 +85,11 @@ class Group:
     def is_abelian(self) -> bool:
         return self.center_mask.bit_count() == self.order
 
-    def centralizer(self, g: int) -> "ElementSet":
-        """Elements commuting with g; always a subgroup containing the center."""
-        if not 0 <= g < self.order:
-            raise IndexError(f"element {g} out of range for order {self.order}")
-        return ElementSet(self, self._centralizer_masks[g])
-
     def centralizer_mask(self, g: int) -> int:
+        """Elements commuting with g, as a mask; always a subgroup containing
+        the center."""
+        if not 0 <= g < self.order:  # a negative g would wrap
+            raise IndexError(f"element {g} out of range for order {self.order}")
         return self._centralizer_masks[g]
 
     @cached_property
@@ -113,30 +111,6 @@ class Group:
         """Mask of the z whose centralizer is the whole group."""
         full = (1 << self.order) - 1
         return sum(1 << z for z, c in enumerate(self._centralizer_masks) if c == full)
-
-    def center(self) -> "ElementSet":
-        """Elements commuting with everything; contains index 0."""
-        return ElementSet(self, self.center_mask)
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """Set of element indices of a fixed group, as a mask over the indices."""
-
-    group: Group
-    mask: int
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        """The element indices in increasing order."""
-        return tuple(x for x in range(self.group.order) if self.mask >> x & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, x: int) -> bool:
-        # The range check keeps a negative x from reaching a shift.
-        return 0 <= x < self.group.order and bool(self.mask >> x & 1)
 
 
 def _validate_table(table: list[list[int]], name: str) -> None:
@@ -320,19 +294,8 @@ def _two_generator_table(
 
 def direct_product(g: Group, h: Group) -> Group:
     """Componentwise product on pairs, indexed (x, y) -> x*|H| + y."""
-    nh = h.order
-    size = g.order * nh
-    table = [[0] * size for _ in range(size)]
-    for x1 in range(g.order):
-        for y1 in range(nh):
-            row = table[x1 * nh + y1]
-            gr, hr = g.table[x1], h.table[y1]
-            for x2 in range(g.order):
-                base = gr[x2] * nh
-                for y2 in range(nh):
-                    row[x2 * nh + y2] = base + hr[y2]
-    names = [f"({gn},{hn})" for gn in g.names for hn in h.names]
-    return _finish(table, names, f"{g.name}x{h.name}")
+    ident = list(range(g.order))
+    return _product(g, h, [ident] * h.order, f"{g.name}x{h.name}")
 
 
 def semidirect_product(n: Group, h: Group, action: Sequence[Sequence[int]]) -> Group:
@@ -362,19 +325,26 @@ def semidirect_product(n: Group, h: Group, action: Sequence[Sequence[int]]) -> G
                 raise NotHomomorphism(
                     f"action({y1}*{y2}) differs from action({y1})∘action({y2})"
                 )
+    return _product(n, h, perms, f"({n.name}):({h.name})")
+
+
+def _product(n: Group, h: Group, perms: list[list[int]], name: str) -> Group:
+    """(x1, y1)(x2, y2) = (x1 * perms[y1][x2], y1 y2) on pairs, indexed
+    (x, y) -> x*|H| + y; the one table loop of both products."""
     nh = h.order
     size = n.order * nh
     table = [[0] * size for _ in range(size)]
     for x1 in range(n.order):
+        nr = n.table[x1]
         for y1 in range(nh):
             row = table[x1 * nh + y1]
-            act = perms[y1]
+            act, hr = perms[y1], h.table[y1]
             for x2 in range(n.order):
-                base = n.table[x1][act[x2]] * nh
+                base = nr[act[x2]] * nh
                 for y2 in range(nh):
-                    row[x2 * nh + y2] = base + h.table[y1][y2]
+                    row[x2 * nh + y2] = base + hr[y2]
     names = [f"({gn},{hn})" for gn in n.names for hn in h.names]
-    return _finish(table, names, f"({n.name}):({h.name})")
+    return _finish(table, names, name)
 
 
 def central_product(g: Group, h: Group, zg: int, zh: int) -> Group:
@@ -385,10 +355,10 @@ def central_product(g: Group, h: Group, zg: int, zh: int) -> Group:
     explicitly and represented by their lexicographically least member,
     so the output table is canonical.
     """
-    if zg not in g.center():
-        raise NotCentral(f"element {zg} is not central in {g.name}")
-    if zh not in h.center():
-        raise NotCentral(f"element {zh} is not central in {h.name}")
+    for grp, z in ((g, zg), (h, zh)):
+        # The range check keeps a negative z from reaching a shift.
+        if not (0 <= z < grp.order and grp.center_mask >> z & 1):
+            raise NotCentral(f"element {z} is not central in {grp.name}")
     k = g.element_order(zg)
     if k != h.element_order(zh):
         raise OrderMismatch(

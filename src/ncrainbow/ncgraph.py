@@ -4,8 +4,8 @@ The non-commuting graph of a non-abelian group has the non-central
 elements as vertices and an edge between x and y exactly when xy != yx.
 Common-neighbor counts can be computed two independent ways (adjacency
 intersection on the graph side, centralizer unions on the group side);
-`tau` and `pair_profile` cross-assert them on every pair because that
-identity is the backbone of everything downstream.
+`pair_profile` is the one place that cross-asserts them, on every pair,
+because that identity is the backbone of everything downstream.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class NonCommutingGraph:
     group: Group
     vertex_to_element: tuple[int, ...]
 
-    def centralizer_mask(self, vertex: int) -> int:
-        """Centralizer of the underlying element, as a mask over group elements."""
-        return self.group.centralizer_mask(self.vertex_to_element[vertex])
-
 
 def noncommuting_graph(group: Group) -> NonCommutingGraph:
     """Graph on the non-central elements, joined when they do not commute."""
@@ -56,47 +52,27 @@ def noncommuting_graph(group: Group) -> NonCommutingGraph:
     return NonCommutingGraph(g, group, tuple(vertices))
 
 
-def _tau_mismatch(x: int, y: int, graph_side: int, group_side: int) -> BoundViolated:
-    return BoundViolated(
-        f"tau mismatch at ({x},{y}): graph {graph_side}, group {group_side}"
-    )
-
-
-def tau(ncg: NonCommutingGraph, x: int, y: int) -> int:
-    """Number of common neighbors of vertices x and y.
-
-    Also computes |G| - |C(x) ∪ C(y)| on the group side and asserts
-    agreement.
-    """
-    if x == y:
-        raise ValueError("tau requires two distinct vertices")
-    g = ncg.graph
-    graph_side = (g.adj[x] & g.adj[y]).bit_count()
-    union = ncg.centralizer_mask(x) | ncg.centralizer_mask(y)
-    group_side = ncg.group.order - union.bit_count()
-    if group_side != graph_side:
-        raise _tau_mismatch(x, y, graph_side, group_side)
-    return graph_side
-
-
 def pair_profile(ncg: NonCommutingGraph) -> dict[tuple[int, bool], int]:
     """Histogram of (tau, adjacent) over unordered pairs of distinct vertices.
 
     One pass over the pairs. tau is counted on the graph side and checked
-    on every pair against |G| - |C(x) ∪ C(y)| from the group side, as in
-    `tau`. Every group-side pair quantity (the failure bound for any k, the
-    6*tau >= |G| floor) is a function of this histogram.
+    on every pair against |G| - |C(x) ∪ C(y)| from the group side; a
+    mismatch raises BoundViolated. Every group-side pair quantity (the
+    failure bound for any k, the 6*tau >= |G| floor) is a function of this
+    histogram.
     """
     adj = ncg.graph.adj
-    cent = [ncg.centralizer_mask(v) for v in range(len(adj))]
-    order = ncg.group.order
+    group = ncg.group
+    cent = [group.centralizer_mask(e) for e in ncg.vertex_to_element]
+    order = group.order
     hist: dict[tuple[int, bool], int] = {}
     for x, (ax, cx) in enumerate(zip(adj, cent)):
         for y in range(x + 1, len(adj)):
             t = (ax & adj[y]).bit_count()
             group_side = order - (cx | cent[y]).bit_count()
             if t != group_side:
-                raise _tau_mismatch(x, y, t, group_side)
+                raise BoundViolated(
+                    f"tau mismatch at ({x},{y}): graph {t}, group {group_side}")
             key = (t, (ax >> y & 1) == 1)
             hist[key] = hist.get(key, 0) + 1
     return hist
@@ -119,9 +95,11 @@ def common_neighbor_floor_check(group: Group) -> CommonNeighborReport:
     """
     ncg = noncommuting_graph(group)
     t = min(key[0] for key in pair_profile(ncg))
-    # The witness is the first pair in index order with the least tau.
-    n = ncg.graph.vertex_count
-    x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if tau(ncg, x, y) == t)
+    # The witness is the first pair in index order with the least tau;
+    # pair_profile has just cross-checked every pair's tau.
+    adj = ncg.graph.adj
+    x, y = next((x, y) for x, ax in enumerate(adj) for y in range(x + 1, len(adj))
+                if (ax & adj[y]).bit_count() == t)
     if 6 * t < group.order:
         raise BoundViolated(
             f"{group.name}: 6*tau({ncg.graph.labels[x]},{ncg.graph.labels[y]})"
@@ -143,25 +121,20 @@ class EdgeCountReport:
     centralizer_sum_halved: Fraction
     lower_bound: Fraction
 
-    @property
-    def meets_bound(self) -> bool:
-        return self.edge_count >= self.lower_bound
-
 
 def edge_count_identity_check(group: Group) -> EdgeCountReport:
     """Assert |E| = (1/2) * sum over vertices of (|G| - |C(x)|), and the
     quarter bound |E| >= |G| * (|G| - |Z|) / 4."""
     ncg = noncommuting_graph(group)
     n = group.order
-    total = sum(n - ncg.centralizer_mask(v).bit_count()
-                for v in range(ncg.graph.vertex_count))
+    total = sum(n - group.centralizer_mask(e).bit_count() for e in ncg.vertex_to_element)
     halved = Fraction(total, 2)
     edges = ncg.graph.edge_count
     if halved != edges:
         raise BoundViolated(
             f"{group.name}: edge count {edges} != centralizer sum/2 = {halved}"
         )
-    bound = Fraction(n * (n - len(group.center())), 4)
+    bound = Fraction(n * (n - group.center_mask.bit_count()), 4)
     if edges < bound:
         raise BoundViolated(f"{group.name}: |E| = {edges} below bound {bound}")
     return EdgeCountReport(group.name, edges, halved, bound)

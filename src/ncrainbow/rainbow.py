@@ -233,24 +233,31 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
                     )
 
 
-def _search_chunk(args) -> int | None:
-    """Lowest attempt index in [start, stop) whose coloring passes, or None.
+def _search_plan(g: Graph, k: int) -> list:
+    """Row plan of the search kernel, built once per search.
 
-    Attempt i decides random_two_coloring(g, seed + i) without building
-    it. Row u of the plan holds each edge (u, v > u) as the splitmix64
-    offset (j+1) * gamma of its index j, and for each a < u the common
-    neighbours of a and u and the rainbow 2-paths they still need. A 2-path
-    a-w-u is rainbow when exactly one of its edges is color 1, and all of
-    them lie in rows <= u, so pair (a, u) is decided once row u is drawn.
+    Row u holds each edge (u, v > u) as the splitmix64 offset
+    (j+1) * gamma of its index j, and for each a < u the common neighbours
+    of a and u and the rainbow 2-paths they still need. A 2-path a-w-u is
+    rainbow when exactly one of its edges is color 1, and all of them lie
+    in rows <= u, so pair (a, u) is decided once row u is drawn.
     """
-    g, k, seed, start, stop = args
     adj = g.adj
     draws = [[] for _ in adj]
     for j, (u, v) in enumerate(g.edges):
         draws[u].append(((j + 1) * SPLITMIX_GAMMA & MASK64, v, 1 << v))
-    plan = [(u, 1 << u, draws[u],
+    return [(u, 1 << u, draws[u],
              [a & au for a in adj[:u]], [k - (a >> u & 1) for a in adj[:u]])
             for u, au in enumerate(adj)]
+
+
+def _search_chunk(args) -> int | None:
+    """Lowest attempt index in [start, stop) whose coloring passes, or None.
+
+    Attempt i decides random_two_coloring(g, seed + i) without building
+    it, from the plan of g and k.
+    """
+    plan, seed, start, stop = args
     for i in range(start, stop):
         if _attempt_passes(plan, seed + i):
             return i
@@ -291,12 +298,13 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
     if attempts < 1:
         return None
 
+    plan = _search_plan(g, k)
     if workers <= 1:
-        winner = _search_chunk((g, k, seed, 0, attempts))
+        winner = _search_chunk((plan, seed, 0, attempts))
     else:
         size = min(workers, os.cpu_count() or 1)
         chunk = max(1, attempts // (size * 8))
-        jobs = [(g, k, seed, lo, min(lo + chunk, attempts))
+        jobs = [(plan, seed, lo, min(lo + chunk, attempts))
                 for lo in range(0, attempts, chunk)]
         with multiprocessing.get_context("fork").Pool(size) as pool:
             # Blocks ascend and each returns its lowest success, so the first
@@ -332,7 +340,7 @@ def certify_rc2(g: Graph, col: EdgeColoring) -> Rc2Certificate:
     """Exact rainbow-2-connectivity 2: matching lower bound plus a verified
     2-coloring certificate. Also settles plain rainbow connectivity via the
     k=1 projection of the same certificate."""
-    if col.color_count > 2 or len(col.colors_used() | {1}) > 2:
+    if col.color_count > 2:  # the constructor keeps every color in 1..color_count
         raise ColoringRejected("certification needs a coloring on at most 2 colors")
     result = is_rainbow_k_connected(g, col, 2)
     if isinstance(result, FailureWitness):

@@ -166,7 +166,7 @@ def certify_by_structure(ncg: NonCommutingGraph) -> Rc2Certificate | None:
 def check_tau_floor(suite: list[Group]) -> CriterionResult:
     worst = None
     for grp in suite:
-        report = common_neighbor_floor_check(grp)  # cross-asserts both tau routes
+        report = common_neighbor_floor_check(grp)  # pair_profile cross-asserts every tau
         ratio = report.min_ratio
         if worst is None or ratio < worst[0]:
             worst = (ratio, grp.name)

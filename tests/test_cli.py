@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ncrainbow.cli import main
 from ncrainbow.colorings import read_coloring_file
 from ncrainbow.graphs import read_graph_file
@@ -133,6 +135,20 @@ def test_usage_error_is_json(capsys):
     assert json.loads(captured.err.strip())["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("zg", ["-1", "99"])
+def test_central_build_refuses_an_out_of_range_element(tmp_path, capsys, zg):
+    d8 = tmp_path / "d8.cay"
+    run(capsys, "group", "build", "--family", "dihedral", "--params", "4", "--out", str(d8))
+    out = tmp_path / "g.cay"
+    code, manifest, captured = run(capsys, "group", "build", "--family", "central",
+                                   "--left", str(d8), "--right", str(d8),
+                                   "--zg", zg, "--zh", "2", "--out", str(out))
+    assert code == 2 and manifest is None and not out.exists()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NotCentral"
+
+
 def test_semidirect_build(tmp_path, capsys):
     z3 = tmp_path / "z3.cay"
     z2 = tmp_path / "z2.cay"
@@ -148,13 +164,28 @@ def test_semidirect_build(tmp_path, capsys):
     assert manifest["outcome"]["center_size"] == 1
 
 
+QUICK_PASS_LINES = [
+    "PASS  tau-floor               35 groups, min 6*tau/|G| = 3/2 at D8",
+    "PASS  multipartite-structure  13 graphs match",
+    "PASS  fiber-expansion         4 natural maps verified",
+    "PASS  coloring-grid           24 grid points certified",
+    "PASS  triangle-exclusion      all 8 two-colorings fail, a 3-coloring passes",
+    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 64",
+    "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
+    "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
+    "PASS  inequality-chain        coarse exact on 114..400, mid <= coarse through n = 150",
+    "PASS  rainbow3-threshold      kappa = 7, rc3 = 2 for D14, thresholds"
+    " [126, 180, 237, 296, 357]",
+    "PASS  oracle-equivalence      40 colored graphs agree",
+]
+
+
 def test_reproduce_quick(capsys):
     code = main(["reproduce", "--quick"])
     captured = capsys.readouterr()
     assert code == 0
     lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 11
-    assert all(ln.startswith("PASS") for ln in lines)
+    assert lines == QUICK_PASS_LINES
 
 
 def test_verify_refuses_a_coloring_with_a_non_edge_pair(tmp_path, capsys):

@@ -7,7 +7,7 @@ from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
                               load_cayley_table, metacyclic, semidirect_product,
                               write_cayley_table)
 from ncrainbow.reproduce import order16_family
-from util import brute_center, group_isomorphism
+from util import brute_center, group_isomorphism, mask_members
 
 S3_TABLE = [
     [0, 1, 2, 3, 4, 5],
@@ -28,8 +28,8 @@ def test_trivial_group():
 def test_s3_from_table():
     g = group_from_cayley_table(S3_TABLE)
     assert g.order == 6
-    assert len(g.center()) == 1
-    assert g.center().members == tuple(brute_center(S3_TABLE))
+    assert g.center_mask.bit_count() == 1
+    assert mask_members(g.center_mask) == brute_center(S3_TABLE)
 
 
 def test_associativity_violation_reported():
@@ -54,7 +54,7 @@ def test_identity_relocated_to_zero():
     g = group_from_cayley_table(shuffled, names)
     assert g.table[0] == tuple(range(6))
     assert g.names[0] == "n0"
-    assert len(g.center()) == 1
+    assert g.center_mask.bit_count() == 1
 
 
 def test_identity_found_anywhere():
@@ -71,7 +71,7 @@ def test_no_identity():
 def test_cyclic_groups():
     assert cyclic(1).order == 1
     z3 = cyclic(3)
-    assert z3.is_abelian and len(z3.center()) == 3
+    assert z3.is_abelian and z3.center_mask.bit_count() == 3
     assert cyclic(4).element_order(1) == 4
 
 
@@ -80,14 +80,14 @@ def test_cyclic_groups():
 def test_dihedral_center(n, center_size):
     g = dihedral(n)
     assert g.order == 2 * n
-    assert len(g.center()) == center_size
-    assert list(g.center().members) == brute_center([list(r) for r in g.table])
+    assert g.center_mask.bit_count() == center_size
+    assert mask_members(g.center_mask) == brute_center([list(r) for r in g.table])
 
 
 def test_dicyclic():
     q8 = dicyclic(2)
     assert q8.order == 8
-    assert q8.center().members == (0, 2)
+    assert mask_members(q8.center_mask) == [0, 2]
     q12 = dicyclic(3)
     assert q12.order == 12
     # b^2 = a^m: element b is at index 2m.
@@ -98,9 +98,9 @@ def test_dicyclic():
 
 def test_metacyclic():
     sd16 = metacyclic(8, 3)
-    assert sd16.order == 16 and len(sd16.center()) == 2
+    assert sd16.order == 16 and sd16.center_mask.bit_count() == 2
     m42 = metacyclic(8, 5)
-    assert len(m42.center()) == 4
+    assert m42.center_mask.bit_count() == 4
     with pytest.raises(InvalidTwist):
         metacyclic(5, 2)
 
@@ -112,7 +112,7 @@ def test_metacyclic_twist_minus_one_is_dihedral(m):
 
 def test_direct_product():
     d6z3 = direct_product(dihedral(3), cyclic(3))
-    assert d6z3.order == 18 and len(d6z3.center()) == 3
+    assert d6z3.order == 18 and d6z3.center_mask.bit_count() == 3
     assert direct_product(dicyclic(2), cyclic(3)).order == 24
     g = dihedral(4)
     with_trivial = direct_product(g, cyclic(1))
@@ -123,7 +123,8 @@ def test_direct_product():
                                  (dihedral(4), dihedral(3))])
 def test_center_of_product_multiplies(a, b):
     prod = direct_product(a, b)
-    assert len(prod.center()) == len(a.center()) * len(b.center())
+    assert prod.center_mask.bit_count() == (a.center_mask.bit_count()
+                                            * b.center_mask.bit_count())
 
 
 def test_semidirect_trivial_action_is_direct():
@@ -131,6 +132,21 @@ def test_semidirect_trivial_action_is_direct():
     ident = list(range(3))
     sd = semidirect_product(z3, z2, [ident, ident])
     assert sd.table == direct_product(z3, z2).table
+
+
+@pytest.mark.parametrize("g,h", [(dihedral(3), cyclic(4)), (dicyclic(2), dihedral(4)),
+                                 (cyclic(5), dicyclic(3))])
+def test_direct_product_table_is_componentwise(g, h):
+    # Index (x, y) -> x*|H| + y multiplies componentwise, and the identity
+    # action makes the semidirect product the same table.
+    nh = h.order
+    expected = tuple(
+        tuple(g.table[x1][x2] * nh + h.table[y1][y2] for x2 in range(g.order) for y2 in range(nh))
+        for x1 in range(g.order) for y1 in range(nh))
+    prod = direct_product(g, h)
+    assert prod.table == expected
+    ident = list(range(g.order))
+    assert semidirect_product(g, h, [ident] * nh).table == expected
 
 
 def test_semidirect_inversion_is_dihedral():
@@ -154,9 +170,9 @@ def test_central_products():
     d8 = dihedral(4)
     q8 = dicyclic(2)
     g1 = central_product(d8, d8, 2, 2)
-    assert g1.order == 32 and len(g1.center()) == 2
+    assert g1.order == 32 and g1.center_mask.bit_count() == 2
     g2 = central_product(d8, q8, 2, 2)
-    assert g2.order == 32 and len(g2.center()) == 2
+    assert g2.order == 32 and g2.center_mask.bit_count() == 2
     with pytest.raises(NotCentral):
         central_product(d8, d8, 1, 2)
     with pytest.raises(OrderMismatch):
@@ -176,27 +192,35 @@ def test_central_product_rejects_out_of_range(bad):
 @pytest.mark.parametrize("group", order16_family(), ids=lambda g: g.name)
 def test_order16_center_matches_brute(group):
     brute = brute_center([list(r) for r in group.table])
-    assert len(group.center()) == len(brute)
-    assert list(group.center().members) == brute
+    assert group.center_mask.bit_count() == len(brute)
+    assert mask_members(group.center_mask) == brute
 
 
 def test_centralizers():
     d6 = dihedral(3)
-    assert d6.centralizer(1).members == (0, 1, 2)     # <r>
-    assert d6.centralizer(3).members == (0, 3)        # {e, s}
-    assert len(d6.centralizer(0)) == d6.order
+    assert mask_members(d6.centralizer_mask(1)) == [0, 1, 2]     # <r>
+    assert mask_members(d6.centralizer_mask(3)) == [0, 3]        # {e, s}
+    assert d6.centralizer_mask(0).bit_count() == d6.order
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_centralizer_mask_rejects_out_of_range(bad):
+    with pytest.raises(IndexError):
+        dihedral(3).centralizer_mask(bad)
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dicyclic(2),
                                    metacyclic(8, 3), direct_product(dihedral(3), cyclic(3))])
 def test_centralizer_contains_center_and_divides(group):
-    center = set(group.center().members)
+    center = group.center_mask
     for g in range(group.order):
-        c = group.centralizer(g)
-        assert group.order % len(c) == 0
-        assert center <= set(c.members)
-        assert g in c
-        members = set(c.members)
+        c = group.centralizer_mask(g)
+        assert group.order % c.bit_count() == 0
+        assert center & ~c == 0
+        assert c >> g & 1
+        members = set(mask_members(c))
+        assert members == {x for x in range(group.order)
+                           if group.mul(x, g) == group.mul(g, x)}
         for a in members:  # subgroup closure
             for b in members:
                 assert group.mul(a, b) in members

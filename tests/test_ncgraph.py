@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
@@ -5,8 +7,14 @@ from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_fi
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
 from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                                abelian_extension_check, common_neighbor_floor_check,
-                               edge_count_identity_check, noncommuting_graph, pair_profile,
-                               tau)
+                               edge_count_identity_check, noncommuting_graph, pair_profile)
+
+
+def both_taus(ncg, x, y):
+    """tau(x, y) counted on the graph side and from |G| - |C(x) ∪ C(y)|."""
+    adj, group = ncg.graph.adj, ncg.group
+    cx, cy = (group.centralizer_mask(ncg.vertex_to_element[v]) for v in (x, y))
+    return (adj[x] & adj[y]).bit_count(), group.order - (cx | cy).bit_count()
 
 
 def test_small_structures():
@@ -34,9 +42,10 @@ def test_labels_are_element_names():
 def test_tau_values_d6():
     ncg = noncommuting_graph(dihedral(3))
     # vertex order: r, r^2, s, rs, r^2s
-    assert tau(ncg, 0, 2) == 2   # rotation vs reflection
-    assert tau(ncg, 0, 1) == 3   # the commuting rotation pair
-    assert tau(ncg, 2, 3) == 3   # two reflections
+    assert both_taus(ncg, 0, 2) == (2, 2)   # rotation vs reflection
+    assert both_taus(ncg, 0, 1) == (3, 3)   # the commuting rotation pair
+    assert both_taus(ncg, 2, 3) == (3, 3)   # two reflections
+    assert pair_profile(ncg) == {(2, True): 6, (3, True): 3, (3, False): 1}
 
 
 def test_tau_values_d8():
@@ -44,28 +53,26 @@ def test_tau_values_d8():
     g = ncg.graph
     adjacent = next((x, y) for x in range(6) for y in range(x + 1, 6)
                     if g.adjacent(x, y))
-    assert tau(ncg, *adjacent) == 2
-
-
-def test_tau_rejects_equal_vertices():
-    ncg = noncommuting_graph(dihedral(3))
-    with pytest.raises(ValueError):
-        tau(ncg, 1, 1)
+    assert both_taus(ncg, *adjacent) == (2, 2)
+    assert pair_profile(ncg)[(2, True)] == g.edge_count
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dihedral(7), dicyclic(2),
                                    dicyclic(3), metacyclic(8, 3),
                                    direct_product(dihedral(3), cyclic(3))])
 def test_tau_matches_neighbor_intersection(group):
-    # Independent graph-side count via explicit neighbor sets; the library
-    # call additionally cross-checks the centralizer-union identity.
+    # Independent graph-side count via explicit neighbor sets, against both
+    # sides of the centralizer-union identity and the library's profile.
     ncg = noncommuting_graph(group)
     g = ncg.graph
+    expected = Counter()
     for x in range(g.vertex_count):
         nx = set(g.neighbors(x))
         for y in range(x + 1, g.vertex_count):
-            common = nx & set(g.neighbors(y))
-            assert tau(ncg, x, y) == len(common)
+            common = len(nx & set(g.neighbors(y)))
+            assert both_taus(ncg, x, y) == (common, common)
+            expected[(common, g.adjacent(x, y))] += 1
+    assert pair_profile(ncg) == expected
 
 
 def test_cross_check_catches_a_flipped_edge():
@@ -80,11 +87,24 @@ def test_cross_check_catches_a_flipped_edge():
     adj[b] ^= 1 << a
     graph = Graph(ncg.graph.vertex_count, ncg.graph.labels, tuple(adj))
     bad = NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element)
-    assert tau(ncg, a, c) == 2
-    with pytest.raises(BoundViolated):
-        tau(bad, a, c)
-    with pytest.raises(BoundViolated):
+    assert both_taus(ncg, a, c) == (2, 2)
+    graph_side, group_side = both_taus(bad, a, c)
+    assert graph_side != group_side
+    pair_profile(ncg)
+    with pytest.raises(BoundViolated, match="tau mismatch"):
         pair_profile(bad)
+
+
+@pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dicyclic(3), metacyclic(8, 3)])
+def test_floor_witness_is_the_first_pair_with_least_tau(group):
+    ncg = noncommuting_graph(group)
+    g = ncg.graph
+    pairs = [(x, y) for x in range(g.vertex_count) for y in range(x + 1, g.vertex_count)]
+    taus = [len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in pairs]
+    x, y = pairs[taus.index(min(taus))]
+    rep = common_neighbor_floor_check(group)
+    assert rep.min_tau == min(taus)
+    assert rep.witness == (g.labels[x], g.labels[y])
 
 
 def test_floor_reports():
@@ -115,9 +135,12 @@ def test_fiber_expansion_checks():
 def test_no_isolated_vertices_and_small_diameter(group):
     ncg = noncommuting_graph(group)
     g = ncg.graph
-    assert g.vertex_count == group.order - len(group.center())
+    assert g.vertex_count == group.order - group.center_mask.bit_count()
     assert all(g.degree(v) > 0 for v in range(g.vertex_count))
-    assert g.diameter() <= 2
+    # Diameter <= 2: every non-adjacent pair has a common neighbour.
+    n = g.vertex_count
+    assert all(g.adjacent(x, y) or g.adj[x] & g.adj[y]
+               for x in range(n) for y in range(x + 1, n))
 
 
 def test_graph_export_round_trip(tmp_path):

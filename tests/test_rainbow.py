@@ -181,6 +181,16 @@ def test_certify_rc2():
         certify_rc2(k4, EdgeColoring(k4, 2, [1] * 6))
 
 
+def test_certify_rc2_rejects_three_color_colorings():
+    # Rainbow 3-connected with three colors, but rc2 certification is about
+    # two colors; a 3-color coloring that uses only two is refused as well.
+    g, col = multipartite_two_coloring(PartitionSpec(1, 3, 2))
+    three = EdgeColoring(g, 3, [3 if i == 0 else c for i, c in enumerate(col.edge_colors)])
+    for coloring in (three, EdgeColoring(g, 3, col.edge_colors)):
+        with pytest.raises(ColoringRejected, match="at most 2 colors"):
+            certify_rc2(g, coloring)
+
+
 def test_certificate_json_round_trip(tmp_path):
     g, col = multipartite_two_coloring(PartitionSpec(1, 3, 1))
     cert = is_rainbow_k_connected(g, col, 2)

@@ -2,9 +2,10 @@
 
 Attempt s of the search must pass exactly when the coloring
 random_two_coloring(g, s) passes the mask-based pair check of
-tests/util.py. The kernel is driven through `_search_chunk` over whole
-blocks of attempts, restarted after each success, so every verdict in a
-block is compared, not only the first success.
+tests/util.py. The kernel is driven through `_search_chunk`, on one plan
+from `_search_plan`, over whole blocks of attempts, restarted after each
+success, so every verdict in a block is compared, not only the first
+success.
 """
 
 import random
@@ -32,10 +33,11 @@ def oracle_verdicts(g, k, seed, count):
 
 def assert_kernel_matches(g, k, seed, count):
     verdicts = oracle_verdicts(g, k, seed, count)
+    plan = rainbow._search_plan(g, k)
     start = 0
     while start <= count:
         expected = next((i for i in range(start, count) if verdicts[i]), None)
-        assert rainbow._search_chunk((g, k, seed, start, count)) == expected, (
+        assert rainbow._search_chunk((plan, seed, start, count)) == expected, (
             f"seed {seed}, block [{start}, {count})")
         if expected is None:
             break
@@ -80,10 +82,10 @@ def test_kernel_matches_oracle_on_noncommuting_graphs(group, k):
 
 
 def test_wrapped_seed_gives_the_same_verdicts():
-    g = noncommuting_graph(dicyclic(3)).graph
-    base = [rainbow._search_chunk((g, 2, s, 0, 1)) for s in range(30)]
-    assert base == [rainbow._search_chunk((g, 2, s + 2 ** 64, 0, 1)) for s in range(30)]
-    assert base == [rainbow._search_chunk((g, 2, s - 2 ** 64, 0, 1)) for s in range(30)]
+    plan = rainbow._search_plan(noncommuting_graph(dicyclic(3)).graph, 2)
+    base = [rainbow._search_chunk((plan, s, 0, 1)) for s in range(30)]
+    assert base == [rainbow._search_chunk((plan, s + 2 ** 64, 0, 1)) for s in range(30)]
+    assert base == [rainbow._search_chunk((plan, s - 2 ** 64, 0, 1)) for s in range(30)]
 
 
 def direct_output(seed, j):

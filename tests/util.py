@@ -16,6 +16,11 @@ def brute_center(table):
             if all(table[z][g] == table[g][z] for g in range(n))]
 
 
+def mask_members(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 def brute_pairs(group):
     """(tau, adjacent) for each unordered pair of distinct non-central
     elements, in index order: tau = |G| - |C(x) ∪ C(y)| from centralizer
