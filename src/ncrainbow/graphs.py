@@ -173,42 +173,24 @@ def johnson(n: int, k: int) -> Graph:
     return Graph(m, tuple(labels), tuple(adj))
 
 
-def complement_cliques(g: Graph) -> list[list[int]] | None:
-    """The parts of g if it is complete multipartite, else None.
-
-    g is complete multipartite exactly when its complement is a disjoint
-    union of cliques; the parts are the complement's components, returned
-    in order of their smallest vertex.
-    """
-    co = complement(g)
-    n = g.vertex_count
-    unseen = (1 << n) - 1
-    parts = []
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= co.adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        size = comp.bit_count()
-        for v in iter_bits(comp):
-            if (co.adj[v] & comp).bit_count() != size - 1:
-                return None
-        parts.append(list(iter_bits(comp)))
-        unseen &= ~comp
-    return parts
-
-
 def detect_complete_multipartite(g: Graph) -> list[int] | None:
-    """Part sizes (ascending) if g is complete multipartite, else None."""
-    parts = complement_cliques(g)
-    if parts is None:
-        return None
-    return sorted(len(p) for p in parts)
+    """Part sizes (ascending) if g is complete multipartite, else None.
+
+    g is complete multipartite exactly when "equal or non-adjacent" is an
+    equivalence relation; its classes are the parts, and the part of v is
+    v with its non-neighbors, the same set for every vertex of the part.
+    """
+    full = (1 << g.vertex_count) - 1
+    unseen = full
+    sizes = []
+    while unseen:
+        v = (unseen & -unseen).bit_length() - 1
+        part = full & ~g.adj[v]
+        if any(full & ~g.adj[w] != part for w in iter_bits(part)):
+            return None
+        sizes.append(part.bit_count())
+        unseen &= ~part
+    return sorted(sizes)
 
 
 # --- isomorphism -----------------------------------------------------------
@@ -249,8 +231,10 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
     """Explicit vertex bijection g1 -> g2, or None when refuted.
 
     Backtracking over a connectivity-first vertex order with class
-    refinement for candidate pruning. Raises SearchBudgetExceeded after
-    node_budget search nodes, distinguishing "unknown" from "refuted".
+    refinement for candidate pruning, on an explicit stack, so the depth
+    is bounded by memory and not by the interpreter's recursion limit.
+    Raises SearchBudgetExceeded after node_budget search nodes,
+    distinguishing "unknown" from "refuted".
     """
     n = g1.vertex_count
     if n != g2.vertex_count or g1.edge_count != g2.edge_count:
@@ -284,36 +268,42 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
     for u in range(n):
         candidates_by_class.setdefault(c2[u], []).append(u)
 
+    # One frame per mapped depth d: the candidates of order[d] not yet
+    # tried, and the images its mapped neighbors force on its image.
     mapping = [-1] * n
-    used = [False] * n
+    mapped1 = mapped2 = 0
     budget = node_budget
-
-    def extend(depth: int, mapped1: int, mapped2: int) -> bool:
-        nonlocal budget
-        if depth == n:
-            return True
+    stack = [(iter(candidates_by_class.get(c1[order[0]], ())), 0)]
+    while stack:
+        depth = len(stack) - 1
         v = order[depth]
-        required = 0
-        for w in iter_bits(g1.adj[v] & mapped1):
-            required |= 1 << mapping[w]
-        for u in candidates_by_class.get(c1[v], ()):
-            if used[u]:
+        candidates, required = stack[-1]
+        for u in candidates:
+            if mapped2 >> u & 1:
                 continue
             budget -= 1
             if budget < 0:
                 raise SearchBudgetExceeded(f"exceeded {node_budget} nodes")
-            if g2.adj[u] & mapped2 != required:
-                continue
-            mapping[v] = u
-            used[u] = True
-            if extend(depth + 1, mapped1 | (1 << v), mapped2 | (1 << u)):
-                return True
-            mapping[v] = -1
-            used[u] = False
-        return False
-
-    if extend(0, 0, 0):
-        return list(mapping)
+            if g2.adj[u] & mapped2 == required:
+                break
+        else:
+            stack.pop()
+            if stack:  # backtrack: free the image of the vertex one level up
+                w = order[depth - 1]
+                mapped1 ^= 1 << w
+                mapped2 ^= 1 << mapping[w]
+                mapping[w] = -1
+            continue
+        mapping[v] = u
+        mapped1 |= 1 << v
+        mapped2 |= 1 << u
+        if depth + 1 == n:
+            return mapping
+        v = order[depth + 1]
+        required = 0
+        for w in iter_bits(g1.adj[v] & mapped1):
+            required |= 1 << mapping[w]
+        stack.append((iter(candidates_by_class.get(c1[v], ())), required))
     return None
 
 

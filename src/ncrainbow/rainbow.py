@@ -71,7 +71,9 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
     """All simple x-y paths of <= max_len edges with distinct edge colors.
 
     Output is lexicographic by vertex sequence (depth-first extension in
-    ascending neighbor order).
+    ascending neighbor order). The search keeps one frame per path vertex
+    on an explicit stack, so a path may be longer than the interpreter's
+    recursion limit.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -79,24 +81,28 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
         raise ValueError("max_len must be at least 1")
     out: list[Path_] = []
     path = [x]
-
-    def dfs(v: int, visited: int, colors_used: frozenset[int], length: int) -> None:
-        if length == max_len:
-            return
-        for w in g.neighbors(v):
-            c = col.color_of(v, w)
-            if c in colors_used:
+    visited = 1 << x
+    # frame of path[i]: its neighbors not yet tried, and the colors used
+    # on the path up to it as a mask of bits 1 << color
+    stack = [(iter_bits(g.adj[x]), 0)]
+    while stack:
+        v = path[-1]
+        neighbors, used = stack[-1]
+        for w in neighbors:
+            c = 1 << col.color_of(v, w)
+            if used & c:
                 continue
             if w == y:
                 out.append(tuple(path) + (y,))
-                continue
-            if visited >> w & 1:
-                continue
-            path.append(w)
-            dfs(w, visited | (1 << w), colors_used | {c}, length + 1)
-            path.pop()
-
-    dfs(x, 1 << x, frozenset(), 0)
+            elif not visited >> w & 1 and len(path) < max_len:
+                break
+        else:
+            stack.pop()
+            visited ^= 1 << path.pop()
+            continue
+        path.append(w)
+        visited |= 1 << w
+        stack.append((iter_bits(g.adj[w]), used | c))
     return out
 
 

@@ -6,6 +6,13 @@ grid, exact failure-bound values with the exception scan, the threshold
 inequalities, and rainbow-2-connectivity certificates for every group in
 the standard suite. Steps are independent; a failure in one does not
 stop the others.
+
+Groups whose failure bound is below 1 get their coloring from the random
+search, which returns only colorings its verifier passed. The flagged
+ones are certified by structure: their graph is matched by are_isomorphic
+onto a model graph with a known coloring, K_{m[l],ln} or the J(6,2)
+fiber graph, and the coloring is pulled back along that isomorphism.
+Each coloring is verified once.
 """
 
 from __future__ import annotations
@@ -19,16 +26,15 @@ from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, mid_bound,
                      scan_exception_report, threshold_for_k)
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
-from .graphs import (Graph, are_isomorphic, complement_cliques, complete_graph,
-                     detect_complete_multipartite, graph_from_edges, iter_bits,
-                     vertex_connectivity)
+from .graphs import (Graph, are_isomorphic, complete_graph, detect_complete_multipartite,
+                     graph_from_edges, iter_bits, vertex_connectivity)
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
                      direct_product, load_cayley_table, metacyclic, semidirect_product)
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
-from .rainbow import (FailureWitness, RainbowCertificate, Rc2Certificate, certify_rc2,
-                      enumerate_rainbow_paths, is_rainbow_k_connected, max_disjoint_paths,
-                      rc_lower_bound, search_two_coloring, short_rainbow_paths)
+from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
+                      certify_rc2, enumerate_rainbow_paths, is_rainbow_k_connected,
+                      max_disjoint_paths, search_two_coloring, short_rainbow_paths)
 
 
 @dataclass(frozen=True)
@@ -122,40 +128,23 @@ def multipartite_parameters(sizes: list[int]) -> PartitionSpec | None:
         return None
 
 
-def _part_transfer(graph: Graph, spec: PartitionSpec) -> list[int]:
-    """Vertex map graph -> canonical K_{m[l],ln}, aligning part with part."""
-    parts = complement_cliques(graph)
-    assert parts is not None
-    small = [p for p in parts if len(p) == spec.l]
-    big = [p for p in parts if len(p) == spec.l * spec.n]
-    if spec.l == spec.l * spec.n:
-        big = [small.pop()]
-    mapping = [0] * graph.vertex_count
-    for i, part in enumerate(small, start=1):
-        for j, v in enumerate(sorted(part), start=1):
-            mapping[v] = spec.vertex(j, i)
-    for j, v in enumerate(sorted(big[0]), start=1):
-        mapping[v] = spec.vertex(j, spec.m + 1)
-    return mapping
-
-
 def certify_by_structure(ncg: NonCommutingGraph) -> Rc2Certificate | None:
     """rc2 certificate via the explicit constructions, without random search.
 
-    Complete multipartite graphs get the multipartite coloring pulled back
-    along the part correspondence; the two extraspecial order-32 graphs
-    get the Johnson-fiber coloring pulled back along a found isomorphism.
+    The model is K_{m[l],ln} with its multipartite coloring when the graph
+    is complete multipartite with part sizes of that form, else the J(6,2)
+    fiber graph with its coloring; the coloring is pulled back along an
+    isomorphism onto the model. None when the graph fits neither model.
     """
     sizes = detect_complete_multipartite(ncg.graph)
-    if sizes is not None:
+    if sizes is None:
+        model, coloring = j62_graph_and_coloring()
+    else:
         spec = multipartite_parameters(sizes)
         if spec is None:
             return None
-        _, coloring = multipartite_two_coloring(spec)
-        mapping = _part_transfer(ncg.graph, spec)
-        return certify_rc2(ncg.graph, transfer_coloring(coloring, mapping, ncg.graph))
-    johnson_graph, coloring = j62_graph_and_coloring()
-    mapping = are_isomorphic(ncg.graph, johnson_graph)
+        model, coloring = multipartite_two_coloring(spec)
+    mapping = are_isomorphic(ncg.graph, model)
     if mapping is None:
         return None
     return certify_rc2(ncg.graph, transfer_coloring(coloring, mapping, ncg.graph))
@@ -217,11 +206,12 @@ def check_coloring_grid() -> CriterionResult:
     bad = []
     for l, m, n in COLORING_GRID:
         graph, coloring = multipartite_two_coloring(PartitionSpec(l, m, n))
-        result = is_rainbow_k_connected(graph, coloring, 2)
-        if isinstance(result, FailureWitness) or rc_lower_bound(graph, 2) != 2:
+        try:
+            certified = certify_rc2(graph, coloring).lower_bound == 2
+        except ColoringRejected:
+            certified = False
+        if not certified:
             bad.append(f"({l},{m},{n})")
-        else:
-            certify_rc2(graph, coloring)
     return CriterionResult("coloring-grid", not bad,
                            "; ".join(bad) or f"{len(COLORING_GRID)} grid points certified")
 
@@ -283,11 +273,10 @@ def check_constructive_search(suite: list[Group]) -> CriterionResult:
     for grp in suite:
         ncg = noncommuting_graph(grp)
         if failure_bound(grp) < 1:
-            coloring = search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1)
-            if coloring is None:
+            # a returned coloring has passed is_rainbow_k_connected(g, col, 2)
+            if search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1) is None:
                 problems.append(f"search failed for {grp.name}")
                 continue
-            certify_rc2(ncg.graph, coloring)
             searched += 1
         else:
             if certify_by_structure(ncg) is None:
@@ -329,13 +318,9 @@ def check_rainbow3(quick: bool) -> CriterionResult:
     kappa = vertex_connectivity(g14)
     if kappa < 3:
         problems.append(f"kappa of the D14 graph is {kappa}")
-    coloring = search_two_coloring(g14, 3, 10 ** 5, seed=1)
-    if coloring is None:
+    # a returned coloring has passed is_rainbow_k_connected(g14, col, 3)
+    if search_two_coloring(g14, 3, 10 ** 5, seed=1) is None:
         problems.append("no rainbow-3 coloring found for D14")
-    else:
-        result = is_rainbow_k_connected(g14, coloring, 3)
-        if isinstance(result, FailureWitness):
-            problems.append(f"rainbow-3 verification failed at {result.pair}")
     thresholds = [threshold_for_k(k) for k in range(2, 7)]
     if thresholds[0] != 126 or thresholds[1] != 180:
         problems.append(f"thresholds moved: {thresholds[:2]}")

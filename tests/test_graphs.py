@@ -10,7 +10,7 @@ from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_is
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow.reproduce import brute_force_vertex_connectivity as brute_vertex_connectivity
-from util import brute_isomorphic
+from util import brute_isomorphic, recursive_are_isomorphic
 
 
 def random_graph(rng, n, p=0.5):
@@ -89,6 +89,33 @@ def test_detect_round_trip(parts):
     assert detect_complete_multipartite(complete_multipartite(parts)) == sorted(parts)
 
 
+def test_detect_against_networkx_complement_cliques():
+    """g is complete multipartite iff every component of its complement is
+    a clique; the parts are those components. Half the cases have one
+    vertex pair toggled, so most of those are not multipartite."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    rejected = 0
+    for trial in range(200):
+        g = relabelled(rng, complete_multipartite(
+            [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]))
+        edges = set(g.edges)
+        if trial % 2 and g.vertex_count > 1:
+            edges ^= {tuple(sorted(rng.sample(range(g.vertex_count), 2)))}
+        g = graph_from_edges(g.vertex_count, sorted(edges))
+        ref = nx.Graph(list(g.edges))
+        ref.add_nodes_from(range(g.vertex_count))
+        co = nx.complement(ref)
+        comps = [co.subgraph(c) for c in nx.connected_components(co)]
+        if all(c.number_of_edges() == len(c) * (len(c) - 1) // 2 for c in comps):
+            expected = sorted(len(c) for c in comps)
+        else:
+            expected = None
+            rejected += 1
+        assert detect_complete_multipartite(g) == expected
+    assert rejected >= 50
+
+
 def test_isomorphism_reflexive_under_shuffle():
     rng = random.Random(11)
     for trial in range(20):
@@ -127,6 +154,90 @@ def test_isomorphism_budget():
     assert are_isomorphic(c6, triangles) is None
     with pytest.raises(SearchBudgetExceeded):
         are_isomorphic(c6, triangles, node_budget=2)
+
+
+def relabelled(rng, g):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return graph_from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def edge_switched(rng, g):
+    """g with edges ab, cd replaced by ad, cb where possible: same degrees,
+    usually another graph."""
+    edges = set(g.edges)
+    for _ in range(50):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            return graph_from_edges(g.vertex_count, sorted(edges - {(a, b), (c, d)} | new))
+    return g
+
+
+def cycles(*lengths):
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return graph_from_edges(start, edges)
+
+
+def nodes_needed(iso, g1, g2):
+    """Smallest node budget under which iso(g1, g2) finishes."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            iso(g1, g2, node_budget=hi)
+            break
+        except SearchBudgetExceeded:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            iso(g1, g2, node_budget=mid)
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
+def isomorphism_cases():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 14), rng.choice([0.2, 0.5, 0.8]))
+        yield g, relabelled(rng, g)
+        if g.edge_count >= 2:
+            yield g, relabelled(rng, edge_switched(rng, g))
+    for a, b, c, d in [(6, 6, 3, 9), (4, 8, 6, 6), (5, 5, 3, 7), (3, 3, 3, 3), (12, 0, 6, 6)]:
+        pair = [cycles(*(x for x in (a, b) if x)), cycles(*(x for x in (c, d) if x))]
+        yield pair[0], pair[1]
+        if a + b <= 10:  # the 12-vertex complements take ~10^5 nodes
+            yield complement(pair[0]), complement(pair[1])
+        yield pair[0], relabelled(rng, pair[0])
+
+
+def test_isomorphism_search_matches_recursive_reference():
+    """Same mapping (or None) and the same node count, so the budget
+    fires at the same values, on isomorphic and non-isomorphic pairs."""
+    searched = {True: 0, False: 0}  # by outcome: isomorphic or refuted
+    for g1, g2 in isomorphism_cases():
+        expected = recursive_are_isomorphic(g1, g2)
+        assert are_isomorphic(g1, g2) == expected
+        nodes = nodes_needed(recursive_are_isomorphic, g1, g2)
+        assert are_isomorphic(g1, g2, node_budget=nodes) == expected
+        if nodes:
+            searched[expected is not None] += 1
+            with pytest.raises(SearchBudgetExceeded):
+                are_isomorphic(g1, g2, node_budget=nodes - 1)
+    assert searched[True] >= 80 and searched[False] >= 5
+
+
+def test_isomorphism_deeper_than_the_recursion_limit():
+    mapping = are_isomorphic(edgeless_graph(1200), edgeless_graph(1200))
+    assert mapping == list(range(1200))
+    path = graph_from_edges(1200, [(i, i + 1) for i in range(1199)])
+    mapping = are_isomorphic(path, relabelled(random.Random(4), path))
+    assert mapping is not None and sorted(mapping) == list(range(1200))
 
 
 def test_vertex_connectivity_examples():

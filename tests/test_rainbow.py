@@ -12,7 +12,7 @@ from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKap
                                rc_lower_bound, read_certificate, search_two_coloring,
                                select_disjoint_paths, short_rainbow_paths,
                                validate_certificate, write_certificate)
-from util import brute_simple_paths, two_color_failure_pair
+from util import brute_simple_paths, recursive_rainbow_paths, two_color_failure_pair
 
 
 def colored(g, colors):
@@ -63,6 +63,37 @@ def test_enumerate_matches_brute_force():
             if len(set(cols)) == len(cols):
                 expected.append(p)
         assert sorted(enumerate_rainbow_paths(g, col, x, y, 2)) == sorted(expected)
+
+
+@pytest.mark.parametrize("colors", [3, 4])
+def test_enumerate_matches_recursive_reference(colors):
+    """Same paths in the same order as the recursive search, for every
+    pair and every length cap up to the color count."""
+    rng = random.Random(40 + colors)
+    total = 0
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.3, 0.6, 0.9])]
+        g = graph_from_edges(n, edges)
+        col = EdgeColoring(g, colors, [rng.randint(1, colors) for _ in edges])
+        for x in range(n):
+            for y in range(n):
+                if x == y:
+                    continue
+                for max_len in range(1, colors + 1):
+                    paths = enumerate_rainbow_paths(g, col, x, y, max_len)
+                    assert paths == recursive_rainbow_paths(g, col, x, y, max_len)
+                    total += len(paths)
+    assert total > 1000
+
+
+def test_enumerate_path_longer_than_the_recursion_limit():
+    n = 1100
+    g = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    col = EdgeColoring(g, n - 1, list(range(1, n)))
+    assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 1) == [tuple(range(n))]
+    assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 2) == []
 
 
 def test_short_paths_are_disjoint_and_complete():

@@ -5,7 +5,7 @@ from itertools import permutations
 from typing import Sequence
 
 from ncrainbow.colorings import EdgeColoring
-from ncrainbow.graphs import Graph
+from ncrainbow.graphs import Graph, SearchBudgetExceeded, _refine_classes, iter_bits
 
 Path_ = tuple[int, ...]
 
@@ -203,3 +203,99 @@ def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path
     if bt((1 << p) - 1, k):
         return [paths[i] for i in chosen]
     return None
+
+
+def recursive_are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000):
+    """graphs.are_isomorphic with the search as a recursive function, one
+    level per mapped vertex; the reference for the iterative search's
+    mapping and node count. Needs recursion depth n."""
+    n = g1.vertex_count
+    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
+        return None
+    if n == 0:
+        return []
+    refined = _refine_classes(g1, g2)
+    if refined is None:
+        return None
+    c1, c2 = refined
+
+    class_sizes: dict[int, int] = {}
+    for c in c1:
+        class_sizes[c] = class_sizes.get(c, 0) + 1
+    order: list[int] = []
+    placed_mask = 0
+    for _ in range(n):
+        best, best_key = -1, None
+        for v in range(n):
+            if placed_mask >> v & 1:
+                continue
+            attach = (g1.adj[v] & placed_mask).bit_count()
+            key = (-attach, class_sizes[c1[v]], v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        order.append(best)
+        placed_mask |= 1 << best
+
+    candidates_by_class: dict[int, list[int]] = {}
+    for u in range(n):
+        candidates_by_class.setdefault(c2[u], []).append(u)
+
+    mapping = [-1] * n
+    used = [False] * n
+    budget = node_budget
+
+    def extend(depth: int, mapped1: int, mapped2: int) -> bool:
+        nonlocal budget
+        if depth == n:
+            return True
+        v = order[depth]
+        required = 0
+        for w in iter_bits(g1.adj[v] & mapped1):
+            required |= 1 << mapping[w]
+        for u in candidates_by_class.get(c1[v], ()):
+            if used[u]:
+                continue
+            budget -= 1
+            if budget < 0:
+                raise SearchBudgetExceeded(f"exceeded {node_budget} nodes")
+            if g2.adj[u] & mapped2 != required:
+                continue
+            mapping[v] = u
+            used[u] = True
+            if extend(depth + 1, mapped1 | (1 << v), mapped2 | (1 << u)):
+                return True
+            mapping[v] = -1
+            used[u] = False
+        return False
+
+    if extend(0, 0, 0):
+        return list(mapping)
+    return None
+
+
+def recursive_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
+                            max_len: int) -> list[Path_]:
+    """rainbow.enumerate_rainbow_paths as a recursive depth-first search,
+    one level per path vertex; the reference for the iterative search's
+    output and its order."""
+    out: list[Path_] = []
+    path = [x]
+
+    def dfs(v: int, visited: int, colors_used: frozenset[int], length: int) -> None:
+        if length == max_len:
+            return
+        for w in g.neighbors(v):
+            c = col.color_of(v, w)
+            if c in colors_used:
+                continue
+            if w == y:
+                out.append(tuple(path) + (y,))
+                continue
+            if visited >> w & 1:
+                continue
+            path.append(w)
+            dfs(w, visited | (1 << w), colors_used | {c}, length + 1)
+            path.pop()
+
+    dfs(x, 1 << x, frozenset(), 0)
+    return out
