@@ -12,11 +12,13 @@ identical seeds give identical colorings on any platform.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from . import textfile
 from .graphs import Graph, complete_multipartite, edgeless_graph, johnson, lexicographic_product
 
 
@@ -28,8 +30,8 @@ class EdgeColoring:
     """Total assignment of colors 1..color_count to the edges of a graph.
 
     Immutable once built. ``edge_colors`` is aligned with ``graph.edges``;
-    ``masks[c][v]`` is the set of neighbors of v through color-c edges
-    (row 0 unused), built in the same pass that range-checks the colors.
+    ``masks[c][v]`` is the set of neighbors of v through color-c edges, for
+    the colors c that occur, built in the same pass that range-checks them.
     """
 
     def __init__(self, graph: Graph, color_count: int, edge_colors: Sequence[int],
@@ -40,9 +42,8 @@ class EdgeColoring:
             raise ValueError(
                 f"{len(edge_colors)} colors for {graph.edge_count} edges"
             )
-        masks = [[0] * graph.vertex_count for _ in range(color_count + 1)]
+        masks: dict[int, list[int]] = defaultdict(lambda: [0] * graph.vertex_count)
         for (u, v), c in zip(graph.edges, edge_colors):
-            # c indexes masks: unchecked, 0 would land in the unused row and -1 in the last
             if not 1 <= c <= color_count:
                 raise ValueError(f"color {c} outside 1..{color_count}")
             row = masks[c]
@@ -52,7 +53,7 @@ class EdgeColoring:
         self.color_count = color_count
         self.edge_colors = tuple(edge_colors)
         self.seed = seed
-        self.masks = tuple(tuple(m) for m in masks)
+        self.masks = {c: tuple(m) for c, m in masks.items()}
 
     @classmethod
     def from_function(cls, graph: Graph, color_count: int,
@@ -61,8 +62,8 @@ class EdgeColoring:
 
     def color_of(self, u: int, v: int) -> int:
         if 0 <= u < self.graph.vertex_count and v >= 0:  # a negative u would wrap
-            for c in range(1, self.color_count + 1):
-                if self.masks[c][u] >> v & 1:
+            for c, rows in self.masks.items():
+                if rows[u] >> v & 1:
                     return c
         raise ValueError(f"({u},{v}) is not an edge")
 
@@ -261,36 +262,25 @@ def transfer_coloring(col: EdgeColoring, mapping: Sequence[int], target: Graph) 
 
 def read_coloring_file(path: str | Path, graph: Graph) -> EdgeColoring:
     """Read the `coloring` text format; must cover every edge of graph exactly once."""
-    path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("coloring"):
-        raise ValueError(f"{path}: expected leading 'coloring <c>' line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    color_count = int(head[1])
-    colors: dict[tuple[int, int], int] = {}
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ValueError(f"{path}: malformed line {ln!r}")
-        u, v, c = int(toks[0]), int(toks[1]), int(toks[2])
-        if not u < v:
-            raise ValueError(f"{path}: line {ln!r} must satisfy u < v")
-        if (u, v) in colors:
-            raise ValueError(f"{path}: edge ({u},{v}) colored twice")
-        colors[(u, v)] = c
-    missing = [e for e in graph.edges if e not in colors]
-    if missing:
-        raise ValueError(f"{path}: no color for edge {missing[0]}")
-    edges = set(graph.edges)
-    extra = [e for e in colors if e not in edges]
-    if extra:
-        raise ValueError(f"{path}: colored pair {extra[0]} is not a graph edge")
-    return EdgeColoring(graph, color_count, [colors[e] for e in graph.edges])
+
+    def build(counts, _, rows):
+        colors: dict[tuple[int, int], int] = {}
+        for u, v, c in rows:
+            if not u < v:
+                raise ValueError(f"edge ({u},{v}) must satisfy u < v")
+            if (u, v) in colors:
+                raise ValueError(f"edge ({u},{v}) colored twice")
+            colors[(u, v)] = c
+        edge_colors = [colors.pop(e, None) for e in graph.edges]
+        if None in edge_colors:
+            raise ValueError(f"no color for edge {graph.edges[edge_colors.index(None)]}")
+        if colors:  # what is left names no graph edge
+            raise ValueError(f"colored pair {next(iter(colors))} is not a graph edge")
+        return EdgeColoring(graph, counts[0], edge_colors)
+
+    return textfile.read(path, "coloring <c>", None, 3, build)
 
 
 def write_coloring_file(col: EdgeColoring, path: str | Path) -> None:
-    out = [f"coloring {col.color_count}"]
-    out.extend(f"{u} {v} {c}" for (u, v), c in zip(col.graph.edges, col.edge_colors))
-    Path(path).write_text("\n".join(out) + "\n")
+    rows = ((u, v, c) for (u, v), c in zip(col.graph.edges, col.edge_colors))
+    textfile.write(path, ["coloring", col.color_count], None, (), rows)

@@ -15,6 +15,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from . import textfile
+
 
 class SearchBudgetExceeded(Exception):
     """Isomorphism search ran out of nodes; the answer is unknown, not refuted."""
@@ -419,36 +421,18 @@ def connectivity_at_least(g: Graph, k: int) -> bool:
 
 def read_graph_file(path: str | Path) -> Graph:
     """Read the `graph` text format."""
-    path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph"):
-        raise ValueError(f"{path}: expected leading 'graph <n> <m>' line")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    n, m = int(head[1]), int(head[2])
-    pos = 1
-    labels = None
-    if pos < len(lines) and lines[pos].startswith("labels"):
-        labels = lines[pos].split()[1:]
-        pos += 1
-    edges = []
-    for ln in lines[pos:]:
-        u, v = (int(tok) for tok in ln.split())
-        if not u < v:
-            raise ValueError(f"{path}: edge line {ln!r} must satisfy u < v")
-        edges.append((u, v))
-    if len(edges) != m:
-        raise ValueError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return graph_from_edges(n, edges, labels)
+
+    def build(counts, labels, edges):
+        n, m = counts
+        for u, v in edges:
+            if not u < v:
+                raise ValueError(f"edge ({u},{v}) must satisfy u < v")
+        if len(edges) != m:
+            raise ValueError(f"header promises {m} edges, found {len(edges)}")
+        return graph_from_edges(n, edges, labels)
+
+    return textfile.read(path, "graph <n> <m>", "labels", 2, build)
 
 
 def write_graph_file(g: Graph, path: str | Path) -> None:
-    for lab in g.labels:
-        if any(c.isspace() for c in lab):
-            raise ValueError(f"label {lab!r} contains whitespace")
-    out = [f"graph {g.vertex_count} {g.edge_count}"]
-    if g.vertex_count:
-        out.append("labels " + " ".join(g.labels))
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    Path(path).write_text("\n".join(out) + "\n")
+    textfile.write(path, ["graph", g.vertex_count, g.edge_count], "labels", g.labels, g.edges)

@@ -115,12 +115,9 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     paths: list[Path_] = []
     if g.adjacent(x, y):
         paths.append((x, y))
-    masks = col.masks
     bichromatic = 0
-    for c1 in range(1, col.color_count + 1):
-        for c2 in range(1, col.color_count + 1):
-            if c1 != c2:
-                bichromatic |= masks[c1][x] & masks[c2][y]
+    for rows in col.masks.values():  # w with x-w in this color and y-w in another
+        bichromatic |= rows[x] & g.adj[y] & ~rows[y]
     paths.extend((x, w, y) for w in iter_bits(bichromatic))
     return paths
 

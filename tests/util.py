@@ -149,8 +149,9 @@ def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, in
     """
     if col.color_count != 2:
         raise ValueError("fast counting is defined for 2-colorings only")
-    m1, m2 = col.masks[1], col.masks[2]
     n = g.vertex_count
+    absent = (0,) * n  # masks has a row only for the colors that occur
+    m1, m2 = col.masks.get(1, absent), col.masks.get(2, absent)
     for x in range(n):
         ax = g.adj[x]
         for y in range(x + 1, n):
