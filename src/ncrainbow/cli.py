@@ -4,7 +4,8 @@ Every run prints a single-line JSON manifest to stdout as its final
 output: the command, its parameters, SHA-256 digests of the files read
 and written, and an outcome summary. Errors go to stderr as one JSON
 object. Exit codes: 0 success, 1 verification or search failure, 2
-usage or validation error.
+usage or validation error, 3 a work budget exhausted (the answer is
+unknown), 4 internal failure (a self-check of the program failed).
 """
 
 from __future__ import annotations
@@ -19,18 +20,21 @@ from . import bounds as bounds_mod
 from . import reproduce as reproduce_mod
 from .colorings import (PartitionSpec, j62_graph_and_coloring, multipartite_two_coloring,
                         read_coloring_file, write_coloring_file)
-from .graphs import are_isomorphic, read_graph_file, write_graph_file
+from .graphs import SearchBudgetExceeded, are_isomorphic, read_graph_file, write_graph_file
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral, direct_product,
                      load_cayley_table, metacyclic, semidirect_product, write_cayley_table)
-from .ncgraph import noncommuting_graph
+from .ncgraph import BoundViolated, noncommuting_graph
 from .rainbow import (FailureWitness, is_rainbow_k_connected, search_two_coloring,
                       write_certificate)
+
+
+EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 2, 3, 4
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"error": "UsageError", "message": message}), file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _digest(path: str | Path) -> str:
@@ -322,7 +326,11 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
+        if isinstance(exc, SearchBudgetExceeded):
+            return EXIT_BUDGET
+        if isinstance(exc, (AssertionError, BoundViolated)):
+            return EXIT_INTERNAL
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -251,38 +251,51 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
     class_sizes: dict[int, int] = {}
     for c in c1:
         class_sizes[c] = class_sizes.get(c, 0) + 1
-    # Order: rarest class first, then keep the mapped set connected.
+    # Order: most neighbours already placed first, then rarest class, then
+    # lowest index. by_attach[a] holds the unplaced vertices with a placed
+    # neighbours; a count only grows, so placing a vertex moves each of its
+    # unplaced neighbours one bucket up.
+    by_size: dict[int, int] = {}
+    for v in range(n):
+        size = class_sizes[c1[v]]
+        by_size[size] = by_size.get(size, 0) | 1 << v
+    size_masks = [by_size[size] for size in sorted(by_size)]
+    attach = [0] * n
+    by_attach = [(1 << n) - 1]
     order: list[int] = []
     placed_mask = 0
-    for _ in range(n):
-        best, best_key = -1, None
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            attach = (g1.adj[v] & placed_mask).bit_count()
-            key = (-attach, class_sizes[c1[v]], v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed_mask |= 1 << best
+    while by_attach:
+        top = by_attach[-1]
+        rarest = next(top & mask for mask in size_masks if top & mask)
+        v = (rarest & -rarest).bit_length() - 1
+        order.append(v)
+        placed_mask |= 1 << v
+        by_attach[-1] ^= 1 << v
+        for w in iter_bits(g1.adj[v] & ~placed_mask):
+            by_attach[attach[w]] ^= 1 << w
+            attach[w] += 1
+            if attach[w] == len(by_attach):
+                by_attach.append(0)
+            by_attach[attach[w]] |= 1 << w
+        while by_attach and not by_attach[-1]:
+            by_attach.pop()
 
-    candidates_by_class: dict[int, list[int]] = {}
+    class_masks: dict[int, int] = {}
     for u in range(n):
-        candidates_by_class.setdefault(c2[u], []).append(u)
+        class_masks[c2[u]] = class_masks.get(c2[u], 0) | 1 << u
 
     # One frame per mapped depth d: the candidates of order[d] not yet
-    # tried, and the images its mapped neighbors force on its image.
+    # tried (its class less the images mapped above it, fixed when the
+    # frame is made), and the images its mapped neighbors force on its image.
     mapping = [-1] * n
     mapped1 = mapped2 = 0
     budget = node_budget
-    stack = [(iter(candidates_by_class.get(c1[order[0]], ())), 0)]
+    stack = [(iter_bits(class_masks.get(c1[order[0]], 0)), 0)]
     while stack:
         depth = len(stack) - 1
         v = order[depth]
         candidates, required = stack[-1]
         for u in candidates:
-            if mapped2 >> u & 1:
-                continue
             budget -= 1
             if budget < 0:
                 raise SearchBudgetExceeded(f"exceeded {node_budget} nodes")
@@ -305,7 +318,7 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
         required = 0
         for w in iter_bits(g1.adj[v] & mapped1):
             required |= 1 << mapping[w]
-        stack.append((iter(candidates_by_class.get(c1[v], ())), required))
+        stack.append((iter_bits(class_masks.get(c1[v], 0) & ~mapped2), required))
     return None
 
 

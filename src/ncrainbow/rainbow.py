@@ -16,8 +16,11 @@ building the masks cannot make both agree on a bad certificate.
 
 The search kernel reads only ``g.adj``, ``g.edges``, k and the seed: it
 draws each attempt's colors from the splitmix64 constants straight into
-color-1 masks and never builds an EdgeColoring. The winner is redrawn by
-random_two_coloring and goes through the verifier and the validator.
+color-1 masks and never builds an EdgeColoring. After a head of
+SEARCH_HEAD attempts it first runs each block of attempts through the
+lane-parallel prefilter of ``lanes``, which drops only failing attempts.
+The winner is redrawn by random_two_coloring and goes through the
+verifier and the validator.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Sequence
 
 from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
                         random_two_coloring)
+from . import lanes
 from .graphs import Graph, connectivity_at_least, iter_bits
 
 
@@ -236,6 +240,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
                     )
 
 
+SEARCH_HEAD = 64  # attempts decided one by one before any lanes are set up
+SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
+
+
 def _search_plan(g: Graph, k: int) -> list:
     """Row plan of the search kernel, built once per search.
 
@@ -258,12 +266,16 @@ def _search_chunk(args) -> int | None:
     """Lowest attempt index in [start, stop) whose coloring passes, or None.
 
     Attempt i decides random_two_coloring(g, seed + i) without building
-    it, from the plan of g and k.
+    it, from the row plan of g and k. The range goes in blocks of
+    SEARCH_BLOCK attempts from start; with a prefilter plan each block
+    first drops the attempts the prefilter rejects, and the rest are
+    decided in ascending order by the same row kernel.
     """
-    plan, seed, start, stop = args
-    for i in range(start, stop):
-        if _attempt_passes(plan, seed + i):
-            return i
+    plan, prefilter, seed, start, stop = args
+    for lo in range(start, stop, SEARCH_BLOCK):
+        for t in lanes.survivors(prefilter, seed + lo, min(SEARCH_BLOCK, stop - lo)):
+            if _attempt_passes(plan, seed + lo + t):
+                return lo + t
     return None
 
 
@@ -285,14 +297,47 @@ def _attempt_passes(plan, s: int) -> bool:
     return True
 
 
+def _first_passing(g: Graph, k: int, attempts: int, seed: int, workers: int = 1) -> int | None:
+    """Lowest attempt index in [0, attempts) whose coloring passes, or None.
+
+    The first SEARCH_HEAD attempts are decided one by one; only when all of
+    them fail is the prefilter plan built, and the rest goes through the
+    prefilter in blocks. With workers > 1 the head and then runs of whole
+    blocks go to a pool of min(workers, cpu count) processes, their
+    results read in order.
+    """
+    plan = _search_plan(g, k)
+    head = (plan, None, seed, 0, min(SEARCH_HEAD, attempts))
+    if workers <= 1:
+        winner = _search_chunk(head)
+        if winner is None and attempts > SEARCH_HEAD:
+            prefilter = lanes.prefilter_plan(g, k)
+            winner = _search_chunk((plan, prefilter, seed, SEARCH_HEAD, attempts))
+        return winner
+    size = min(workers, os.cpu_count() or 1)
+    with multiprocessing.get_context("fork").Pool(size) as pool:
+        winner = next(pool.imap(_search_chunk, [head]))
+        if winner is None and attempts > SEARCH_HEAD:
+            blocks = -(-(attempts - SEARCH_HEAD) // SEARCH_BLOCK)
+            chunk = SEARCH_BLOCK * max(1, blocks // (size * 8))
+            prefilter = lanes.prefilter_plan(g, k)
+            jobs = [(plan, prefilter, seed, lo, min(lo + chunk, attempts))
+                    for lo in range(SEARCH_HEAD, attempts, chunk)]
+            # Chunks ascend and each returns its lowest success, so the first
+            # success in chunk order is the lowest overall; leaving the with
+            # block terminates the workers still running later chunks.
+            results = pool.imap(_search_chunk, jobs)
+            winner = next((res for res in results if res is not None), None)
+    return winner
+
+
 def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
                         workers: int = 1) -> EdgeColoring | None:
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
     Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
-    success is returned, for every worker count: with workers > 1 attempt
-    blocks run in a pool of min(workers, cpu count) processes and their
-    results are read in block order. None after the budget is exhausted.
+    success is returned, for every worker count. None after the budget is
+    exhausted.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -300,26 +345,12 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
     if attempts < 1:
         return None
-
-    plan = _search_plan(g, k)
-    if workers <= 1:
-        winner = _search_chunk((plan, seed, 0, attempts))
-    else:
-        size = min(workers, os.cpu_count() or 1)
-        chunk = max(1, attempts // (size * 8))
-        jobs = [(plan, seed, lo, min(lo + chunk, attempts))
-                for lo in range(0, attempts, chunk)]
-        with multiprocessing.get_context("fork").Pool(size) as pool:
-            # Blocks ascend and each returns its lowest success, so the first
-            # success in block order is the lowest overall; leaving the with
-            # block terminates the workers still running later blocks.
-            results = pool.imap(_search_chunk, jobs)
-            winner = next((res for res in results if res is not None), None)
+    winner = _first_passing(g, k, attempts, seed, workers)
     if winner is None:
         return None
     col = random_two_coloring(g, seed + winner)
     result = is_rainbow_k_connected(g, col, k)
-    if isinstance(result, FailureWitness):  # fast path and verifier disagree
+    if isinstance(result, FailureWitness):  # kernel and verifier disagree
         raise AssertionError(f"search accepted a failing coloring at {result.pair}")
     return col
 

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from ncrainbow import cli, rainbow
 from ncrainbow.cli import main
 from ncrainbow.colorings import read_coloring_file
-from ncrainbow.graphs import read_graph_file
+from ncrainbow.graphs import are_isomorphic, read_graph_file
 from ncrainbow.groups import dihedral, load_cayley_table
 
 
@@ -133,6 +134,34 @@ def test_usage_error_is_json(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert json.loads(captured.err.strip())["error"] == "UsageError"
+
+
+def one_error_line(captured):
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "c6.graph"
+    graph.write_text("graph 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    monkeypatch.setattr(cli, "are_isomorphic",
+                        lambda g1, g2: are_isomorphic(g1, g2, node_budget=3))
+    code, manifest, captured = run(capsys, "iso", "--graph", str(graph),
+                                   "--graph2", str(graph))
+    assert code == 3 and manifest is None
+    assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
+
+
+def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k3.graph"
+    graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")  # no 2-coloring of K3 is rainbow-2
+    monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: True)  # a broken kernel
+    code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "2",
+                                   "--attempts", "10", "--seed", "0")
+    assert code == 4 and manifest is None
+    error = one_error_line(captured)
+    assert error["error"] == "AssertionError" and "accepted a failing coloring" in error["message"]
 
 
 @pytest.mark.parametrize("zg", ["-1", "99"])

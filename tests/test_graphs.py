@@ -240,6 +240,31 @@ def test_isomorphism_deeper_than_the_recursion_limit():
     assert mapping is not None and sorted(mapping) == list(range(1200))
 
 
+def test_isomorphism_matches_recursive_reference_on_larger_graphs():
+    """The incremental vertex order and the per-frame candidate masks give
+    the reference's mapping and node count on a few hundred vertices."""
+    rng = random.Random(31)
+    pairs = [(cycles(50, 50, 50), relabelled(rng, cycles(50, 50, 50))),
+             (cycles(20, 20), cycles(15, 25))]  # both need backtracking
+    for n, p in [(120, 0.03), (200, 0.02), (300, 0.01)]:
+        g = random_graph(rng, n, p)
+        pairs += [(g, relabelled(rng, g)), (g, relabelled(rng, edge_switched(rng, g)))]
+    for g1, g2 in pairs:
+        expected = recursive_are_isomorphic(g1, g2)
+        nodes = nodes_needed(recursive_are_isomorphic, g1, g2)
+        assert are_isomorphic(g1, g2, node_budget=nodes) == expected
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                are_isomorphic(g1, g2, node_budget=nodes - 1)
+
+
+def test_isomorphism_of_large_sparse_graphs():
+    assert are_isomorphic(edgeless_graph(4000), edgeless_graph(4000)) == list(range(4000))
+    star = graph_from_edges(3000, [(0, i) for i in range(1, 3000)])
+    mapping = are_isomorphic(star, relabelled(random.Random(6), star))
+    assert mapping is not None and sorted(mapping) == list(range(3000))
+
+
 def test_vertex_connectivity_examples():
     assert vertex_connectivity(complete_graph(5)) == 4
     assert vertex_connectivity(complete_multipartite([1, 1, 1, 2])) == 3

@@ -5,6 +5,8 @@ import pytest
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
 from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
+from ncrainbow.groups import dihedral
+from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                                RainbowCertificate, certify_rc2, enumerate_rainbow_paths,
@@ -280,6 +282,13 @@ def test_search_winner_does_not_depend_on_workers():
     assert serial.seed - 1799 == 44
     for _ in range(5):
         assert search_two_coloring(g, 2, 800, seed=1799, workers=2).seed == serial.seed
+
+
+def test_pool_winner_past_the_head_matches_serial():
+    g = noncommuting_graph(dihedral(9)).graph
+    serial = search_two_coloring(g, 3, 5000, seed=0)
+    assert serial.seed == 420 > rainbow.SEARCH_HEAD  # decided in a prefiltered block
+    assert search_two_coloring(g, 3, 5000, seed=0, workers=2).seed == 420
 
 
 def test_pool_is_clamped_to_cpu_count(monkeypatch):
