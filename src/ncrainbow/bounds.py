@@ -38,7 +38,7 @@ def failure_bound(group: Group, k: int = 2) -> Fraction:
     total = Fraction(0)
     for (t, adjacent), count in pair_profile(noncommuting_graph(group)).items():
         misses = k - 2 if adjacent else k - 1
-        head = sum(comb(t, i) for i in range(misses + 1))
+        head = sum(comb(t, i) for i in range(min(misses, t) + 1))  # comb(t, i) = 0 for i > t
         total += Fraction(count * head, 1 << t)
     return total
 
@@ -85,20 +85,23 @@ def mid_bound(n: int, z: int) -> DyadicBound:
     return DyadicBound(prefactor, n)
 
 
-def threshold_for_k(k: int, hard_limit: int = 100_000) -> int:
+THRESHOLD_SCAN_LIMIT = 100_000
+
+
+def threshold_for_k(k: int) -> int:
     """Smallest n with sum(n^i for i in 2..k+1) < 2^(n/6) from n onward.
 
     The inequality is decided exactly via S^6 < 2^n. Once it holds at
     some n where additionally (n+1)^(6(k+1)) < 2 * n^(6(k+1)), it holds
     for every larger n (each term of S grows by at most (1+1/n)^(k+1),
     and that induction condition only improves as n grows), so the scan
-    stops there.
+    stops there. The scan gives up at n = THRESHOLD_SCAN_LIMIT.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     power = 6 * (k + 1)
     run_start: int | None = None
-    for n in range(1, hard_limit):
+    for n in range(1, THRESHOLD_SCAN_LIMIT):
         s = sum(n ** i for i in range(2, k + 2))
         if s ** 6 < (1 << n):
             if run_start is None:
@@ -107,7 +110,7 @@ def threshold_for_k(k: int, hard_limit: int = 100_000) -> int:
                 return run_start
         else:
             run_start = None
-    raise RuntimeError(f"no stable threshold below {hard_limit}")
+    raise RuntimeError(f"no stable threshold below {THRESHOLD_SCAN_LIMIT}")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .rainbow import (FailureWitness, is_rainbow_k_connected, search_two_colorin
 
 
 EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 2, 3, 4
+THRESHOLD_MAX_K = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,10 +153,9 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     graph = read_graph_file(args.graph)
-    coloring = search_two_coloring(graph, args.k, args.attempts, args.seed,
-                                   workers=args.workers)
+    coloring = search_two_coloring(graph, args.k, args.attempts, args.seed)
     params = {"graph": str(args.graph), "k": args.k, "attempts": args.attempts,
-              "seed": args.seed, "workers": args.workers}
+              "seed": args.seed}
     if coloring is None:
         _manifest("search", params, inputs=[args.graph],
                   outcome={"found": False})
@@ -178,6 +178,8 @@ def cmd_bounds(args) -> int:
         _manifest("bounds coarse", {"n": args.n}, outcome={"holds": holds})
         return 0
     if args.mode == "threshold":
+        if args.k > THRESHOLD_MAX_K:  # the scan's cost grows steeply with k
+            raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
         value = bounds_mod.threshold_for_k(args.k)
         _manifest("bounds threshold", {"k": args.k}, outcome={"threshold": value})
         return 0
@@ -285,7 +287,6 @@ def build_parser() -> _Parser:
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--attempts", type=int, required=True)
     p_search.add_argument("--seed", type=int, required=True)
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--out", help="write the found coloring here")
     p_search.set_defaults(func=cmd_search)
 

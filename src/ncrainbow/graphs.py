@@ -19,7 +19,9 @@ from . import textfile
 
 
 class SearchBudgetExceeded(Exception):
-    """Isomorphism search ran out of nodes; the answer is unknown, not refuted."""
+    """A work budget ran out, or a request would exceed one before any work
+    starts (isomorphism search nodes, the k of ``bounds threshold``); the
+    answer is unknown, not refuted."""
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -197,8 +199,12 @@ def detect_complete_multipartite(g: Graph) -> list[int] | None:
 
 # --- isomorphism -----------------------------------------------------------
 
-def _refine_classes(g1: Graph, g2: Graph, rounds: int = 4) -> tuple[list[int], list[int]] | None:
-    """Joint iterated neighbor-class refinement; None when class histograms split."""
+REFINE_ROUNDS = 4
+
+
+def _refine_classes(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
+    """Joint iterated neighbor-class refinement, at most REFINE_ROUNDS rounds;
+    None when class histograms split."""
     n = g1.vertex_count
     colors = [g1.degree(v) for v in range(n)] + [g2.degree(v) for v in range(n)]
     adj = list(g1.adj) + [m << n for m in g2.adj]
@@ -210,7 +216,7 @@ def _refine_classes(g1: Graph, g2: Graph, rounds: int = 4) -> tuple[list[int], l
             h2[cols[n + v]] = h2.get(cols[n + v], 0) + 1
         return h1, h2
 
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         h1, h2 = histogram(colors)
         if h1 != h2:
             return None

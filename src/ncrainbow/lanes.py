@@ -51,8 +51,8 @@ def prefilter_plan(g: Graph, k: int) -> tuple[list[int], list, int]:
     return offsets, pairs, 128 - k
 
 
-def survivors(plan, s: int, width: int) -> list[int] | range:
-    """Lanes t < width whose attempt s + t passes the prefilter; all without a plan.
+def survivors(plan, s: int, width: int) -> list[int]:
+    """Lanes t < width whose attempt s + t passes the prefilter, ascending.
 
     Attempt t lives in bits 128t.. of one int. An edge is drawn for all
     lanes at once: its offset is added to every lane's seed and the
@@ -67,8 +67,6 @@ def survivors(plan, s: int, width: int) -> list[int] | range:
     Edges are drawn as the pairs first need them, and the pass stops once
     every lane is dropped.
     """
-    if plan is None:
-        return range(width)
     offsets, pairs, bias = plan
 
     def spread(value: int) -> int:  # value in every lane

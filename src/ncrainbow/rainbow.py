@@ -14,20 +14,19 @@ selector reads the coloring's per-color masks (``col.masks``); the
 validator reads only the color list ``col.edge_colors``, so a fault in
 building the masks cannot make both agree on a bad certificate.
 
-The search kernel reads only ``g.adj``, ``g.edges``, k and the seed: it
-draws each attempt's colors from the splitmix64 constants straight into
-color-1 masks and never builds an EdgeColoring. After a head of
-SEARCH_HEAD attempts it first runs each block of attempts through the
-lane-parallel prefilter of ``lanes``, which drops only failing attempts.
-The winner is redrawn by random_two_coloring and goes through the
-verifier and the validator.
+The search runs in the calling process and returns the lowest passing
+attempt index. Its kernel reads only ``g.adj``, ``g.edges``, k and the
+seed: it draws each attempt's colors from the splitmix64 constants
+straight into color-1 masks and never builds an EdgeColoring. After a
+head of SEARCH_HEAD attempts it first runs each block of attempts
+through the lane-parallel prefilter of ``lanes``, which drops only
+failing attempts. The winner is redrawn by random_two_coloring and goes
+through the verifier and the validator.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -262,16 +261,15 @@ def _search_plan(g: Graph, k: int) -> list:
             for u, au in enumerate(adj)]
 
 
-def _search_chunk(args) -> int | None:
+def _search_chunk(plan, prefilter, seed: int, start: int, stop: int) -> int | None:
     """Lowest attempt index in [start, stop) whose coloring passes, or None.
 
     Attempt i decides random_two_coloring(g, seed + i) without building
     it, from the row plan of g and k. The range goes in blocks of
-    SEARCH_BLOCK attempts from start; with a prefilter plan each block
-    first drops the attempts the prefilter rejects, and the rest are
-    decided in ascending order by the same row kernel.
+    SEARCH_BLOCK attempts from start; each block first drops the attempts
+    the prefilter rejects, and the rest are decided in ascending order by
+    the row kernel.
     """
-    plan, prefilter, seed, start, stop = args
     for lo in range(start, stop, SEARCH_BLOCK):
         for t in lanes.survivors(prefilter, seed + lo, min(SEARCH_BLOCK, stop - lo)):
             if _attempt_passes(plan, seed + lo + t):
@@ -297,47 +295,27 @@ def _attempt_passes(plan, s: int) -> bool:
     return True
 
 
-def _first_passing(g: Graph, k: int, attempts: int, seed: int, workers: int = 1) -> int | None:
+def _first_passing(g: Graph, k: int, attempts: int, seed: int) -> int | None:
     """Lowest attempt index in [0, attempts) whose coloring passes, or None.
 
     The first SEARCH_HEAD attempts are decided one by one; only when all of
     them fail is the prefilter plan built, and the rest goes through the
-    prefilter in blocks. With workers > 1 the head and then runs of whole
-    blocks go to a pool of min(workers, cpu count) processes, their
-    results read in order.
+    prefilter in blocks.
     """
     plan = _search_plan(g, k)
-    head = (plan, None, seed, 0, min(SEARCH_HEAD, attempts))
-    if workers <= 1:
-        winner = _search_chunk(head)
-        if winner is None and attempts > SEARCH_HEAD:
-            prefilter = lanes.prefilter_plan(g, k)
-            winner = _search_chunk((plan, prefilter, seed, SEARCH_HEAD, attempts))
-        return winner
-    size = min(workers, os.cpu_count() or 1)
-    with multiprocessing.get_context("fork").Pool(size) as pool:
-        winner = next(pool.imap(_search_chunk, [head]))
-        if winner is None and attempts > SEARCH_HEAD:
-            blocks = -(-(attempts - SEARCH_HEAD) // SEARCH_BLOCK)
-            chunk = SEARCH_BLOCK * max(1, blocks // (size * 8))
-            prefilter = lanes.prefilter_plan(g, k)
-            jobs = [(plan, prefilter, seed, lo, min(lo + chunk, attempts))
-                    for lo in range(SEARCH_HEAD, attempts, chunk)]
-            # Chunks ascend and each returns its lowest success, so the first
-            # success in chunk order is the lowest overall; leaving the with
-            # block terminates the workers still running later chunks.
-            results = pool.imap(_search_chunk, jobs)
-            winner = next((res for res in results if res is not None), None)
-    return winner
+    for i in range(min(SEARCH_HEAD, attempts)):
+        if _attempt_passes(plan, seed + i):
+            return i
+    if attempts <= SEARCH_HEAD:
+        return None
+    return _search_chunk(plan, lanes.prefilter_plan(g, k), seed, SEARCH_HEAD, attempts)
 
 
-def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
-                        workers: int = 1) -> EdgeColoring | None:
+def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColoring | None:
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
     Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
-    success is returned, for every worker count. None after the budget is
-    exhausted.
+    success is returned. None after the budget is exhausted.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -345,7 +323,7 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int,
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
     if attempts < 1:
         return None
-    winner = _first_passing(g, k, attempts, seed, workers)
+    winner = _first_passing(g, k, attempts, seed)
     if winner is None:
         return None
     col = random_two_coloring(g, seed + winner)

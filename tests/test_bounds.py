@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from ncrainbow import bounds
 from ncrainbow.bounds import (DyadicBound, coarse_bound, coarse_bound_holds,
                               failure_bound, mid_bound, scan_exception_report,
                               threshold_for_k, write_bound_reports)
@@ -91,6 +92,20 @@ def test_failure_bound_guards():
         failure_bound(cyclic(6), 2)
     with pytest.raises(ValueError):
         failure_bound(dihedral(3), 1)
+
+
+def test_failure_bound_work_does_not_grow_with_k(monkeypatch):
+    calls = 0
+
+    def counted_comb(n, r):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10_000, "failure_bound sums terms past the common neighbour count"
+        return comb(n, r)
+
+    monkeypatch.setattr(bounds, "comb", counted_comb)
+    # each pair's binomial tail is all of 2^t, so the bound is the pair count C(17, 2)
+    assert failure_bound(dihedral(9), 10 ** 12) == 136
 
 
 def test_coarse_bound():

@@ -44,6 +44,7 @@ def test_full_pipeline(tmp_path, capsys):
     code, manifest, _ = run(capsys, "search", "--graph", str(graph), "--k", "2",
                             "--attempts", "10000", "--seed", "1", "--out", str(col))
     assert code == 0 and manifest["outcome"]["found"]
+    assert sorted(manifest["parameters"]) == ["attempts", "graph", "k", "seed"]
     code, manifest, _ = run(capsys, "verify", "--graph", str(graph),
                             "--coloring", str(col), "--k", "2", "--cert", str(cert))
     assert code == 0 and manifest["outcome"]["rainbow_k_connected"]
@@ -140,6 +141,23 @@ def one_error_line(captured):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
+
+
+def test_search_has_no_workers_option(tmp_path, capsys):
+    graph = tmp_path / "k3.graph"
+    graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")
+    code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "1",
+                                   "--attempts", "10", "--seed", "0", "--workers", "2")
+    assert code == 2 and manifest is None
+    assert one_error_line(captured)["error"] == "UsageError"
+
+
+def test_threshold_k_over_the_budget_exits_three(capsys):
+    code, manifest, captured = run(capsys, "bounds", "threshold", "--k", "101")
+    assert code == 3 and manifest is None
+    assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
+    code, manifest, _ = run(capsys, "bounds", "threshold", "--k", "3")
+    assert code == 0 and manifest["outcome"]["threshold"] == 180
 
 
 def test_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):

@@ -188,13 +188,6 @@ def test_search_precondition():
         search_two_coloring(path3, 2, 10, seed=0)
 
 
-def test_search_with_workers():
-    g = complete_multipartite([2, 2, 2])
-    col = search_two_coloring(g, 2, 2000, seed=4, workers=2)
-    assert col is not None
-    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
-
-
 def test_rc_lower_bound():
     assert rc_lower_bound(complete_graph(5), 1) == 1
     assert rc_lower_bound(complete_graph(5), 2) == 2
@@ -276,48 +269,14 @@ def test_three_color_failure_is_first_pair_with_max_found():
     assert failures >= 10
 
 
-def test_search_winner_does_not_depend_on_workers():
+def test_search_winner_in_the_head():
     g = complete_multipartite([2, 2, 2])
-    serial = search_two_coloring(g, 2, 800, seed=1799)
-    assert serial.seed - 1799 == 44
-    for _ in range(5):
-        assert search_two_coloring(g, 2, 800, seed=1799, workers=2).seed == serial.seed
+    col = search_two_coloring(g, 2, 800, seed=1799)
+    assert col.seed - 1799 == 44 < rainbow.SEARCH_HEAD
+    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
 
 
-def test_pool_winner_past_the_head_matches_serial():
+def test_search_winner_past_the_head():
     g = noncommuting_graph(dihedral(9)).graph
-    serial = search_two_coloring(g, 3, 5000, seed=0)
-    assert serial.seed == 420 > rainbow.SEARCH_HEAD  # decided in a prefiltered block
-    assert search_two_coloring(g, 3, 5000, seed=0, workers=2).seed == 420
-
-
-def test_pool_is_clamped_to_cpu_count(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Records its size and maps in this process; unordered results come
-        last block first, one of the orders a real pool may produce."""
-
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, jobs):
-            return map(fn, jobs)
-
-        def imap_unordered(self, fn, jobs):
-            return map(fn, reversed(jobs))
-
-    class Context:
-        Pool = SerialPool
-
-    monkeypatch.setattr(rainbow.multiprocessing, "get_context", lambda method: Context())
-    monkeypatch.setattr(rainbow.os, "cpu_count", lambda: 2)
-    g = complete_multipartite([2, 2, 2])
-    col = search_two_coloring(g, 2, 800, seed=1799, workers=64)
-    assert sizes == [2] and col.seed - 1799 == 44
+    col = search_two_coloring(g, 3, 5000, seed=0)
+    assert col.seed == 420 > rainbow.SEARCH_HEAD  # decided in a prefiltered block

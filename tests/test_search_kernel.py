@@ -2,14 +2,13 @@
 
 Attempt s of the search must pass exactly when the coloring
 random_two_coloring(g, s) passes the mask-based pair check of
-tests/util.py. Searches are driven over whole ranges of attempts,
+tests/util.py. The row kernel is asked for the verdict of every attempt
+in a range, and whole searches through `_first_passing`, which decides a
+head of attempts one by one and then switches to prefiltered blocks, are
 restarted after each success, so every verdict in a range is compared,
-not only the first success: the row kernel alone through `_search_chunk`,
-and whole searches through `_first_passing`, which decides a head of
-attempts one by one and then switches to prefiltered blocks. Each
-prefiltered block must keep every passing attempt, and the prefilter must
-keep exactly the attempts whose non-adjacent pairs all have k rainbow
-2-paths.
+not only the first success. Each prefiltered block must keep every
+passing attempt, and the prefilter must keep exactly the attempts whose
+non-adjacent pairs all have k rainbow 2-paths.
 """
 
 import random
@@ -50,8 +49,8 @@ def restarts(verdicts, search):
 
 def assert_kernel_matches(g, k, seed, count):
     plan = rainbow._search_plan(g, k)
-    restarts(oracle_verdicts(g, k, seed, count),
-             lambda start: rainbow._search_chunk((plan, None, seed, start, count)))
+    assert [rainbow._attempt_passes(plan, seed + i) for i in range(count)] == \
+        oracle_verdicts(g, k, seed, count)
 
 
 def assert_blocks_match(g, k, seed, count):
@@ -128,12 +127,13 @@ def test_kernel_matches_oracle_on_noncommuting_graphs(group, k):
 
 def test_wrapped_seed_gives_the_same_verdicts():
     g = noncommuting_graph(dicyclic(3)).graph
-    plan = rainbow._search_plan(g, 2)
-    for prefilter in (None, lanes.prefilter_plan(g, 2)):
-        base = [rainbow._search_chunk((plan, prefilter, s, 0, 1)) for s in range(30)]
-        for shift in (2 ** 64, -2 ** 64, 2 ** 70):
-            assert base == [rainbow._search_chunk((plan, prefilter, s + shift, 0, 1))
-                            for s in range(30)]
+    plan, prefilter = rainbow._search_plan(g, 2), lanes.prefilter_plan(g, 2)
+    base = [rainbow._attempt_passes(plan, s) for s in range(30)]
+    assert [rainbow._search_chunk(plan, prefilter, s, 0, 1) == 0 for s in range(30)] == base
+    for shift in (2 ** 64, -2 ** 64, 2 ** 70):
+        assert base == [rainbow._attempt_passes(plan, s + shift) for s in range(30)]
+        assert base == [rainbow._search_chunk(plan, prefilter, s + shift, 0, 1) == 0
+                        for s in range(30)]
 
 
 D14 = noncommuting_graph(dihedral(7)).graph
