@@ -5,10 +5,10 @@ from .bounds import (BoundReport, DyadicBound, coarse_bound, coarse_bound_holds,
                      failure_bound, mid_bound, scan_exception_report, threshold_for_k)
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, random_two_coloring, transfer_coloring)
-from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complement,
-                     complete_graph, complete_multipartite, detect_complete_multipartite,
-                     edgeless_graph, graph_from_edges, johnson, lexicographic_product,
-                     read_graph_file, vertex_connectivity, write_graph_file)
+from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complete_graph,
+                     complete_multipartite, detect_complete_multipartite, edgeless_graph,
+                     graph_from_edges, johnson, lexicographic_product, read_graph_file,
+                     vertex_connectivity, write_graph_file)
 from .groups import (Group, GroupError, central_product, cyclic, dicyclic, dihedral,
                      direct_product, group_from_cayley_table, load_cayley_table, metacyclic,
                      semidirect_product, write_cayley_table)

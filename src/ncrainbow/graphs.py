@@ -116,12 +116,6 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(n, tuple(f"v{i}" for i in range(n)), (0,) * n)
 
 
-def complement(g: Graph) -> Graph:
-    n = g.vertex_count
-    full = (1 << n) - 1
-    return Graph(n, g.labels, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(n)))
-
-
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; vertex labels are p<part>_<index>, 1-based."""
     if not part_sizes:

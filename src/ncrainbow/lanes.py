@@ -6,53 +6,24 @@ full-word instructions", CACM 18(8), 1975), so that each big-int
 operation draws one edge's splitmix64 color for every attempt of the
 block. splitmix64 output j of seed s is a direct function of
 s + (j+1) * gamma (Steele, Lea and Flood, OOPSLA 2014), so any edge can
-be drawn without the ones before it. The prefilter only drops attempts
-that fail; the search decides the rest with its row kernel.
+be drawn without the ones before it, from its offset in the search's
+row plan. The prefilter only drops attempts that fail; the search
+decides the rest with its row kernel.
 """
 
 from __future__ import annotations
 
-from .colorings import MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2
-from .graphs import Graph, iter_bits
+from .colorings import MASK64, SPLITMIX_MUL1, SPLITMIX_MUL2
+from .graphs import iter_bits
 
 
-def prefilter_plan(g: Graph, k: int) -> tuple[list[int], list, int]:
-    """Prefilter plan for g and k, built at most once per search.
-
-    It covers the non-adjacent pairs (a, u), which need k rainbow 2-paths
-    through their common neighbours w, fewest common neighbours first, so
-    that the pairs most likely to fail come first. Each pair lists the
-    edge slots of (a, w) and (u, w) per w and how many slots must be drawn
-    before it, as (drawn, [(slot, slot), ...]); slots are numbered in order
-    of first use, and slot i is the edge with splitmix64 offset
-    ``offsets[i]``. The plan is (offsets, pairs, 128 - k). A pair whose
-    count could overflow a byte lane (more than 127 + k common neighbours,
-    or k > 128) is left out, which only weakens the prefilter.
-    """
-    adj = g.adj
-    index = {e: j for j, e in enumerate(g.edges)}
-    commons = sorted(((adj[a] & au).bit_count(), u, a) for u, au in enumerate(adj)
-                     for a in range(u) if not au >> a & 1)
-    slot: dict[int, int] = {}
-    offsets, pairs = [], []
-    for size, u, a in commons:
-        if k > 128 or size > 127 + k:  # the count could overflow a byte lane
-            continue
-        terms = []
-        for w in iter_bits(adj[a] & adj[u]):
-            edge_pair = []
-            for j in (index[min(a, w), max(a, w)], index[min(u, w), max(u, w)]):
-                if j not in slot:
-                    slot[j] = len(offsets)
-                    offsets.append((j + 1) * SPLITMIX_GAMMA & MASK64)
-                edge_pair.append(slot[j])
-            terms.append(tuple(edge_pair))
-        pairs.append((len(offsets), terms))
-    return offsets, pairs, 128 - k
-
-
-def survivors(plan, s: int, width: int) -> list[int]:
+def survivors(plan, k: int, s: int, width: int) -> list[int]:
     """Lanes t < width whose attempt s + t passes the prefilter, ascending.
+
+    plan is the search's row plan for k (``rainbow._search_plan``). The
+    prefilter covers its non-adjacent pairs (a, u), those that need k
+    rainbow 2-paths through their common neighbours w, fewest common
+    neighbours first, so that the pairs most likely to fail come first.
 
     Attempt t lives in bits 128t.. of one int. An edge is drawn for all
     lanes at once: its offset is added to every lane's seed and the
@@ -64,11 +35,11 @@ def survivors(plan, s: int, width: int) -> list[int]:
     pair sums c(a,w) ^ c(u,w) over its common neighbours: bit 7
     of count + 128 - k is set exactly when count >= k, so a lane is
     dropped only for a pair that really has fewer than k rainbow paths.
-    Edges are drawn as the pairs first need them, and the pass stops once
-    every lane is dropped.
+    A pair whose count could overflow a byte lane (more than 127 + k
+    common neighbours, or k > 128) is left out, which only weakens the
+    prefilter. Edges are drawn as the pairs first need them, and the pass
+    stops once every lane is dropped.
     """
-    offsets, pairs, bias = plan
-
     def spread(value: int) -> int:  # value in every lane
         return int.from_bytes(value.to_bytes(16, "little") * width, "little")
 
@@ -79,18 +50,32 @@ def survivors(plan, s: int, width: int) -> list[int]:
     del ramp
     low64 = spread(MASK64)
     bytes_one = int.from_bytes(b"\x01" * width, "little")
+
+    def draw(x: int, y: int) -> int:  # color bit of edge {x, y} in every byte lane
+        x, y = min(x, y), max(x, y)
+        offset = next(offset for offset, v, _ in plan[x][2] if v == y)
+        z = (seeds + spread(offset)) & low64
+        z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
+        z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
+        low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
+        return int.from_bytes(low_bytes, "little") & bytes_one
+
+    pairs = sorted((common.bit_count(), u, a, common) for u, _, _, commons, needs in plan
+                   for a, (common, need) in enumerate(zip(commons, needs)) if need == k)
+    colors = [{} for _ in plan]  # colors[x][y]: color bits of edge {x, y} once drawn
+    bias = (128 - k) * bytes_one
     alive = bytes_one << 7
-    colors = []
-    for drawn, terms in pairs:
-        for offset in offsets[len(colors):drawn]:
-            z = (seeds + spread(offset)) & low64
-            z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
-            z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
-            low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
-            colors.append(int.from_bytes(low_bytes, "little") & bytes_one)
-        count = bias * bytes_one
-        for x, y in terms:
-            count += colors[x] ^ colors[y]
+    for size, u, a, common in pairs:
+        if k > 128 or size > 127 + k:  # this count, and every later one, could overflow
+            break
+        ca, cu = colors[a], colors[u]
+        count = bias
+        for w in iter_bits(common):
+            if w not in ca:
+                ca[w] = colors[w][a] = draw(a, w)
+            if w not in cu:
+                cu[w] = colors[w][u] = draw(u, w)
+            count += ca[w] ^ cu[w]
         alive &= count
         if not alive:
             return []

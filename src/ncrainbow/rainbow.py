@@ -6,7 +6,8 @@ either the direct edge or a 2-path through a common neighbor whose two
 edge colors differ; such paths are automatically pairwise internally
 disjoint, so verification is a count per vertex pair. Three or more
 colors fall back to enumeration plus backtracking selection, intended
-only for small exhaustive studies.
+only for small exhaustive studies; each pair's enumeration stops with
+SearchBudgetExceeded after PATH_NODE_BUDGET path extensions.
 
 Certificates returned by the verifier are always re-checked by an
 independent validator that shares no code with the path selector. The
@@ -15,13 +16,14 @@ validator reads only the color list ``col.edge_colors``, so a fault in
 building the masks cannot make both agree on a bad certificate.
 
 The search runs in the calling process and returns the lowest passing
-attempt index. Its kernel reads only ``g.adj``, ``g.edges``, k and the
-seed: it draws each attempt's colors from the splitmix64 constants
-straight into color-1 masks and never builds an EdgeColoring. After a
-head of SEARCH_HEAD attempts it first runs each block of attempts
-through the lane-parallel prefilter of ``lanes``, which drops only
-failing attempts. The winner is redrawn by random_two_coloring and goes
-through the verifier and the validator.
+attempt index. It builds one row plan per search from ``g.adj``,
+``g.edges`` and k, and its kernel reads only that plan and the seed: it
+draws each attempt's colors from the splitmix64 constants straight into
+color-1 masks and never builds an EdgeColoring. After a head of
+SEARCH_HEAD attempts it first runs each block of attempts through the
+lane-parallel prefilter of ``lanes``, which reads the same row plan and
+drops only failing attempts. The winner is redrawn by
+random_two_coloring and goes through the verifier and the validator.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
                         random_two_coloring)
 from . import lanes
-from .graphs import Graph, connectivity_at_least, iter_bits
+from .graphs import Graph, SearchBudgetExceeded, connectivity_at_least, iter_bits
 
 
 class PreconditionKappa(Exception):
@@ -69,6 +71,9 @@ class Rc2Certificate:
     rc: int
 
 
+PATH_NODE_BUDGET = 200_000  # path extensions per enumerate_rainbow_paths call
+
+
 def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
                             max_len: int) -> list[Path_]:
     """All simple x-y paths of <= max_len edges with distinct edge colors.
@@ -76,7 +81,9 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
     Output is lexicographic by vertex sequence (depth-first extension in
     ascending neighbor order). The search keeps one frame per path vertex
     on an explicit stack, so a path may be longer than the interpreter's
-    recursion limit.
+    recursion limit. Each frame scans one neighbor list, and after
+    PATH_NODE_BUDGET frames beyond x's the search raises
+    SearchBudgetExceeded: the paths are then unknown, not absent.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -85,6 +92,7 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
     out: list[Path_] = []
     path = [x]
     visited = 1 << x
+    budget = PATH_NODE_BUDGET
     # frame of path[i]: its neighbors not yet tried, and the colors used
     # on the path up to it as a mask of bits 1 << color
     stack = [(iter_bits(g.adj[x]), 0)]
@@ -103,6 +111,9 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
             stack.pop()
             visited ^= 1 << path.pop()
             continue
+        budget -= 1
+        if budget < 0:
+            raise SearchBudgetExceeded(f"rainbow paths {x}-{y}: exceeded {PATH_NODE_BUDGET} nodes")
         path.append(w)
         visited |= 1 << w
         stack.append((iter_bits(g.adj[w]), used | c))
@@ -244,13 +255,16 @@ SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
 
 
 def _search_plan(g: Graph, k: int) -> list:
-    """Row plan of the search kernel, built once per search.
+    """Row plan of the search, built once per search: the kernel and the
+    prefilter of ``lanes`` both read it.
 
-    Row u holds each edge (u, v > u) as the splitmix64 offset
-    (j+1) * gamma of its index j, and for each a < u the common neighbours
-    of a and u and the rainbow 2-paths they still need. A 2-path a-w-u is
-    rainbow when exactly one of its edges is color 1, and all of them lie
-    in rows <= u, so pair (a, u) is decided once row u is drawn.
+    Row u is (u, 1 << u, draws, commons, needs). draws holds each edge
+    (u, v > u) as (the splitmix64 offset (j+1) * gamma of its index j, v,
+    1 << v); commons[a] and needs[a], for each a < u, are the common
+    neighbours of a and u and the rainbow 2-paths they still need,
+    k - adj(a, u). A 2-path a-w-u is rainbow when exactly one of its
+    edges is color 1, and all of them lie in rows <= u, so pair (a, u) is
+    decided once row u is drawn.
     """
     adj = g.adj
     draws = [[] for _ in adj]
@@ -259,22 +273,6 @@ def _search_plan(g: Graph, k: int) -> list:
     return [(u, 1 << u, draws[u],
              [a & au for a in adj[:u]], [k - (a >> u & 1) for a in adj[:u]])
             for u, au in enumerate(adj)]
-
-
-def _search_chunk(plan, prefilter, seed: int, start: int, stop: int) -> int | None:
-    """Lowest attempt index in [start, stop) whose coloring passes, or None.
-
-    Attempt i decides random_two_coloring(g, seed + i) without building
-    it, from the row plan of g and k. The range goes in blocks of
-    SEARCH_BLOCK attempts from start; each block first drops the attempts
-    the prefilter rejects, and the rest are decided in ascending order by
-    the row kernel.
-    """
-    for lo in range(start, stop, SEARCH_BLOCK):
-        for t in lanes.survivors(prefilter, seed + lo, min(SEARCH_BLOCK, stop - lo)):
-            if _attempt_passes(plan, seed + lo + t):
-                return lo + t
-    return None
 
 
 def _attempt_passes(plan, s: int) -> bool:
@@ -298,17 +296,21 @@ def _attempt_passes(plan, s: int) -> bool:
 def _first_passing(g: Graph, k: int, attempts: int, seed: int) -> int | None:
     """Lowest attempt index in [0, attempts) whose coloring passes, or None.
 
-    The first SEARCH_HEAD attempts are decided one by one; only when all of
-    them fail is the prefilter plan built, and the rest goes through the
-    prefilter in blocks.
+    Attempt i decides random_two_coloring(g, seed + i) without building
+    it, from the row plan of g and k. The first SEARCH_HEAD attempts are
+    decided one by one; the rest go in blocks of SEARCH_BLOCK attempts.
+    The prefilter of ``lanes`` drops failing attempts from each block, and
+    the row kernel decides the ones it keeps in ascending order.
     """
     plan = _search_plan(g, k)
     for i in range(min(SEARCH_HEAD, attempts)):
         if _attempt_passes(plan, seed + i):
             return i
-    if attempts <= SEARCH_HEAD:
-        return None
-    return _search_chunk(plan, lanes.prefilter_plan(g, k), seed, SEARCH_HEAD, attempts)
+    for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
+        for t in lanes.survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
+            if _attempt_passes(plan, seed + lo + t):
+                return lo + t
+    return None
 
 
 def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColoring | None:

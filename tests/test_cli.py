@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 from ncrainbow import cli, rainbow
 from ncrainbow.cli import main
-from ncrainbow.colorings import read_coloring_file
-from ncrainbow.graphs import are_isomorphic, read_graph_file
+from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
+from ncrainbow.graphs import are_isomorphic, complete_graph, read_graph_file, write_graph_file
 from ncrainbow.groups import dihedral, load_cayley_table
 
 
@@ -167,6 +168,21 @@ def test_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
                         lambda g1, g2: are_isomorphic(g1, g2, node_budget=3))
     code, manifest, captured = run(capsys, "iso", "--graph", str(graph),
                                    "--graph2", str(graph))
+    assert code == 3 and manifest is None
+    assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
+
+
+def test_verify_over_the_path_budget_exits_three(tmp_path, capsys, monkeypatch):
+    g = complete_graph(8)
+    rng = random.Random(8)
+    graph, col = tmp_path / "k8.graph", tmp_path / "k8.col"
+    write_graph_file(g, graph)
+    write_coloring_file(EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges]), col)
+    argv = ("verify", "--graph", str(graph), "--coloring", str(col), "--k", "2")
+    code, manifest, _ = run(capsys, *argv)
+    assert code == 0 and manifest["outcome"]["rainbow_k_connected"]
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 10)
+    code, manifest, captured = run(capsys, *argv)
     assert code == 3 and manifest is None
     assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
 

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_isomorphic,
-                              complement, complete_graph, complete_multipartite,
+                              complete_graph, complete_multipartite,
                               detect_complete_multipartite, edgeless_graph,
                               graph_from_edges, johnson, lexicographic_product,
                               read_graph_file, vertex_connectivity, write_graph_file)
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow.reproduce import brute_force_vertex_connectivity as brute_vertex_connectivity
-from util import brute_isomorphic, recursive_are_isomorphic
+from util import brute_isomorphic, complement, recursive_are_isomorphic
 
 
 def random_graph(rng, n, p=0.5):

@@ -4,7 +4,8 @@ import pytest
 
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
-from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
+from ncrainbow.graphs import (SearchBudgetExceeded, complete_graph, complete_multipartite,
+                              graph_from_edges)
 from ncrainbow.groups import dihedral
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
@@ -96,6 +97,19 @@ def test_enumerate_path_longer_than_the_recursion_limit():
     col = EdgeColoring(g, n - 1, list(range(1, n)))
     assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 1) == [tuple(range(n))]
     assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 2) == []
+
+
+def test_path_enumeration_budget_raises(monkeypatch):
+    g = complete_graph(8)
+    rng = random.Random(8)
+    col = EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges])
+    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_rainbow_paths(g, col, 0, 1, 4)
+    with pytest.raises(SearchBudgetExceeded):
+        is_rainbow_k_connected(g, col, 2)
+    assert enumerate_rainbow_paths(g, col, 0, 1, 1) == [(0, 1)]  # no frame beyond x's
 
 
 def test_short_paths_are_disjoint_and_complete():

@@ -8,7 +8,8 @@ head of attempts one by one and then switches to prefiltered blocks, are
 restarted after each success, so every verdict in a range is compared,
 not only the first success. Each prefiltered block must keep every
 passing attempt, and the prefilter must keep exactly the attempts whose
-non-adjacent pairs all have k rainbow 2-paths.
+non-adjacent pairs all have k rainbow 2-paths. The oracle's verdicts are
+computed once per (graph, k, seed, count) and shared by the checks.
 """
 
 import random
@@ -25,7 +26,7 @@ from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow.rainbow import (SEARCH_BLOCK, SEARCH_HEAD, max_disjoint_paths,
                                search_two_coloring, select_disjoint_paths)
-from util import recursive_select_disjoint_paths, two_color_failure_pair
+from util import complement, recursive_select_disjoint_paths, two_color_failure_pair
 
 MASK64 = (1 << 64) - 1
 
@@ -47,32 +48,31 @@ def restarts(verdicts, search):
         start = expected + 1
 
 
-def assert_kernel_matches(g, k, seed, count):
+def assert_kernel_matches(g, k, seed, verdicts):
     plan = rainbow._search_plan(g, k)
-    assert [rainbow._attempt_passes(plan, seed + i) for i in range(count)] == \
-        oracle_verdicts(g, k, seed, count)
+    assert [rainbow._attempt_passes(plan, seed + i) for i in range(len(verdicts))] == verdicts
 
 
-def assert_blocks_match(g, k, seed, count):
+def assert_blocks_match(g, k, seed, verdicts):
     """Each prefiltered block keeps every passing attempt, and the row
     kernel decides each attempt it keeps as the oracle does."""
-    verdicts = oracle_verdicts(g, k, seed, count)
-    plan, prefilter = rainbow._search_plan(g, k), lanes.prefilter_plan(g, k)
+    count = len(verdicts)
+    plan = rainbow._search_plan(g, k)
     for lo in range(0, count, SEARCH_BLOCK):
         width = min(SEARCH_BLOCK, count - lo)
-        survivors = list(lanes.survivors(prefilter, seed + lo, width))
+        survivors = lanes.survivors(plan, k, seed + lo, width)
         assert survivors == sorted(set(survivors)) and all(0 <= t < width for t in survivors)
         assert set(survivors) >= {t for t in range(width) if verdicts[lo + t]}
         assert all(rainbow._attempt_passes(plan, seed + lo + t) == verdicts[lo + t]
                    for t in survivors)
 
 
-def assert_search_matches(g, k, seed, count):
+def assert_search_matches(g, k, seed, verdicts):
     def search(start):
-        found = rainbow._first_passing(g, k, count - start, seed + start)
+        found = rainbow._first_passing(g, k, len(verdicts) - start, seed + start)
         return None if found is None else start + found
 
-    restarts(oracle_verdicts(g, k, seed, count), search)
+    restarts(verdicts, search)
 
 
 def prefilter_passes(g, k, s):
@@ -112,8 +112,9 @@ SEEDS = st.one_of(
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graphs(), st.integers(1, 4), SEEDS)
 def test_kernel_matches_oracle_on_random_graphs(g, k, seed):
-    assert_kernel_matches(g, k, seed, 40)
-    assert_blocks_match(g, k, seed, 40)
+    verdicts = oracle_verdicts(g, k, seed, 40)
+    assert_kernel_matches(g, k, seed, verdicts)
+    assert_blocks_match(g, k, seed, verdicts)
 
 
 @pytest.mark.parametrize("group, k", [(dihedral(7), 3), (dihedral(10), 2), (dicyclic(3), 2),
@@ -121,19 +122,23 @@ def test_kernel_matches_oracle_on_random_graphs(g, k, seed):
                          ids=["D14-k3", "D20-k2", "Q12-k2", "M24_7-k2"])
 def test_kernel_matches_oracle_on_noncommuting_graphs(group, k):
     g = noncommuting_graph(group).graph
-    assert_kernel_matches(g, k, 0, 500)
-    assert_blocks_match(g, k, 0, 500)
+    verdicts = oracle_verdicts(g, k, 0, 500)
+    assert_kernel_matches(g, k, 0, verdicts)
+    assert_blocks_match(g, k, 0, verdicts)
 
 
 def test_wrapped_seed_gives_the_same_verdicts():
     g = noncommuting_graph(dicyclic(3)).graph
-    plan, prefilter = rainbow._search_plan(g, 2), lanes.prefilter_plan(g, 2)
+    plan = rainbow._search_plan(g, 2)
+
+    def block_of_one(s):  # the block path's verdict on attempt s alone
+        return lanes.survivors(plan, 2, s, 1) == [0] and rainbow._attempt_passes(plan, s)
+
     base = [rainbow._attempt_passes(plan, s) for s in range(30)]
-    assert [rainbow._search_chunk(plan, prefilter, s, 0, 1) == 0 for s in range(30)] == base
+    assert [block_of_one(s) for s in range(30)] == base
     for shift in (2 ** 64, -2 ** 64, 2 ** 70):
         assert base == [rainbow._attempt_passes(plan, s + shift) for s in range(30)]
-        assert base == [rainbow._search_chunk(plan, prefilter, s + shift, 0, 1) == 0
-                        for s in range(30)]
+        assert base == [block_of_one(s + shift) for s in range(30)]
 
 
 D14 = noncommuting_graph(dihedral(7)).graph
@@ -146,14 +151,15 @@ D18 = noncommuting_graph(dihedral(9)).graph
                               "D18--2^70"])
 def test_search_matches_oracle_across_the_switch(g, seed):
     count = SEARCH_HEAD + 2 * SEARCH_BLOCK + 900  # the last block is cut short
-    assert_search_matches(g, 3, seed, count)
+    assert_search_matches(g, 3, seed, oracle_verdicts(g, 3, seed, count))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graphs(max_n=9), st.integers(1, 3), SEEDS)
 def test_search_matches_oracle_on_random_graphs(g, k, seed):
-    assert_search_matches(g, k, seed, 3000)
-    assert_blocks_match(g, k, seed, 3000)
+    verdicts = oracle_verdicts(g, k, seed, 3000)
+    assert_search_matches(g, k, seed, verdicts)
+    assert_blocks_match(g, k, seed, verdicts)
 
 
 @pytest.mark.parametrize("g, width, seed", [
@@ -162,8 +168,8 @@ def test_search_matches_oracle_on_random_graphs(g, k, seed):
     ids=["D14", "D14-wrap-333", "D18-negative", "D18-2^70-517", "Q12--2^70-700"])
 def test_prefilter_keeps_exactly_the_attempts_whose_nonadjacent_pairs_pass(g, width, seed):
     k = 3 if g.vertex_count > 10 else 2
-    survivors = lanes.survivors(lanes.prefilter_plan(g, k), seed, width)
-    assert list(survivors) == [t for t in range(width) if prefilter_passes(g, k, seed + t)]
+    survivors = lanes.survivors(rainbow._search_plan(g, k), k, seed, width)
+    assert survivors == [t for t in range(width) if prefilter_passes(g, k, seed + t)]
     assert survivors  # the oracle above must not be vacuous
 
 
@@ -177,19 +183,17 @@ def test_stop_inside_a_block():
 
 def test_pair_short_of_common_neighbours_rejects_every_attempt():
     hexagon = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])  # kappa = 2
-    prefilter = lanes.prefilter_plan(hexagon, 2)
-    assert lanes.survivors(prefilter, 0, SEARCH_BLOCK) == []
+    assert lanes.survivors(rainbow._search_plan(hexagon, 2), 2, 0, SEARCH_BLOCK) == []
     assert search_two_coloring(hexagon, 2, SEARCH_HEAD + SEARCH_BLOCK + 5, 0) is None
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 3), (6, 2)])
 def test_complete_graph_has_nothing_to_prefilter(n, k):
     g = complete_graph(n)
-    prefilter = lanes.prefilter_plan(g, k)
-    assert prefilter == ([], [], 128 - k)
-    assert list(lanes.survivors(prefilter, 5, 300)) == list(range(300))
-    assert_blocks_match(g, k, 5, 3000)
-    assert_search_matches(g, k, 5, 3000)
+    assert lanes.survivors(rainbow._search_plan(g, k), k, 5, 300) == list(range(300))
+    verdicts = oracle_verdicts(g, k, 5, 3000)
+    assert_blocks_match(g, k, 5, verdicts)
+    assert_search_matches(g, k, 5, verdicts)
 
 
 def direct_output(seed, j):
@@ -229,3 +233,15 @@ def test_select_disjoint_paths_matches_recursive_selection():
         best = max((k for k in range(len(paths) + 1)
                     if recursive_select_disjoint_paths(paths, k) is not None), default=0)
         assert max_disjoint_paths(paths) == best
+
+
+def test_pair_that_could_overflow_a_byte_lane_is_left_out():
+    """0 and 1 are the only non-adjacent pair and have 300 common
+    neighbours, so their count of rainbow 2-paths (about 150, plus the
+    bias 126) would overflow a byte lane: the prefilter must leave the pair
+    out rather than drop attempts the oracle passes."""
+    g = complement(graph_from_edges(302, [(0, 1)]))
+    verdicts = oracle_verdicts(g, 2, 11, 4)
+    assert any(verdicts)
+    survivors = lanes.survivors(rainbow._search_plan(g, 2), 2, 11, 4)
+    assert set(survivors) >= {t for t in range(4) if verdicts[t]}

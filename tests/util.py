@@ -129,6 +129,13 @@ def brute_simple_paths(g: Graph, x: int, y: int, max_len: int):
     return [p for p in out if len(p) >= 2]
 
 
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices and labels whose edges are g's non-edges."""
+    n = g.vertex_count
+    full = (1 << n) - 1
+    return Graph(n, g.labels, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(n)))
+
+
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Permutation-by-permutation isomorphism test; only for tiny graphs."""
     n = g1.vertex_count
