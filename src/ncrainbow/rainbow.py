@@ -4,16 +4,19 @@ A rainbow path repeats no edge color, so under c colors it has at most c
 edges. For two colors that means length <= 2, and every rainbow path is
 either the direct edge or a 2-path through a common neighbor whose two
 edge colors differ; such paths are automatically pairwise internally
-disjoint, so verification is a count per vertex pair. Three or more
+disjoint, so verification counts them per vertex pair by a popcount of
+one mask and builds only the k paths the certificate keeps. Three or more
 colors fall back to enumeration plus backtracking selection, intended
-only for small exhaustive studies; each pair's enumeration stops with
-SearchBudgetExceeded after PATH_NODE_BUDGET path extensions.
+only for small exhaustive studies; one verification call may take at most
+PATH_NODE_BUDGET path extensions and selector steps in all, across its
+pairs, before it stops with SearchBudgetExceeded.
 
 Certificates returned by the verifier are always re-checked by an
 independent validator that shares no code with the path selector. The
 selector reads the coloring's per-color masks (``col.masks``); the
 validator reads only the color list ``col.edge_colors``, so a fault in
-building the masks cannot make both agree on a bad certificate.
+building the masks cannot make both agree on a bad certificate. The
+validator makes one linear pass over each pair's paths.
 
 The search runs in the calling process and returns the lowest passing
 attempt index. It builds one row plan per search from ``g.adj``,
@@ -71,28 +74,41 @@ class Rc2Certificate:
     rc: int
 
 
-PATH_NODE_BUDGET = 200_000  # path extensions per enumerate_rainbow_paths call
+PATH_NODE_BUDGET = 200_000  # path extensions plus selector steps per verification call
+
+
+class PathBudget:
+    """Work a 3+-color verification may still do. One budget is shared by
+    the path enumerations and selections of one call, so the call as a
+    whole stops with SearchBudgetExceeded; a path function called on its
+    own gets a fresh one."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = PATH_NODE_BUDGET
 
 
 def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
-                            max_len: int) -> list[Path_]:
+                            max_len: int, budget: PathBudget | None = None) -> list[Path_]:
     """All simple x-y paths of <= max_len edges with distinct edge colors.
 
     Output is lexicographic by vertex sequence (depth-first extension in
     ascending neighbor order). The search keeps one frame per path vertex
     on an explicit stack, so a path may be longer than the interpreter's
-    recursion limit. Each frame scans one neighbor list, and after
-    PATH_NODE_BUDGET frames beyond x's the search raises
+    recursion limit. Each frame scans one neighbor list and costs one step
+    of the budget; once the budget is spent the search raises
     SearchBudgetExceeded: the paths are then unknown, not absent.
     """
     if x == y:
         raise ValueError("endpoints must differ")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    budget = budget or PathBudget()
+    left = budget.left
     out: list[Path_] = []
     path = [x]
     visited = 1 << x
-    budget = PATH_NODE_BUDGET
     # frame of path[i]: its neighbors not yet tried, and the colors used
     # on the path up to it as a mask of bits 1 << color
     stack = [(iter_bits(g.adj[x]), 0)]
@@ -111,13 +127,23 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
             stack.pop()
             visited ^= 1 << path.pop()
             continue
-        budget -= 1
-        if budget < 0:
-            raise SearchBudgetExceeded(f"rainbow paths {x}-{y}: exceeded {PATH_NODE_BUDGET} nodes")
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceeded(f"rainbow paths {x}-{y}: exceeded {PATH_NODE_BUDGET} steps")
         path.append(w)
         visited |= 1 << w
         stack.append((iter_bits(g.adj[w]), used | c))
+    budget.left = left
     return out
+
+
+def _bichromatic(g: Graph, col: EdgeColoring, x: int, y: int) -> int:
+    """Mask of the common neighbors w of x and y whose edges x-w and w-y
+    differ in color: the middles of the rainbow x-y 2-paths."""
+    middles = 0
+    for rows in col.masks.values():  # w with x-w in this color and y-w in another
+        middles |= rows[x] & g.adj[y] & ~rows[y]
+    return middles
 
 
 def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Path_]:
@@ -126,26 +152,25 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     Direct edge first, then one 2-path per common neighbor whose two edge
     colors differ; all of these are pairwise internally disjoint.
     """
-    paths: list[Path_] = []
-    if g.adjacent(x, y):
-        paths.append((x, y))
-    bichromatic = 0
-    for rows in col.masks.values():  # w with x-w in this color and y-w in another
-        bichromatic |= rows[x] & g.adj[y] & ~rows[y]
-    paths.extend((x, w, y) for w in iter_bits(bichromatic))
+    paths: list[Path_] = [(x, y)] if g.adjacent(x, y) else []
+    paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, y)))
     return paths
 
 
-def select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
+def select_disjoint_paths(paths: Sequence[Path_], k: int,
+                          budget: PathBudget | None = None) -> list[Path_] | None:
     """Pick k pairwise internally-disjoint paths, or None if impossible.
 
     Backtracks over the paths in list order, each taken before it is
-    skipped, with an explicit stack instead of recursion.
+    skipped, with an explicit stack instead of recursion. Each take or
+    backtrack costs one step of the budget.
     """
     if k == 0:
         return []
     if len(paths) < k:
         return None
+    budget = budget or PathBudget()
+    left = budget.left
     users: dict[int, int] = {}  # vertex -> mask of the paths with it inside
     for i, path in enumerate(paths):
         for v in path[1:-1]:
@@ -154,8 +179,12 @@ def select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
     skipped: list[int] = []  # skipped[d]: candidates left if chosen[d] is skipped
     avail = (1 << len(paths)) - 1
     while len(chosen) < k:
+        left -= 1
+        if left < 0:
+            raise SearchBudgetExceeded(f"path selection: exceeded {PATH_NODE_BUDGET} steps")
         if avail.bit_count() < k - len(chosen):
             if not chosen:
+                budget.left = left
                 return None
             chosen.pop()
             avail = skipped.pop()
@@ -166,16 +195,19 @@ def select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
         skipped.append(avail)
         for v in paths[chosen[-1]][1:-1]:
             avail &= ~users[v]
+    budget.left = left
     return [paths[i] for i in chosen]
 
 
-def max_disjoint_paths(paths: Sequence[Path_]) -> int:
+def max_disjoint_paths(paths: Sequence[Path_], budget: PathBudget | None = None) -> int:
     """Largest number of pairwise internally-disjoint paths in the list,
-    by bisection: k disjoint paths contain j disjoint ones for every j < k."""
+    by bisection: k disjoint paths contain j disjoint ones for every j < k.
+    All the selections share one budget."""
+    budget = budget or PathBudget()
     lo, hi = 0, len(paths)  # lo is always achievable
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if select_disjoint_paths(paths, mid) is not None:
+        if select_disjoint_paths(paths, mid, budget) is not None:
             lo = mid
         else:
             hi = mid - 1
@@ -184,25 +216,39 @@ def max_disjoint_paths(paths: Sequence[Path_]) -> int:
 
 def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
                            ) -> RainbowCertificate | FailureWitness:
-    """Certificate with k disjoint rainbow paths per pair, or the first failure."""
+    """Certificate with k disjoint rainbow paths per pair, or the first failure.
+
+    With at most two colors each pair's rainbow paths are the direct edge
+    and the 2-paths through the bichromatic common neighbors, so the pair
+    is counted by a popcount and the certificate keeps the direct edge and
+    then the lowest middles, k paths in all. With more colors every pair
+    is enumerated and selected under one PathBudget for the whole call.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
     n = g.vertex_count
+    budget = PathBudget()
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
     for x in range(n):
         for y in range(x + 1, n):
             if col.color_count <= 2:
-                paths = short_rainbow_paths(g, col, x, y)
-                if len(paths) < k:  # short paths are pairwise internally disjoint
-                    return FailureWitness((x, y), k, len(paths))
-                paths = paths[:k]
+                adjacent = g.adj[x] >> y & 1
+                middles = _bichromatic(g, col, x, y)
+                found = adjacent + middles.bit_count()
+                if found < k:  # short paths are pairwise internally disjoint
+                    return FailureWitness((x, y), k, found)
+                paths = [(x, y)] if adjacent else []
+                while len(paths) < k:
+                    low = middles & -middles
+                    paths.append((x, low.bit_length() - 1, y))
+                    middles ^= low
             else:
-                paths = enumerate_rainbow_paths(g, col, x, y, col.color_count)
-                chosen = select_disjoint_paths(paths, k)
+                paths = enumerate_rainbow_paths(g, col, x, y, col.color_count, budget)
+                chosen = select_disjoint_paths(paths, k, budget)
                 if chosen is None:
-                    return FailureWitness((x, y), k, max_disjoint_paths(paths))
+                    return FailureWitness((x, y), k, max_disjoint_paths(paths, budget))
                 paths = chosen
             per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
@@ -215,39 +261,48 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
 
     Deliberately shares no code with the selector: path validity, rainbow
     condition, pairwise internal disjointness, and pair coverage are all
-    rederived from the graph and the color list ``col.edge_colors`` alone,
-    never from ``col.masks``.
+    rederived from the adjacency rows and the color list
+    ``col.edge_colors`` alone, never from ``col.masks``. Each pair takes
+    one pass over its paths: the interiors go into one set, and they are
+    pairwise disjoint exactly when its size is the sum of their lengths.
     """
-    edge_color = col.assignment()
+    adj = g.adj
     n = g.vertex_count
-    expected_pairs = {(x, y) for x in range(n) for y in range(x + 1, n)}
-    if set(cert.per_pair) != expected_pairs:
+    colors_at: list[dict[int, int]] = [{} for _ in range(col.graph.vertex_count)]  # a -> b -> color
+    for (a, b), c in col.assignment().items():
+        colors_at[a][b] = colors_at[b][a] = c
+    if len(cert.per_pair) != n * (n - 1) // 2:
         raise ValueError("certificate does not cover every vertex pair")
-    for (x, y), paths in cert.per_pair.items():
+    vertices = range(n)
+    for pair, paths in cert.per_pair.items():
+        # with the count above: exactly the pairs x < y; `in range` compares
+        # a key of any type without raising
+        if not (type(pair) is tuple and len(pair) == 2 and pair[0] in vertices
+                and pair[1] in vertices and pair[0] < pair[1]):
+            raise ValueError("certificate does not cover every vertex pair")
+        x, y = pair
         if len(paths) < cert.k:
             raise ValueError(f"pair ({x},{y}) lists {len(paths)} < {cert.k} paths")
         if len(set(paths)) != len(paths):
             raise ValueError(f"pair ({x},{y}) lists a path twice")
-        internal_sets: list[set[int]] = []
+        inside: set[int] = set()
+        inside_count = 0
         for p in paths:
             if p[0] != x or p[-1] != y:
                 raise ValueError(f"path {p} does not join ({x},{y})")
             if len(set(p)) != len(p):
                 raise ValueError(f"path {p} repeats a vertex")
-            colors = []
+            colors = set()
             for a, b in zip(p, p[1:]):
-                if not g.adjacent(a, b):
+                if not adj[a] >> b & 1:
                     raise ValueError(f"path {p} uses non-edge ({a},{b})")
-                colors.append(edge_color[(a, b) if a < b else (b, a)])
-            if len(set(colors)) != len(colors):
+                colors.add(colors_at[a][b])
+            if len(colors) != len(p) - 1:
                 raise ValueError(f"path {p} repeats a color")
-            internal_sets.append(set(p[1:-1]))
-        for i in range(len(internal_sets)):
-            for j in range(i + 1, len(internal_sets)):
-                if internal_sets[i] & internal_sets[j]:
-                    raise ValueError(
-                        f"paths for ({x},{y}) share internal vertices"
-                    )
+            inside.update(p[1:-1])
+            inside_count += len(p) - 2
+        if len(inside) != inside_count:
+            raise ValueError(f"paths for ({x},{y}) share internal vertices")
 
 
 SEARCH_HEAD = 64  # attempts decided one by one before any lanes are set up
@@ -382,7 +437,3 @@ def certificate_to_dict(cert: RainbowCertificate, col: EdgeColoring) -> dict:
 def write_certificate(cert: RainbowCertificate, col: EdgeColoring,
                       path: str | Path) -> None:
     Path(path).write_text(json.dumps(certificate_to_dict(cert, col), indent=1) + "\n")
-
-
-def read_certificate(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

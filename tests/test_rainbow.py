@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,10 +10,10 @@ from ncrainbow.graphs import (SearchBudgetExceeded, complete_graph, complete_mul
 from ncrainbow.groups import dihedral
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
-from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
-                               RainbowCertificate, certify_rc2, enumerate_rainbow_paths,
-                               is_rainbow_k_connected, max_disjoint_paths,
-                               rc_lower_bound, read_certificate, search_two_coloring,
+from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PathBudget,
+                               PreconditionKappa, RainbowCertificate, certify_rc2,
+                               enumerate_rainbow_paths, is_rainbow_k_connected,
+                               max_disjoint_paths, rc_lower_bound, search_two_coloring,
                                select_disjoint_paths, short_rainbow_paths,
                                validate_certificate, write_certificate)
 from util import brute_simple_paths, recursive_rainbow_paths, two_color_failure_pair
@@ -99,10 +100,14 @@ def test_enumerate_path_longer_than_the_recursion_limit():
     assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 2) == []
 
 
-def test_path_enumeration_budget_raises(monkeypatch):
+def k8_four_colors():
     g = complete_graph(8)
     rng = random.Random(8)
-    col = EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges])
+    return g, EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges])
+
+
+def test_path_enumeration_budget_raises(monkeypatch):
+    g, col = k8_four_colors()
     assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
     monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded):
@@ -110,6 +115,46 @@ def test_path_enumeration_budget_raises(monkeypatch):
     with pytest.raises(SearchBudgetExceeded):
         is_rainbow_k_connected(g, col, 2)
     assert enumerate_rainbow_paths(g, col, 0, 1, 1) == [(0, 1)]  # no frame beyond x's
+
+
+def steps_taken(call):
+    """Budget steps one call takes with a fresh PathBudget, and its result."""
+    budget = PathBudget()
+    result = call(budget)
+    return rainbow.PATH_NODE_BUDGET - budget.left, result
+
+
+def test_path_budget_covers_the_whole_verification(monkeypatch):
+    g, col = k8_four_colors()
+    steps = [steps_taken(lambda b: enumerate_rainbow_paths(g, col, x, y, 4, b))[0]
+             for x, y in g.edges]
+    assert max(steps) < sum(steps)
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", max(steps))
+    for x, y in g.edges:  # every pair fits the budget on its own
+        enumerate_rainbow_paths(g, col, x, y, 4)
+    with pytest.raises(SearchBudgetExceeded):
+        is_rainbow_k_connected(g, col, 2)
+
+
+def test_selector_steps_count_against_the_budget(monkeypatch):
+    paths = [(0, 2, 1)] + [(0, 2, v, 1) for v in range(3, 13)]  # all pass through 2
+    assert select_disjoint_paths(paths, 2) is None
+    g, col = k8_four_colors()
+    total = 0
+    for x, y in g.edges:
+        enumerated, pair_paths = steps_taken(
+            lambda b: enumerate_rainbow_paths(g, col, x, y, 4, b))
+        selected, _ = steps_taken(lambda b: select_disjoint_paths(pair_paths, 2, b))
+        assert selected > 0
+        total += enumerated + selected
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 5)
+    with pytest.raises(SearchBudgetExceeded):
+        select_disjoint_paths(paths, 2)
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", total)
+    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
+    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", total - 1)
+    with pytest.raises(SearchBudgetExceeded):
+        is_rainbow_k_connected(g, col, 2)
 
 
 def test_short_paths_are_disjoint_and_complete():
@@ -178,6 +223,97 @@ def test_certificate_validates_and_rejects_tampering():
         validate_certificate(g, col, RainbowCertificate(2, broken))
 
 
+def certificate_base(name):
+    if name == "multipartite":
+        g, col = multipartite_two_coloring(PartitionSpec(2, 3, 1))  # K_{2,2,2,2}
+    else:
+        g, col = j62_graph_and_coloring()
+    cert = is_rainbow_k_connected(g, col, 2)
+    validate_certificate(g, col, cert)
+    return g, col, dict(cert.per_pair)
+
+
+# each defect the validator must reject, with the message it must give
+DEFECTS = {
+    "missing pair": "cover every vertex pair",
+    "extra pair": "cover every vertex pair",
+    "out-of-range pair": "cover every vertex pair",
+    "pair as (y, x)": "cover every vertex pair",
+    "pair of non-vertices": "cover every vertex pair",
+    "key not a pair": "cover every vertex pair",
+    "fewer than k paths": "lists 1 < 2 paths",
+    "path listed twice": "lists a path twice",
+    "wrong endpoints": "does not join",
+    "repeated vertex": "repeats a vertex",
+    "non-edge": "uses non-edge",
+    "repeated color": "repeats a color",
+}
+
+
+def put_defect(defect, g, col, pairs):
+    """Put one defect into a valid k = 2 certificate's pairs, in place."""
+    first = pairs[(0, 1)]
+    if defect == "missing pair":
+        del pairs[(0, 1)]
+    elif defect == "extra pair":
+        pairs[(0, g.vertex_count)] = first
+    elif defect == "out-of-range pair":
+        pairs[(-1, 1)] = pairs.pop((0, 1))
+    elif defect == "pair as (y, x)":
+        pairs[(1, 0)] = pairs.pop((0, 1))
+    elif defect == "pair of non-vertices":
+        pairs[("a", 0.5)] = pairs.pop((0, 1))
+    elif defect == "key not a pair":
+        pairs[5] = pairs.pop((0, 1))
+    elif defect == "fewer than k paths":
+        pairs[(0, 1)] = first[:1]
+    elif defect == "path listed twice":
+        pairs[(0, 1)] = (first[0], first[0])
+    elif defect == "wrong endpoints":
+        pairs[(0, 1)] = (first[0], pairs[(0, 2)][0])
+    elif defect == "repeated vertex":
+        pairs[(0, 1)] = ((0, 2, 0, 1),) + first[1:]
+    elif defect == "non-edge":
+        x, y = next(pair for pair in sorted(pairs) if not g.adjacent(*pair))
+        pairs[(x, y)] = ((x, y),) + pairs[(x, y)][1:]
+    elif defect == "repeated color":
+        colors = col.assignment()
+        (x, y), w = next(((x, y), w) for x, y in sorted(pairs) for w in range(g.vertex_count)
+                         if w not in (x, y) and g.adjacent(x, w) and g.adjacent(w, y)
+                         and colors[min(x, w), max(x, w)] == colors[min(w, y), max(w, y)])
+        pairs[(x, y)] = ((x, w, y),) + pairs[(x, y)][1:]
+
+
+@pytest.mark.parametrize("base", ["multipartite", "J(6,2)"])
+@pytest.mark.parametrize("defect", list(DEFECTS))
+def test_validator_rejects_each_defect(base, defect):
+    g, col, pairs = certificate_base(base)
+    put_defect(defect, g, col, pairs)
+    with pytest.raises(ValueError, match=DEFECTS[defect]):
+        validate_certificate(g, col, RainbowCertificate(2, pairs))
+
+
+@pytest.mark.parametrize("base", ["multipartite", "J(6,2)"])
+def test_validator_rejects_paths_sharing_an_interior_vertex(base):
+    """Under two colors two valid paths never share an interior vertex, so
+    the certificate is checked against a coloring with a color per edge,
+    under which every path is rainbow."""
+    g, _, pairs = certificate_base(base)
+    distinct = EdgeColoring(g, g.edge_count, range(1, g.edge_count + 1))
+    validate_certificate(g, distinct, RainbowCertificate(2, pairs))
+    for (x, y), paths in sorted(pairs.items()):
+        through = [p[1] for p in paths if len(p) == 3]
+        longer = [(x, w, v, y) for w in through for v in range(g.vertex_count)
+                  if v not in (x, y, w) and g.adjacent(w, v) and g.adjacent(v, y)]
+        if longer:
+            pairs[(x, y)] = paths + (longer[0],)
+            break
+    else:
+        raise AssertionError("no path to add")
+    with pytest.raises(ValueError, match="share internal vertices"):
+        validate_certificate(g, distinct, RainbowCertificate(2, pairs))
+
+
 def test_search_deterministic_and_lowest_index():
     g = complete_multipartite([1, 1, 1, 2])
     a = search_two_coloring(g, 2, 200, seed=9)
@@ -236,7 +372,7 @@ def test_certificate_json_round_trip(tmp_path):
     cert = is_rainbow_k_connected(g, col, 2)
     path = tmp_path / "cert.json"
     write_certificate(cert, col, path)
-    doc = read_certificate(path)
+    doc = json.loads(path.read_text())
     assert doc["k"] == 2
     assert {"pair", "paths", "colors_used"} <= set(doc["pairs"][0])
     assert len(doc["pairs"]) == len(cert.per_pair)
