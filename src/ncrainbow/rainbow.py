@@ -6,7 +6,7 @@ either the direct edge or a 2-path through a common neighbor whose two
 edge colors differ; such paths are automatically pairwise internally
 disjoint, so verification counts them per vertex pair by a popcount of
 one mask and builds only the k paths the certificate keeps. Three or more
-colors fall back to enumeration plus backtracking selection, intended
+colors fall back to enumeration plus a branch-and-bound selection, meant
 only for small exhaustive studies; one verification call may take at most
 PATH_NODE_BUDGET path extensions and selector steps in all, across its
 pairs, before it stops with SearchBudgetExceeded.
@@ -74,7 +74,7 @@ class Rc2Certificate:
     rc: int
 
 
-PATH_NODE_BUDGET = 200_000  # path extensions plus selector steps per verification call
+PATH_NODE_BUDGET = 50_000  # steps per verification call: >10x the most a test or reproduce uses
 
 
 class PathBudget:
@@ -96,9 +96,12 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
     Output is lexicographic by vertex sequence (depth-first extension in
     ascending neighbor order). The search keeps one frame per path vertex
     on an explicit stack, so a path may be longer than the interpreter's
-    recursion limit. Each frame scans one neighbor list and costs one step
-    of the budget; once the budget is spent the search raises
-    SearchBudgetExceeded: the paths are then unknown, not absent.
+    recursion limit. A frame is the mask of the next vertices still to try:
+    the vertex's neighbors off the path, less those it reaches through
+    ``col.masks`` of a color already on the path (only y once the path has
+    max_len - 1 edges). Each frame beyond x's costs one step of the budget;
+    once the budget is spent the search raises SearchBudgetExceeded: the
+    paths are then unknown, not absent.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -106,33 +109,39 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
         raise ValueError("max_len must be at least 1")
     budget = budget or PathBudget()
     left = budget.left
+    masks = col.masks
     out: list[Path_] = []
     path = [x]
+    colors: list[int] = []  # colors[i]: color of the edge path[i]-path[i+1]
     visited = 1 << x
-    # frame of path[i]: its neighbors not yet tried, and the colors used
-    # on the path up to it as a mask of bits 1 << color
-    stack = [(iter_bits(g.adj[x]), 0)]
+    ybit = 1 << y
+    stack: list[int | None] = [None]  # None: the frame's mask is not built yet
     while stack:
-        v = path[-1]
-        neighbors, used = stack[-1]
-        for w in neighbors:
-            c = 1 << col.color_of(v, w)
-            if used & c:
-                continue
-            if w == y:
-                out.append(tuple(path) + (y,))
-            elif not visited >> w & 1 and len(path) < max_len:
-                break
-        else:
+        rest = stack[-1]
+        if rest is None:
+            v = path[-1]
+            rest = g.adj[v] & (~visited if len(path) < max_len else ybit)
+            for c in colors:
+                rest &= ~masks[c][v]
+        low = rest & -rest
+        if low == ybit:
+            out.append(tuple(path) + (y,))
+            rest ^= low
+            low = rest & -rest
+        if not low:
             stack.pop()
             visited ^= 1 << path.pop()
+            del colors[-1:]
             continue
+        stack[-1] = rest ^ low
         left -= 1
         if left < 0:
             raise SearchBudgetExceeded(f"rainbow paths {x}-{y}: exceeded {PATH_NODE_BUDGET} steps")
-        path.append(w)
-        visited |= 1 << w
-        stack.append((iter_bits(g.adj[w]), used | c))
+        v = path[-1]
+        colors.append(next(c for c, rows in masks.items() if rows[v] & low))
+        path.append(low.bit_length() - 1)
+        visited |= low
+        stack.append(None)
     budget.left = left
     return out
 
@@ -158,34 +167,32 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
 
 
 def select_disjoint_paths(paths: Sequence[Path_], k: int,
-                          budget: PathBudget | None = None) -> list[Path_] | None:
-    """Pick k pairwise internally-disjoint paths, or None if impossible.
+                          budget: PathBudget | None = None) -> list[Path_]:
+    """The first k pairwise internally-disjoint paths in take-first order,
+    or a largest set of them when fewer than k exist.
 
-    Backtracks over the paths in list order, each taken before it is
-    skipped, with an explicit stack instead of recursion. Each take or
+    One branch-and-bound over the paths in list order, each taken before
+    it is skipped, on an explicit stack instead of recursion: a branch is
+    cut once it cannot beat the largest set found so far. Each take or
     backtrack costs one step of the budget.
     """
-    if k == 0:
-        return []
-    if len(paths) < k:
-        return None
     budget = budget or PathBudget()
     left = budget.left
     users: dict[int, int] = {}  # vertex -> mask of the paths with it inside
     for i, path in enumerate(paths):
         for v in path[1:-1]:
             users[v] = users.get(v, 0) | 1 << i
+    best: list[int] = []
     chosen: list[int] = []
     skipped: list[int] = []  # skipped[d]: candidates left if chosen[d] is skipped
     avail = (1 << len(paths)) - 1
-    while len(chosen) < k:
+    while len(best) < k:
         left -= 1
         if left < 0:
             raise SearchBudgetExceeded(f"path selection: exceeded {PATH_NODE_BUDGET} steps")
-        if avail.bit_count() < k - len(chosen):
+        if len(chosen) + avail.bit_count() <= len(best):
             if not chosen:
-                budget.left = left
-                return None
+                break
             chosen.pop()
             avail = skipped.pop()
             continue
@@ -195,23 +202,10 @@ def select_disjoint_paths(paths: Sequence[Path_], k: int,
         skipped.append(avail)
         for v in paths[chosen[-1]][1:-1]:
             avail &= ~users[v]
+        if len(chosen) > len(best):
+            best = chosen[:]
     budget.left = left
-    return [paths[i] for i in chosen]
-
-
-def max_disjoint_paths(paths: Sequence[Path_], budget: PathBudget | None = None) -> int:
-    """Largest number of pairwise internally-disjoint paths in the list,
-    by bisection: k disjoint paths contain j disjoint ones for every j < k.
-    All the selections share one budget."""
-    budget = budget or PathBudget()
-    lo, hi = 0, len(paths)  # lo is always achievable
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if select_disjoint_paths(paths, mid, budget) is not None:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return [paths[i] for i in best]
 
 
 def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
@@ -245,11 +239,10 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
                     paths.append((x, low.bit_length() - 1, y))
                     middles ^= low
             else:
-                paths = enumerate_rainbow_paths(g, col, x, y, col.color_count, budget)
-                chosen = select_disjoint_paths(paths, k, budget)
-                if chosen is None:
-                    return FailureWitness((x, y), k, max_disjoint_paths(paths, budget))
-                paths = chosen
+                paths = select_disjoint_paths(
+                    enumerate_rainbow_paths(g, col, x, y, col.color_count, budget), k, budget)
+                if len(paths) < k:
+                    return FailureWitness((x, y), k, len(paths))
             per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
@@ -266,9 +259,11 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
     one pass over its paths: the interiors go into one set, and they are
     pairwise disjoint exactly when its size is the sum of their lengths.
     """
+    if col.graph is not g and col.graph.adj != g.adj:
+        raise ValueError("coloring belongs to a different graph")
     adj = g.adj
     n = g.vertex_count
-    colors_at: list[dict[int, int]] = [{} for _ in range(col.graph.vertex_count)]  # a -> b -> color
+    colors_at: list[dict[int, int]] = [{} for _ in range(n)]  # a -> b -> color
     for (a, b), c in col.assignment().items():
         colors_at[a][b] = colors_at[b][a] = c
     if len(cert.per_pair) != n * (n - 1) // 2:

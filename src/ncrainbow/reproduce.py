@@ -34,7 +34,7 @@ from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
                       certify_rc2, enumerate_rainbow_paths, is_rainbow_k_connected,
-                      max_disjoint_paths, search_two_coloring, short_rainbow_paths)
+                      search_two_coloring, select_disjoint_paths, short_rainbow_paths)
 
 
 @dataclass(frozen=True)
@@ -374,8 +374,8 @@ def check_oracle_equivalence(quick: bool) -> CriterionResult:
         for x in range(graph.vertex_count):
             for y in range(x + 1, graph.vertex_count):
                 fast = len(short_rainbow_paths(graph, coloring, x, y))
-                slow = max_disjoint_paths(
-                    enumerate_rainbow_paths(graph, coloring, x, y, max_len=2))
+                paths = enumerate_rainbow_paths(graph, coloring, x, y, max_len=2)
+                slow = len(select_disjoint_paths(paths, len(paths)))
                 if fast != slow:
                     problems.append(f"path count differs at ({x},{y})")
     for _ in range(rounds // 8):

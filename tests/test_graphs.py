@@ -182,25 +182,6 @@ def cycles(*lengths):
     return graph_from_edges(start, edges)
 
 
-def nodes_needed(iso, g1, g2):
-    """Smallest node budget under which iso(g1, g2) finishes."""
-    lo, hi = 0, 1
-    while True:
-        try:
-            iso(g1, g2, node_budget=hi)
-            break
-        except SearchBudgetExceeded:
-            lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            iso(g1, g2, node_budget=mid)
-            hi = mid
-        except SearchBudgetExceeded:
-            lo = mid + 1
-    return lo
-
-
 def isomorphism_cases():
     rng = random.Random(23)
     for _ in range(60):
@@ -221,9 +202,8 @@ def test_isomorphism_search_matches_recursive_reference():
     fires at the same values, on isomorphic and non-isomorphic pairs."""
     searched = {True: 0, False: 0}  # by outcome: isomorphic or refuted
     for g1, g2 in isomorphism_cases():
-        expected = recursive_are_isomorphic(g1, g2)
+        expected, nodes = recursive_are_isomorphic(g1, g2)
         assert are_isomorphic(g1, g2) == expected
-        nodes = nodes_needed(recursive_are_isomorphic, g1, g2)
         assert are_isomorphic(g1, g2, node_budget=nodes) == expected
         if nodes:
             searched[expected is not None] += 1
@@ -250,8 +230,7 @@ def test_isomorphism_matches_recursive_reference_on_larger_graphs():
         g = random_graph(rng, n, p)
         pairs += [(g, relabelled(rng, g)), (g, relabelled(rng, edge_switched(rng, g)))]
     for g1, g2 in pairs:
-        expected = recursive_are_isomorphic(g1, g2)
-        nodes = nodes_needed(recursive_are_isomorphic, g1, g2)
+        expected, nodes = recursive_are_isomorphic(g1, g2)
         assert are_isomorphic(g1, g2, node_budget=nodes) == expected
         if nodes:
             with pytest.raises(SearchBudgetExceeded):

@@ -13,10 +13,10 @@ from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PathBudget,
                                PreconditionKappa, RainbowCertificate, certify_rc2,
                                enumerate_rainbow_paths, is_rainbow_k_connected,
-                               max_disjoint_paths, rc_lower_bound, search_two_coloring,
-                               select_disjoint_paths, short_rainbow_paths,
-                               validate_certificate, write_certificate)
-from util import brute_simple_paths, recursive_rainbow_paths, two_color_failure_pair
+                               rc_lower_bound, search_two_coloring, select_disjoint_paths,
+                               short_rainbow_paths, validate_certificate, write_certificate)
+from util import (brute_simple_paths, recursive_disjoint_count, recursive_rainbow_paths,
+                  two_color_failure_pair)
 
 
 def colored(g, colors):
@@ -70,25 +70,32 @@ def test_enumerate_matches_brute_force():
 
 
 @pytest.mark.parametrize("colors", [3, 4])
-def test_enumerate_matches_recursive_reference(colors):
+def test_enumerate_matches_recursive_reference(colors, monkeypatch):
     """Same paths in the same order as the recursive search, for every
-    pair and every length cap up to the color count."""
+    pair and every length cap up to the color count, and one budget step
+    per path vertex the reference descends to. The search reads only the
+    coloring's masks: color_of raises while it runs."""
     rng = random.Random(40 + colors)
-    total = 0
+    cases = []
     for _ in range(40):
         n = rng.randint(3, 9)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < rng.choice([0.3, 0.6, 0.9])]
         g = graph_from_edges(n, edges)
         col = EdgeColoring(g, colors, [rng.randint(1, colors) for _ in edges])
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                for max_len in range(1, colors + 1):
-                    paths = enumerate_rainbow_paths(g, col, x, y, max_len)
-                    assert paths == recursive_rainbow_paths(g, col, x, y, max_len)
-                    total += len(paths)
+        cases += [(g, col, x, y, max_len, recursive_rainbow_paths(g, col, x, y, max_len))
+                  for x in range(n) for y in range(n) if x != y
+                  for max_len in range(1, colors + 1)]
+
+    def refuse(*args):
+        raise AssertionError("color_of called")
+
+    monkeypatch.setattr(EdgeColoring, "color_of", refuse)
+    total = 0
+    for g, col, x, y, max_len, (paths, levels) in cases:
+        assert steps_taken(lambda b: enumerate_rainbow_paths(g, col, x, y, max_len, b)) == (
+            levels, paths)
+        total += len(paths)
     assert total > 1000
 
 
@@ -138,7 +145,7 @@ def test_path_budget_covers_the_whole_verification(monkeypatch):
 
 def test_selector_steps_count_against_the_budget(monkeypatch):
     paths = [(0, 2, 1)] + [(0, 2, v, 1) for v in range(3, 13)]  # all pass through 2
-    assert select_disjoint_paths(paths, 2) is None
+    assert select_disjoint_paths(paths, 2) == [(0, 2, 1)]
     g, col = k8_four_colors()
     total = 0
     for x, y in g.edges:
@@ -162,15 +169,16 @@ def test_short_paths_are_disjoint_and_complete():
     for x in range(5):
         for y in range(x + 1, 5):
             paths = short_rainbow_paths(g, col, x, y)
-            assert len(paths) == max_disjoint_paths(
+            assert len(paths) == recursive_disjoint_count(
                 enumerate_rainbow_paths(g, col, x, y, 2))
 
 
 def test_select_disjoint():
     paths = [(0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 4, 1)]
     assert select_disjoint_paths(paths, 3) == [(0, 1), (0, 2, 1), (0, 3, 1)]
-    assert select_disjoint_paths(paths, 4) is None
-    assert max_disjoint_paths(paths) == 3
+    assert select_disjoint_paths(paths, 4) == [(0, 1), (0, 2, 1), (0, 3, 1)]  # largest set
+    assert select_disjoint_paths(paths[3:] + paths[:3], 4) == [(0, 2, 4, 1), (0, 1), (0, 3, 1)]
+    assert select_disjoint_paths([], 2) == []
 
 
 def test_k4_coloring_certificate():
@@ -203,7 +211,8 @@ def test_fast_count_matches_backtracking():
         for x in range(g.vertex_count):
             for y in range(x + 1, g.vertex_count):
                 fast = len(short_rainbow_paths(g, col, x, y))
-                slow = max_disjoint_paths(enumerate_rainbow_paths(g, col, x, y, 2))
+                paths = enumerate_rainbow_paths(g, col, x, y, 2)
+                slow = len(select_disjoint_paths(paths, len(paths)))
                 assert fast == slow
         witness = two_color_failure_pair(g, col, 2)
         checked = is_rainbow_k_connected(g, col, 2)
@@ -221,6 +230,23 @@ def test_certificate_validates_and_rejects_tampering():
     broken[first] = (broken[first][0],) * 2
     with pytest.raises(ValueError):
         validate_certificate(g, col, RainbowCertificate(2, broken))
+
+
+@pytest.mark.parametrize("other", ["smaller-graph", "other-edges"])
+def test_coloring_of_another_graph_is_refused(other):
+    g = complete_graph(5)
+    col = EdgeColoring(g, 3, [1 + i % 3 for i in range(g.edge_count)])
+    cert = is_rainbow_k_connected(g, col, 2)
+    assert isinstance(cert, RainbowCertificate)
+    if other == "smaller-graph":
+        h = complete_graph(4)
+    else:
+        h = graph_from_edges(5, g.edges[1:])  # no edge (0, 1)
+    foreign = EdgeColoring(h, 3, [1 + i % 3 for i in range(h.edge_count)])
+    with pytest.raises(ValueError, match="different graph"):
+        validate_certificate(g, foreign, cert)
+    with pytest.raises(ValueError, match="different graph"):
+        is_rainbow_k_connected(g, foreign, 2)
 
 
 def certificate_base(name):
@@ -406,7 +432,7 @@ def test_three_color_failure_is_first_pair_with_max_found():
                 paths = [p for p in brute_simple_paths(g, x, y, max_len=3)
                          if len({colors[min(a, b), max(a, b)] for a, b in zip(p, p[1:])})
                          == len(p) - 1]
-                found[(x, y)] = max_disjoint_paths(paths)
+                found[(x, y)] = recursive_disjoint_count(paths)
         failing = [pair for pair, count in found.items() if count < k]
         result = is_rainbow_k_connected(g, col, k)
         if not failing:
@@ -415,7 +441,7 @@ def test_three_color_failure_is_first_pair_with_max_found():
         failures += 1
         x, y = failing[0]
         assert result == FailureWitness((x, y), k, found[(x, y)])
-        assert result.found == max_disjoint_paths(enumerate_rainbow_paths(g, col, x, y, 3))
+        assert result.found == recursive_disjoint_count(enumerate_rainbow_paths(g, col, x, y, 3))
     assert failures >= 10
 
 

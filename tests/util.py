@@ -5,7 +5,7 @@ from itertools import permutations
 from typing import Sequence
 
 from ncrainbow.colorings import EdgeColoring
-from ncrainbow.graphs import Graph, SearchBudgetExceeded, _refine_classes, iter_bits
+from ncrainbow.graphs import Graph, _refine_classes, iter_bits
 
 Path_ = tuple[int, ...]
 
@@ -213,18 +213,33 @@ def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path
     return None
 
 
-def recursive_are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000):
+def recursive_disjoint_count(paths: Sequence[Path_]) -> int:
+    """Largest number of pairwise internally-disjoint paths in the list:
+    the largest k the recursive selector satisfies."""
+    return max(k for k in range(len(paths) + 1)
+               if recursive_select_disjoint_paths(paths, k) is not None)
+
+
+def internally_disjoint(paths: Sequence[Path_]) -> bool:
+    """No vertex lies inside two of the paths."""
+    inside = [v for path in paths for v in path[1:-1]]
+    return len(set(inside)) == len(inside)
+
+
+def recursive_are_isomorphic(g1: Graph, g2: Graph) -> tuple[list[int] | None, int]:
     """graphs.are_isomorphic with the search as a recursive function, one
     level per mapped vertex; the reference for the iterative search's
-    mapping and node count. Needs recursion depth n."""
+    mapping and node count. Returns the mapping (or None) and the nodes
+    the search visited: the smallest node budget under which the iterative
+    search finishes. Needs recursion depth n."""
     n = g1.vertex_count
     if n != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return None
+        return None, 0
     if n == 0:
-        return []
+        return [], 0
     refined = _refine_classes(g1, g2)
     if refined is None:
-        return None
+        return None, 0
     c1, c2 = refined
 
     class_sizes: dict[int, int] = {}
@@ -250,10 +265,10 @@ def recursive_are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000)
 
     mapping = [-1] * n
     used = [False] * n
-    budget = node_budget
+    nodes = 0
 
     def extend(depth: int, mapped1: int, mapped2: int) -> bool:
-        nonlocal budget
+        nonlocal nodes
         if depth == n:
             return True
         v = order[depth]
@@ -263,9 +278,7 @@ def recursive_are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000)
         for u in candidates_by_class.get(c1[v], ()):
             if used[u]:
                 continue
-            budget -= 1
-            if budget < 0:
-                raise SearchBudgetExceeded(f"exceeded {node_budget} nodes")
+            nodes += 1
             if g2.adj[u] & mapped2 != required:
                 continue
             mapping[v] = u
@@ -277,21 +290,22 @@ def recursive_are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000)
         return False
 
     if extend(0, 0, 0):
-        return list(mapping)
-    return None
+        return list(mapping), nodes
+    return None, nodes
 
 
 def recursive_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
-                            max_len: int) -> list[Path_]:
+                            max_len: int) -> tuple[list[Path_], int]:
     """rainbow.enumerate_rainbow_paths as a recursive depth-first search,
     one level per path vertex; the reference for the iterative search's
-    output and its order."""
+    output and its order. Also returns the number of levels below x's,
+    the iterative search's budget steps."""
     out: list[Path_] = []
     path = [x]
+    levels = 0
 
     def dfs(v: int, visited: int, colors_used: frozenset[int], length: int) -> None:
-        if length == max_len:
-            return
+        nonlocal levels
         for w in g.neighbors(v):
             c = col.color_of(v, w)
             if c in colors_used:
@@ -299,11 +313,12 @@ def recursive_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
             if w == y:
                 out.append(tuple(path) + (y,))
                 continue
-            if visited >> w & 1:
+            if visited >> w & 1 or length + 1 == max_len:
                 continue
+            levels += 1
             path.append(w)
             dfs(w, visited | (1 << w), colors_used | {c}, length + 1)
             path.pop()
 
     dfs(x, 1 << x, frozenset(), 0)
-    return out
+    return out, levels
