@@ -16,6 +16,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
+from .graphs import SearchBudgetExceeded
 from .groups import Group
 from .ncgraph import AbelianGroup, noncommuting_graph, pair_profile
 
@@ -86,6 +87,7 @@ def mid_bound(n: int, z: int) -> DyadicBound:
 
 
 THRESHOLD_SCAN_LIMIT = 100_000
+THRESHOLD_MAX_K = 100  # the scan's cost grows steeply with k
 
 
 def threshold_for_k(k: int) -> int:
@@ -95,10 +97,13 @@ def threshold_for_k(k: int) -> int:
     some n where additionally (n+1)^(6(k+1)) < 2 * n^(6(k+1)), it holds
     for every larger n (each term of S grows by at most (1+1/n)^(k+1),
     and that induction condition only improves as n grows), so the scan
-    stops there. The scan gives up at n = THRESHOLD_SCAN_LIMIT.
+    stops there. The scan gives up at n = THRESHOLD_SCAN_LIMIT. A k above
+    THRESHOLD_MAX_K is refused with SearchBudgetExceeded before the scan.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    if k > THRESHOLD_MAX_K:
+        raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
     power = 6 * (k + 1)
     run_start: int | None = None
     for n in range(1, THRESHOLD_SCAN_LIMIT):

@@ -29,7 +29,6 @@ from .rainbow import (FailureWitness, is_rainbow_k_connected, search_two_colorin
 
 
 EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 2, 3, 4
-THRESHOLD_MAX_K = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,8 +177,6 @@ def cmd_bounds(args) -> int:
         _manifest("bounds coarse", {"n": args.n}, outcome={"holds": holds})
         return 0
     if args.mode == "threshold":
-        if args.k > THRESHOLD_MAX_K:  # the scan's cost grows steeply with k
-            raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
         value = bounds_mod.threshold_for_k(args.k)
         _manifest("bounds threshold", {"k": args.k}, outcome={"threshold": value})
         return 0
@@ -316,10 +313,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: _Parser | None = None  # built on the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

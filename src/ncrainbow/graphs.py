@@ -229,13 +229,16 @@ def _refine_classes(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
     return colors[:n], colors[n:]
 
 
-def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[int] | None:
+ISO_NODE_BUDGET = 2_000_000  # search nodes per are_isomorphic call
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
     """Explicit vertex bijection g1 -> g2, or None when refuted.
 
     Backtracking over a connectivity-first vertex order with class
     refinement for candidate pruning, on an explicit stack, so the depth
     is bounded by memory and not by the interpreter's recursion limit.
-    Raises SearchBudgetExceeded after node_budget search nodes,
+    Raises SearchBudgetExceeded after ISO_NODE_BUDGET search nodes,
     distinguishing "unknown" from "refuted".
     """
     n = g1.vertex_count
@@ -289,7 +292,7 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
     # frame is made), and the images its mapped neighbors force on its image.
     mapping = [-1] * n
     mapped1 = mapped2 = 0
-    budget = node_budget
+    budget = ISO_NODE_BUDGET
     stack = [(iter_bits(class_masks.get(c1[order[0]], 0)), 0)]
     while stack:
         depth = len(stack) - 1
@@ -298,7 +301,7 @@ def are_isomorphic(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> list[i
         for u in candidates:
             budget -= 1
             if budget < 0:
-                raise SearchBudgetExceeded(f"exceeded {node_budget} nodes")
+                raise SearchBudgetExceeded(f"exceeded {ISO_NODE_BUDGET} nodes")
             if g2.adj[u] & mapped2 == required:
                 break
         else:

@@ -19,14 +19,15 @@ building the masks cannot make both agree on a bad certificate. The
 validator makes one linear pass over each pair's paths.
 
 The search runs in the calling process and returns the lowest passing
-attempt index. It builds one row plan per search from ``g.adj``,
-``g.edges`` and k, and its kernel reads only that plan and the seed: it
-draws each attempt's colors from the splitmix64 constants straight into
-color-1 masks and never builds an EdgeColoring. After a head of
-SEARCH_HEAD attempts it first runs each block of attempts through the
-lane-parallel prefilter of ``lanes``, which reads the same row plan and
-drops only failing attempts. The winner is redrawn by
-random_two_coloring and goes through the verifier and the validator.
+attempt index. Its deciders read only the seed and one row plan per
+search, built from ``g.adj``, ``g.edges`` and k; splitmix64 output j of
+seed s is a direct function of s + (j+1) * gamma (Steele, Lea and Flood,
+OOPSLA 2014), so they draw any edge's color without the ones before it
+and never build an EdgeColoring. The row kernel decides a head of
+SEARCH_HEAD attempts one by one; each later block of SEARCH_BLOCK
+attempts first passes a lane-parallel prefilter (SWAR: L. Lamport, CACM
+18(8), 1975), which drops only failing attempts. The winner is redrawn
+by random_two_coloring and goes through the verifier and the validator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Sequence
 
 from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
                         random_two_coloring)
-from . import lanes
 from .graphs import Graph, SearchBudgetExceeded, connectivity_at_least, iter_bits
 
 
@@ -300,21 +300,21 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
             raise ValueError(f"paths for ({x},{y}) share internal vertices")
 
 
-SEARCH_HEAD = 64  # attempts decided one by one before any lanes are set up
+SEARCH_HEAD = 64  # attempts decided one by one before any lane is set up
 SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
 
 
 def _search_plan(g: Graph, k: int) -> list:
-    """Row plan of the search, built once per search: the kernel and the
-    prefilter of ``lanes`` both read it.
+    """Row plan of the search, built once per search and read by the row
+    kernel and the prefilter.
 
     Row u is (u, 1 << u, draws, commons, needs). draws holds each edge
     (u, v > u) as (the splitmix64 offset (j+1) * gamma of its index j, v,
     1 << v); commons[a] and needs[a], for each a < u, are the common
     neighbours of a and u and the rainbow 2-paths they still need,
-    k - adj(a, u). A 2-path a-w-u is rainbow when exactly one of its
-    edges is color 1, and all of them lie in rows <= u, so pair (a, u) is
-    decided once row u is drawn.
+    k - adj(a, u), so need == k marks a non-adjacent pair. A 2-path a-w-u
+    is rainbow when exactly one of its edges is color 1, and all of them
+    lie in rows <= u, so pair (a, u) is decided once row u is drawn.
     """
     adj = g.adj
     draws = [[] for _ in adj]
@@ -343,21 +343,84 @@ def _attempt_passes(plan, s: int) -> bool:
     return True
 
 
+def _survivors(plan, k: int, s: int, width: int) -> list[int]:
+    """Lanes t < width whose attempt s + t passes the prefilter, ascending.
+
+    It covers the plan's non-adjacent pairs (a, u), those with need == k,
+    fewest common neighbours w first, as the most likely to fail.
+
+    Attempt t lives in bits 128t.. of one int. An edge is drawn for every
+    lane at once: its offset is added to every lane's seed and the
+    splitmix64 mix runs lane-wise. Lanes are cut back to 64 bits before
+    each multiply, so a product never reaches the next lane, and the
+    second multiply uses only the low 32 bits of its constant because
+    output bits 0 and 31 are all that is read. The low byte of every lane
+    moves to a byte lane, and its bit 0 is the edge's color bit. Each
+    pair sums c(a,w) ^ c(u,w) over its common neighbours: bit 7
+    of count + 128 - k is set exactly when count >= k, so a lane is
+    dropped only for a pair that really has fewer than k rainbow paths.
+    A pair whose count could overflow a byte lane (more than 127 + k
+    common neighbours, or k > 128) is left out, which only weakens the
+    prefilter. Edges are drawn as the pairs first need them, and the pass
+    stops once every lane is dropped.
+    """
+    def spread(value: int) -> int:  # value in every lane
+        return int.from_bytes(value.to_bytes(16, "little") * width, "little")
+
+    ramp = bytearray(16 * width)  # t in lane t; width <= 2^16
+    ramp[0::16] = bytes(t & 255 for t in range(width))
+    ramp[1::16] = bytes(t >> 8 for t in range(width))
+    seeds = int.from_bytes(ramp, "little") + spread(s & MASK64)
+    del ramp
+    low64 = spread(MASK64)
+    bytes_one = int.from_bytes(b"\x01" * width, "little")
+
+    def draw(x: int, y: int) -> int:  # color bit of edge {x, y} in every byte lane
+        x, y = min(x, y), max(x, y)
+        offset = next(offset for offset, v, _ in plan[x][2] if v == y)
+        z = (seeds + spread(offset)) & low64
+        z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
+        z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
+        low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
+        return int.from_bytes(low_bytes, "little") & bytes_one
+
+    pairs = sorted((common.bit_count(), u, a, common) for u, _, _, commons, needs in plan
+                   for a, (common, need) in enumerate(zip(commons, needs)) if need == k)
+    colors = [{} for _ in plan]  # colors[x][y]: color bits of edge {x, y} once drawn
+    bias = (128 - k) * bytes_one
+    alive = bytes_one << 7
+    for size, u, a, common in pairs:
+        if k > 128 or size > 127 + k:  # this count, and every later one, could overflow
+            break
+        ca, cu = colors[a], colors[u]
+        count = bias
+        for w in iter_bits(common):
+            if w not in ca:
+                ca[w] = colors[w][a] = draw(a, w)
+            if w not in cu:
+                cu[w] = colors[w][u] = draw(u, w)
+            count += ca[w] ^ cu[w]
+        alive &= count
+        if not alive:
+            return []
+    return [bit >> 3 for bit in iter_bits(alive)]
+
+
 def _first_passing(g: Graph, k: int, attempts: int, seed: int) -> int | None:
     """Lowest attempt index in [0, attempts) whose coloring passes, or None.
 
     Attempt i decides random_two_coloring(g, seed + i) without building
     it, from the row plan of g and k. The first SEARCH_HEAD attempts are
     decided one by one; the rest go in blocks of SEARCH_BLOCK attempts.
-    The prefilter of ``lanes`` drops failing attempts from each block, and
-    the row kernel decides the ones it keeps in ascending order.
+    _survivors drops failing attempts from each block, and the row kernel
+    decides the ones it keeps in ascending order.
     """
     plan = _search_plan(g, k)
     for i in range(min(SEARCH_HEAD, attempts)):
         if _attempt_passes(plan, seed + i):
             return i
     for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
-        for t in lanes.survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
+        for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
             if _attempt_passes(plan, seed + lo + t):
                 return lo + t
     return None

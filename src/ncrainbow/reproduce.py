@@ -279,7 +279,12 @@ def check_constructive_search(suite: list[Group]) -> CriterionResult:
                 continue
             searched += 1
         else:
-            if certify_by_structure(ncg) is None:
+            try:
+                cert = certify_by_structure(ncg)
+            except ColoringRejected as exc:
+                problems.append(f"structural coloring rejected for {grp.name}: {exc}")
+                continue
+            if cert is None:
                 problems.append(f"no structural certificate for {grp.name}")
                 continue
             certified += 1

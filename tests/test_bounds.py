@@ -8,6 +8,7 @@ from ncrainbow import bounds
 from ncrainbow.bounds import (DyadicBound, coarse_bound, coarse_bound_holds,
                               failure_bound, mid_bound, scan_exception_report,
                               threshold_for_k, write_bound_reports)
+from ncrainbow.graphs import SearchBudgetExceeded
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
 from ncrainbow.ncgraph import AbelianGroup, noncommuting_graph, pair_profile
 from util import brute_pair_profile, brute_pairs
@@ -146,6 +147,16 @@ def test_thresholds():
     # the hand checks bracketing the k=2 threshold
     assert 120 ** 2 + 120 ** 3 > 2 ** 20
     assert 126 ** 2 + 126 ** 3 < 2 ** 21
+
+
+def test_threshold_refuses_k_over_the_limit_before_the_scan(monkeypatch):
+    """With the scan's own bound unusable, a scan that starts raises
+    TypeError at once, so SearchBudgetExceeded shows the refusal comes first."""
+    monkeypatch.setattr(bounds, "THRESHOLD_SCAN_LIMIT", None)
+    with pytest.raises(SearchBudgetExceeded):
+        threshold_for_k(bounds.THRESHOLD_MAX_K + 1)
+    with pytest.raises(TypeError):  # the largest allowed k does start its scan
+        threshold_for_k(bounds.THRESHOLD_MAX_K)
 
 
 def test_scan_reports():

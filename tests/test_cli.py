@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from ncrainbow import cli, rainbow
+from ncrainbow import graphs, rainbow, reproduce
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
-from ncrainbow.graphs import are_isomorphic, complete_graph, read_graph_file, write_graph_file
+from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
 from ncrainbow.groups import dihedral, load_cayley_table
 
 
@@ -164,8 +164,7 @@ def test_threshold_k_over_the_budget_exits_three(capsys):
 def test_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "c6.graph"
     graph.write_text("graph 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
-    monkeypatch.setattr(cli, "are_isomorphic",
-                        lambda g1, g2: are_isomorphic(g1, g2, node_budget=3))
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 3)
     code, manifest, captured = run(capsys, "iso", "--graph", str(graph),
                                    "--graph2", str(graph))
     assert code == 3 and manifest is None
@@ -249,6 +248,28 @@ def test_reproduce_quick(capsys):
     assert code == 0
     lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert lines == QUICK_PASS_LINES
+
+
+def test_rejected_structural_coloring_fails_only_its_criterion(capsys, monkeypatch):
+    """A pulled-back coloring with one color flipped fails certify_rc2: the
+    criterion names the group, and every other criterion still reports."""
+    transfer = reproduce.transfer_coloring
+
+    def one_color_flipped(coloring, mapping, graph):
+        colors = list(transfer(coloring, mapping, graph).edge_colors)
+        colors[0] = 3 - colors[0]
+        return EdgeColoring(graph, 2, colors)
+
+    monkeypatch.setattr(reproduce, "transfer_coloring", one_color_flipped)
+    code = main(["reproduce", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    names = [ln.split()[1] for ln in lines]
+    assert names == [ln.split()[1] for ln in QUICK_PASS_LINES]
+    failed = [ln for ln in lines if ln.startswith("FAIL")]
+    assert [ln.split()[1] for ln in failed] == ["constructive-search"]
+    assert "structural coloring rejected for D6:" in failed[0]
 
 
 def test_verify_refuses_a_coloring_with_a_non_edge_pair(tmp_path, capsys):

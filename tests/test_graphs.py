@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ncrainbow import graphs
 from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_isomorphic,
                               complete_graph, complete_multipartite,
                               detect_complete_multipartite, edgeless_graph,
@@ -146,14 +147,15 @@ def test_isomorphism_matches_brute_force():
         assert (are_isomorphic(g1, g2) is not None) == brute_isomorphic(g1, g2)
 
 
-def test_isomorphism_budget():
+def test_isomorphism_budget(monkeypatch):
     # C6 vs two triangles: same degrees everywhere, so refinement cannot
     # split classes and refutation needs search nodes.
     c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert are_isomorphic(c6, triangles) is None
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 2)
     with pytest.raises(SearchBudgetExceeded):
-        are_isomorphic(c6, triangles, node_budget=2)
+        are_isomorphic(c6, triangles)
 
 
 def relabelled(rng, g):
@@ -197,18 +199,21 @@ def isomorphism_cases():
         yield pair[0], relabelled(rng, pair[0])
 
 
-def test_isomorphism_search_matches_recursive_reference():
+def test_isomorphism_search_matches_recursive_reference(monkeypatch):
     """Same mapping (or None) and the same node count, so the budget
     fires at the same values, on isomorphic and non-isomorphic pairs."""
     searched = {True: 0, False: 0}  # by outcome: isomorphic or refuted
     for g1, g2 in isomorphism_cases():
         expected, nodes = recursive_are_isomorphic(g1, g2)
         assert are_isomorphic(g1, g2) == expected
-        assert are_isomorphic(g1, g2, node_budget=nodes) == expected
-        if nodes:
-            searched[expected is not None] += 1
-            with pytest.raises(SearchBudgetExceeded):
-                are_isomorphic(g1, g2, node_budget=nodes - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "ISO_NODE_BUDGET", nodes)
+            assert are_isomorphic(g1, g2) == expected
+            if nodes:
+                searched[expected is not None] += 1
+                patch.setattr(graphs, "ISO_NODE_BUDGET", nodes - 1)
+                with pytest.raises(SearchBudgetExceeded):
+                    are_isomorphic(g1, g2)
     assert searched[True] >= 80 and searched[False] >= 5
 
 
@@ -220,7 +225,7 @@ def test_isomorphism_deeper_than_the_recursion_limit():
     assert mapping is not None and sorted(mapping) == list(range(1200))
 
 
-def test_isomorphism_matches_recursive_reference_on_larger_graphs():
+def test_isomorphism_matches_recursive_reference_on_larger_graphs(monkeypatch):
     """The incremental vertex order and the per-frame candidate masks give
     the reference's mapping and node count on a few hundred vertices."""
     rng = random.Random(31)
@@ -231,10 +236,12 @@ def test_isomorphism_matches_recursive_reference_on_larger_graphs():
         pairs += [(g, relabelled(rng, g)), (g, relabelled(rng, edge_switched(rng, g)))]
     for g1, g2 in pairs:
         expected, nodes = recursive_are_isomorphic(g1, g2)
-        assert are_isomorphic(g1, g2, node_budget=nodes) == expected
+        monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", nodes)
+        assert are_isomorphic(g1, g2) == expected
         if nodes:
+            monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", nodes - 1)
             with pytest.raises(SearchBudgetExceeded):
-                are_isomorphic(g1, g2, node_budget=nodes - 1)
+                are_isomorphic(g1, g2)
 
 
 def test_isomorphism_of_large_sparse_graphs():

@@ -19,7 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ncrainbow import lanes, rainbow
+from ncrainbow import rainbow
 from ncrainbow.colorings import random_two_coloring, splitmix64
 from ncrainbow.graphs import complete_graph, edgeless_graph, graph_from_edges
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
@@ -61,7 +61,7 @@ def assert_blocks_match(g, k, seed, verdicts):
     plan = rainbow._search_plan(g, k)
     for lo in range(0, count, SEARCH_BLOCK):
         width = min(SEARCH_BLOCK, count - lo)
-        survivors = lanes.survivors(plan, k, seed + lo, width)
+        survivors = rainbow._survivors(plan, k, seed + lo, width)
         assert survivors == sorted(set(survivors)) and all(0 <= t < width for t in survivors)
         assert set(survivors) >= {t for t in range(width) if verdicts[lo + t]}
         assert all(rainbow._attempt_passes(plan, seed + lo + t) == verdicts[lo + t]
@@ -133,7 +133,7 @@ def test_wrapped_seed_gives_the_same_verdicts():
     plan = rainbow._search_plan(g, 2)
 
     def block_of_one(s):  # the block path's verdict on attempt s alone
-        return lanes.survivors(plan, 2, s, 1) == [0] and rainbow._attempt_passes(plan, s)
+        return rainbow._survivors(plan, 2, s, 1) == [0] and rainbow._attempt_passes(plan, s)
 
     base = [rainbow._attempt_passes(plan, s) for s in range(30)]
     assert [block_of_one(s) for s in range(30)] == base
@@ -169,7 +169,7 @@ def test_search_matches_oracle_on_random_graphs(g, k, seed):
     ids=["D14", "D14-wrap-333", "D18-negative", "D18-2^70-517", "Q12--2^70-700"])
 def test_prefilter_keeps_exactly_the_attempts_whose_nonadjacent_pairs_pass(g, width, seed):
     k = 3 if g.vertex_count > 10 else 2
-    survivors = lanes.survivors(rainbow._search_plan(g, k), k, seed, width)
+    survivors = rainbow._survivors(rainbow._search_plan(g, k), k, seed, width)
     assert survivors == [t for t in range(width) if prefilter_passes(g, k, seed + t)]
     assert survivors  # the oracle above must not be vacuous
 
@@ -184,14 +184,14 @@ def test_stop_inside_a_block():
 
 def test_pair_short_of_common_neighbours_rejects_every_attempt():
     hexagon = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])  # kappa = 2
-    assert lanes.survivors(rainbow._search_plan(hexagon, 2), 2, 0, SEARCH_BLOCK) == []
+    assert rainbow._survivors(rainbow._search_plan(hexagon, 2), 2, 0, SEARCH_BLOCK) == []
     assert search_two_coloring(hexagon, 2, SEARCH_HEAD + SEARCH_BLOCK + 5, 0) is None
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 3), (6, 2)])
 def test_complete_graph_has_nothing_to_prefilter(n, k):
     g = complete_graph(n)
-    assert lanes.survivors(rainbow._search_plan(g, k), k, 5, 300) == list(range(300))
+    assert rainbow._survivors(rainbow._search_plan(g, k), k, 5, 300) == list(range(300))
     verdicts = oracle_verdicts(g, k, 5, 3000)
     assert_blocks_match(g, k, 5, verdicts)
     assert_search_matches(g, k, 5, verdicts)
@@ -247,5 +247,5 @@ def test_pair_that_could_overflow_a_byte_lane_is_left_out():
     g = complement(graph_from_edges(302, [(0, 1)]))
     verdicts = oracle_verdicts(g, 2, 11, 4)
     assert any(verdicts)
-    survivors = lanes.survivors(rainbow._search_plan(g, 2), 2, 11, 4)
+    survivors = rainbow._survivors(rainbow._search_plan(g, 2), 2, 11, 4)
     assert set(survivors) >= {t for t in range(4) if verdicts[t]}
