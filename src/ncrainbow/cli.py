@@ -159,6 +159,9 @@ def cmd_search(args) -> int:
         _manifest("search", params, inputs=[args.graph],
                   outcome={"found": False})
         return 1
+    result = is_rainbow_k_connected(graph, coloring, args.k)  # certify before writing
+    if isinstance(result, FailureWitness):
+        raise AssertionError(f"search accepted a failing coloring at {result.pair}")
     outputs = []
     if args.out:
         write_coloring_file(coloring, args.out)

@@ -27,7 +27,10 @@ and never build an EdgeColoring. The row kernel decides a head of
 SEARCH_HEAD attempts one by one; each later block of SEARCH_BLOCK
 attempts first passes a lane-parallel prefilter (SWAR: L. Lamport, CACM
 18(8), 1975), which drops only failing attempts. The winner is redrawn
-by random_two_coloring and goes through the verifier and the validator.
+by random_two_coloring and checked by the verifier's two-color count,
+without a certificate: the search returns a coloring the verifier's
+count accepts, and its caller certifies it with certify_rc2 or
+is_rainbow_k_connected.
 """
 
 from __future__ import annotations
@@ -146,13 +149,34 @@ def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
     return out
 
 
-def _bichromatic(g: Graph, col: EdgeColoring, x: int, y: int) -> int:
-    """Mask of the common neighbors w of x and y whose edges x-w and w-y
-    differ in color: the middles of the rainbow x-y 2-paths."""
-    middles = 0
-    for rows in col.masks.values():  # w with x-w in this color and y-w in another
-        middles |= rows[x] & g.adj[y] & ~rows[y]
+def _bichromatic(g: Graph, col: EdgeColoring, x: int, ys: slice) -> list[int]:
+    """For each y in the slice ys of the vertices, the mask of the common
+    neighbors w of x and y whose edges x-w and w-y differ in color: the
+    middles of the rainbow x-y 2-paths. One call covers a row of pairs, so
+    each color's row of x is read once, not once per pair."""
+    adj = g.adj[ys]
+    middles = [0] * len(adj)
+    for rows in col.masks.values():  # w with x-w in this color and w-y in another
+        rx = rows[x]
+        middles = [m | rx & (a ^ r) for m, a, r in zip(middles, adj, rows[ys])]
     return middles
+
+
+def _short_pair(g: Graph, col: EdgeColoring, k: int) -> FailureWitness | None:
+    """The first pair (x, y), in index order, with fewer than k rainbow
+    paths of length <= 2, or None when every pair has k.
+
+    On at most two colors these are all the rainbow paths and they are
+    pairwise internally disjoint, so this is the verifier's decision: a
+    pair passes when adjacent + popcount(middles) >= k.
+    """
+    for x in range(g.vertex_count):
+        row = g.adj[x]
+        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
+            found = (row >> y & 1) + middles.bit_count()
+            if found < k:
+                return FailureWitness((x, y), k, found)
+    return None
 
 
 def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Path_]:
@@ -162,7 +186,7 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     colors differ; all of these are pairwise internally disjoint.
     """
     paths: list[Path_] = [(x, y)] if g.adjacent(x, y) else []
-    paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, y)))
+    paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, slice(y, y + 1))[0]))
     return paths
 
 
@@ -213,37 +237,40 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     """Certificate with k disjoint rainbow paths per pair, or the first failure.
 
     With at most two colors each pair's rainbow paths are the direct edge
-    and the 2-paths through the bichromatic common neighbors, so the pair
-    is counted by a popcount and the certificate keeps the direct edge and
-    then the lowest middles, k paths in all. With more colors every pair
-    is enumerated and selected under one PathBudget for the whole call.
+    and the 2-paths through the bichromatic common neighbors, so
+    _short_pair decides every pair by a popcount first, and only then is
+    the certificate built: the direct edge and the lowest middles, k paths
+    per pair. With more colors every pair is enumerated and selected under
+    one PathBudget for the whole call.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
     n = g.vertex_count
-    budget = PathBudget()
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
-    for x in range(n):
-        for y in range(x + 1, n):
-            if col.color_count <= 2:
-                adjacent = g.adj[x] >> y & 1
-                middles = _bichromatic(g, col, x, y)
-                found = adjacent + middles.bit_count()
-                if found < k:  # short paths are pairwise internally disjoint
-                    return FailureWitness((x, y), k, found)
-                paths = [(x, y)] if adjacent else []
+    if col.color_count <= 2:
+        witness = _short_pair(g, col, k)
+        if witness is not None:
+            return witness
+        for x in range(n):
+            row = g.adj[x]
+            for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
+                paths = [(x, y)] if row >> y & 1 else []
                 while len(paths) < k:
                     low = middles & -middles
                     paths.append((x, low.bit_length() - 1, y))
                     middles ^= low
-            else:
+                per_pair[(x, y)] = tuple(paths)
+    else:
+        budget = PathBudget()
+        for x in range(n):
+            for y in range(x + 1, n):
                 paths = select_disjoint_paths(
                     enumerate_rainbow_paths(g, col, x, y, col.color_count, budget), k, budget)
                 if len(paths) < k:
                     return FailureWitness((x, y), k, len(paths))
-            per_pair[(x, y)] = tuple(paths)
+                per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
     return cert
@@ -430,7 +457,11 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
     Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
-    success is returned. None after the budget is exhausted.
+    success is returned. None after the budget is exhausted. The returned
+    coloring is one the verifier's count accepts (_short_pair); no
+    certificate is built or validated here, so certify it with certify_rc2
+    or is_rainbow_k_connected. A winner that count rejects means the
+    kernel is wrong, and raises AssertionError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -442,9 +473,9 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     if winner is None:
         return None
     col = random_two_coloring(g, seed + winner)
-    result = is_rainbow_k_connected(g, col, k)
-    if isinstance(result, FailureWitness):  # kernel and verifier disagree
-        raise AssertionError(f"search accepted a failing coloring at {result.pair}")
+    witness = _short_pair(g, col, k)
+    if witness is not None:  # kernel and verifier disagree
+        raise AssertionError(f"search accepted a failing coloring at {witness.pair}")
     return col
 
 

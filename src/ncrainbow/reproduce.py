@@ -5,14 +5,16 @@ structural identities of non-commuting graphs, the explicit coloring
 grid, exact failure-bound values with the exception scan, the threshold
 inequalities, and rainbow-2-connectivity certificates for every group in
 the standard suite. Steps are independent; a failure in one does not
-stop the others.
+stop the others, and a step that exhausts a work budget fails on its own
+line.
 
 Groups whose failure bound is below 1 get their coloring from the random
-search, which returns only colorings its verifier passed. The flagged
-ones are certified by structure: their graph is matched by are_isomorphic
-onto a model graph with a known coloring, K_{m[l],ln} or the J(6,2)
-fiber graph, and the coloring is pulled back along that isomorphism.
-Each coloring is verified once.
+search, which returns a coloring the verifier's count accepts; it is
+then certified with certify_rc2. The flagged ones are certified by
+structure: their graph is matched by are_isomorphic onto a model graph
+with a known coloring, K_{m[l],ln} or the J(6,2) fiber graph, and the
+coloring is pulled back along that isomorphism. Each coloring is
+verified once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, mid_bound,
                      scan_exception_report, threshold_for_k)
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
-from .graphs import (Graph, are_isomorphic, complete_graph, detect_complete_multipartite,
-                     graph_from_edges, iter_bits, vertex_connectivity)
+from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complete_graph,
+                     detect_complete_multipartite, graph_from_edges, iter_bits,
+                     vertex_connectivity)
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
                      direct_product, load_cayley_table, metacyclic, semidirect_product)
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
@@ -273,9 +276,15 @@ def check_constructive_search(suite: list[Group]) -> CriterionResult:
     for grp in suite:
         ncg = noncommuting_graph(grp)
         if failure_bound(grp) < 1:
-            # a returned coloring has passed is_rainbow_k_connected(g, col, 2)
-            if search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1) is None:
+            # a returned coloring passes the verifier's count; certify it here
+            coloring = search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1)
+            if coloring is None:
                 problems.append(f"search failed for {grp.name}")
+                continue
+            try:
+                certify_rc2(ncg.graph, coloring)
+            except ColoringRejected as exc:
+                problems.append(f"searched coloring rejected for {grp.name}: {exc}")
                 continue
             searched += 1
         else:
@@ -323,9 +332,12 @@ def check_rainbow3(quick: bool) -> CriterionResult:
     kappa = vertex_connectivity(g14)
     if kappa < 3:
         problems.append(f"kappa of the D14 graph is {kappa}")
-    # a returned coloring has passed is_rainbow_k_connected(g14, col, 3)
-    if search_two_coloring(g14, 3, 10 ** 5, seed=1) is None:
+    # a returned coloring passes the verifier's count; certify it here
+    coloring = search_two_coloring(g14, 3, 10 ** 5, seed=1)
+    if coloring is None:
         problems.append("no rainbow-3 coloring found for D14")
+    elif isinstance(is_rainbow_k_connected(g14, coloring, 3), FailureWitness):
+        problems.append("the D14 rainbow-3 coloring fails verification")
     thresholds = [threshold_for_k(k) for k in range(2, 7)]
     if thresholds[0] != 126 or thresholds[1] != 180:
         problems.append(f"thresholds moved: {thresholds[:2]}")
@@ -392,18 +404,26 @@ def check_oracle_equivalence(quick: bool) -> CriterionResult:
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
+    """Every criterion, in order. One that exhausts a work budget fails
+    with the exception as its detail, and the rest still run."""
     suite = standard_suite()
-    results = [
-        check_tau_floor(suite),
-        check_multipartite_structure(),
-        check_fiber_expansion(),
-        check_coloring_grid(),
-        check_triangle_exclusion(),
-        check_exception_scan(suite, quick),
-        check_johnson_fiber(),
-        check_constructive_search(suite),
-        check_inequality_chain(quick),
-        check_rainbow3(quick),
-        check_oracle_equivalence(quick),
+    criteria = [
+        ("tau-floor", lambda: check_tau_floor(suite)),
+        ("multipartite-structure", check_multipartite_structure),
+        ("fiber-expansion", check_fiber_expansion),
+        ("coloring-grid", check_coloring_grid),
+        ("triangle-exclusion", check_triangle_exclusion),
+        ("exception-scan", lambda: check_exception_scan(suite, quick)),
+        ("johnson-fiber", check_johnson_fiber),
+        ("constructive-search", lambda: check_constructive_search(suite)),
+        ("inequality-chain", lambda: check_inequality_chain(quick)),
+        ("rainbow3-threshold", lambda: check_rainbow3(quick)),
+        ("oracle-equivalence", lambda: check_oracle_equivalence(quick)),
     ]
+    results = []
+    for name, check in criteria:
+        try:
+            results.append(check())
+        except SearchBudgetExceeded as exc:
+            results.append(CriterionResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

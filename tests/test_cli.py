@@ -8,6 +8,8 @@ from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
 from ncrainbow.groups import dihedral, load_cayley_table
+from ncrainbow.ncgraph import noncommuting_graph
+from util import counting_validator
 
 
 def run(capsys, *argv):
@@ -197,6 +199,17 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     assert error["error"] == "AssertionError" and "accepted a failing coloring" in error["message"]
 
 
+def test_search_certifies_its_winner_before_writing_it(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "d18.graph"
+    col = tmp_path / "d18.col"
+    write_graph_file(noncommuting_graph(dihedral(9)).graph, graph)
+    validated = counting_validator(monkeypatch)
+    code, manifest, _ = run(capsys, "search", "--graph", str(graph), "--k", "3",
+                            "--attempts", "5000", "--seed", "0", "--out", str(col))
+    assert code == 0 and manifest["outcome"]["winning_seed"] == 420
+    assert validated == [3] and col.exists()
+
+
 @pytest.mark.parametrize("zg", ["-1", "99"])
 def test_central_build_refuses_an_out_of_range_element(tmp_path, capsys, zg):
     d8 = tmp_path / "d8.cay"
@@ -285,3 +298,24 @@ def test_verify_refuses_a_coloring_with_a_non_edge_pair(tmp_path, capsys):
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ValueError" and "is not a graph edge" in error["message"]
+
+
+def test_exhausted_budget_fails_only_its_criteria(capsys, monkeypatch):
+    """An isomorphism budget of 50 nodes is spent by every are_isomorphic
+    call: the two criteria that make one fail on their own lines, naming
+    the exception, and every other criterion still reports."""
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 50)
+    code = main(["reproduce", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert [ln.split()[1] for ln in lines] == [ln.split()[1] for ln in QUICK_PASS_LINES]
+    failed = {ln.split()[1]: ln for ln in lines if ln.startswith("FAIL")}
+    assert sorted(failed) == ["constructive-search", "johnson-fiber"]
+    for line in failed.values():
+        assert line.split(None, 2)[2] == "SearchBudgetExceeded: exceeded 50 nodes"
+    assert [ln for ln in lines if ln.startswith("PASS")] == [
+        ln for ln in QUICK_PASS_LINES if ln.split()[1] not in failed]
+    manifest = json.loads(captured.out.strip().splitlines()[-1])
+    assert manifest["outcome"]["failed"] == ["johnson-fiber", "constructive-search"]
+    assert captured.err == ""

@@ -15,8 +15,8 @@ from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PathBudget,
                                enumerate_rainbow_paths, is_rainbow_k_connected,
                                rc_lower_bound, search_two_coloring, select_disjoint_paths,
                                short_rainbow_paths, validate_certificate, write_certificate)
-from util import (brute_simple_paths, recursive_disjoint_count, recursive_rainbow_paths,
-                  two_color_failure_pair)
+from util import (brute_simple_paths, counting_validator, recursive_disjoint_count,
+                  recursive_rainbow_paths, two_color_failure_pair)
 
 
 def colored(g, colors):
@@ -456,3 +456,23 @@ def test_search_winner_past_the_head():
     g = noncommuting_graph(dihedral(9)).graph
     col = search_two_coloring(g, 3, 5000, seed=0)
     assert col.seed == 420 > rainbow.SEARCH_HEAD  # decided in a prefiltered block
+
+
+def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
+    """The search decides its winner by the verifier's count alone; the one
+    certificate of a search-then-certify run is the one certify_rc2 builds."""
+    g = noncommuting_graph(dihedral(10)).graph
+    calls = counting_validator(monkeypatch)
+    col = search_two_coloring(g, 2, 1000, 11)
+    assert calls == []
+    assert col.seed == 13  # two rejected attempts, the same winner as before
+    certify_rc2(g, col)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("g, k", [(complete_graph(3), 2),
+                                  (noncommuting_graph(dihedral(3)).graph, 3)])
+def test_search_guard_rejects_what_a_broken_kernel_accepts(monkeypatch, g, k):
+    monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: True)
+    with pytest.raises(AssertionError, match="search accepted a failing coloring at"):
+        search_two_coloring(g, k, 10, 0)

@@ -1,11 +1,16 @@
-"""The structural rc2 route of the reproduce pipeline on relabelled groups."""
+"""The rc2 routes of the reproduce pipeline: structure on relabelled groups,
+and search followed by certification."""
 
 import random
 
+from ncrainbow import reproduce
+from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
 from ncrainbow.groups import dihedral, direct_product, group_from_cayley_table
 from ncrainbow.ncgraph import noncommuting_graph
-from ncrainbow.reproduce import EXPECTED_FLAGGED, certify_by_structure, standard_suite
+from ncrainbow.reproduce import (EXPECTED_FLAGGED, certify_by_structure, check_constructive_search,
+                                 check_rainbow3, standard_suite)
+from util import counting_validator
 
 
 def relabelled(group, seed):
@@ -39,3 +44,27 @@ def test_groups_outside_both_models_get_no_certificate():
     assert detect_complete_multipartite(d6xd6.graph) is None
     assert d6xd6.graph.vertex_count != 30  # so not the J(6,2) fiber graph either
     assert certify_by_structure(d6xd6) is None
+
+
+def test_every_reported_coloring_is_validated_once(monkeypatch):
+    calls = counting_validator(monkeypatch)
+    suite = standard_suite()
+    assert check_constructive_search(suite).passed
+    assert calls == [2] * len(suite)  # 13 searched and 22 structural, one certificate each
+    calls.clear()
+    assert check_rainbow3(quick=True).passed
+    assert calls == [3]  # the D14 winner
+
+
+def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
+    """A search winner that certify_rc2 refuses fails the criterion and names
+    the group; the group is not counted as searched."""
+    def one_color(g, k, attempts, seed):
+        return EdgeColoring(g, 2, [1] * g.edge_count)
+
+    monkeypatch.setattr(reproduce, "search_two_coloring", one_color)
+    result = check_constructive_search(standard_suite())
+    assert not result.passed
+    problems = result.detail.split("; ")
+    assert len(problems) == 13
+    assert all(p.startswith("searched coloring rejected for ") for p in problems)

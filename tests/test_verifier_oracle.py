@@ -17,13 +17,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ncrainbow.colorings import EdgeColoring, random_two_coloring
 from ncrainbow.graphs import complete_graph, graph_from_edges
-from ncrainbow.rainbow import FailureWitness, is_rainbow_k_connected, short_rainbow_paths
+from ncrainbow import rainbow
+from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, is_rainbow_k_connected,
+                               short_rainbow_paths)
 from util import two_color_failure_pair
 
 
 @st.composite
-def colored_graphs(draw):
-    n = draw(st.integers(2, 16))
+def colored_graphs(draw, max_n=16):
+    n = draw(st.integers(2, max_n))
     p = draw(st.sampled_from([0.3, 0.7, 0.9, 1.0, 1.0]))
     color_count = draw(st.integers(1, 2))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -52,3 +54,17 @@ def test_verifier_matches_short_paths(graph_and_coloring, k):
             assert list(paths) == short_rainbow_paths(g, col, x, y)[:k]
     else:
         assert result == FailureWitness(pair, k, len(short_rainbow_paths(g, col, *pair)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs(max_n=10), st.integers(1, 4))
+def test_search_guard_decides_as_the_verifier(graph_and_coloring, k):
+    """The count the search's guard reads is the verifier's: the same first
+    short pair and path count, and None exactly when a certificate comes back."""
+    g, col = graph_and_coloring
+    witness = rainbow._short_pair(g, col, k)
+    result = is_rainbow_k_connected(g, col, k)
+    if witness is None:
+        assert isinstance(result, RainbowCertificate)
+    else:
+        assert result == witness

@@ -1,13 +1,29 @@
-"""Brute-force reference implementations used as independent oracles."""
+"""Brute-force reference implementations used as independent oracles, and
+a call counter for the certificate validator."""
 
 from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
+from ncrainbow import rainbow
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
 
 Path_ = tuple[int, ...]
+
+
+def counting_validator(monkeypatch) -> list[int]:
+    """Wrap rainbow.validate_certificate; the returned list gets the k of
+    every certificate validated from then on."""
+    calls: list[int] = []
+    validate = rainbow.validate_certificate
+
+    def counted(g, col, cert):
+        calls.append(cert.k)
+        validate(g, col, cert)
+
+    monkeypatch.setattr(rainbow, "validate_certificate", counted)
+    return calls
 
 
 def brute_center(table):
