@@ -14,7 +14,7 @@ from .groups import (Group, GroupError, central_product, cyclic, dicyclic, dihed
                      semidirect_product, write_cayley_table)
 from .ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                       abelian_extension_check, common_neighbor_floor_check,
-                      edge_count_identity_check, noncommuting_graph, pair_profile)
+                      noncommuting_graph, pair_profile)
 from .rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                       RainbowCertificate, Rc2Certificate, certify_rc2,
                       enumerate_rainbow_paths, is_rainbow_k_connected, rc_lower_bound,

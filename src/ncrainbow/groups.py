@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Sequence
 
 from . import textfile
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")  # bytes 0/1 to binary digits
 
 
 class GroupError(Exception):
@@ -94,15 +97,9 @@ class Group:
     def _centralizer_masks(self) -> tuple[int, ...]:
         """Centralizer of every element as a mask; the one place commutation
         is decided on the group side."""
-        masks = []
-        for g in range(self.order):
-            row = self.table[g]
-            m = 0
-            for x in range(self.order):
-                if self.table[x][g] == row[x]:
-                    m |= 1 << x
-            masks.append(m)
-        return tuple(masks)
+        # Bit x of g's mask is x*g == g*x, read as a binary numeral.
+        return tuple(int(bytes(map(eq, col, row)).translate(_BITS)[::-1], 2)
+                     for col, row in zip(zip(*self.table), self.table))
 
     @cached_property
     def center_mask(self) -> int:
@@ -122,24 +119,25 @@ def _validate_table(table: list[list[int]], name: str) -> None:
     violation names one failing triple.
     """
     n = len(table)
-    expected = list(range(n))
+    expected, elements = list(range(n)), set(range(n))
     for i, row in enumerate(table):
-        if sorted(row) != expected:
+        if len(row) != n or set(row) != elements:
             raise NotLatinSquare(f"{name}: row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        col = sorted(table[i][j] for i in range(n))
-        if col != expected:
+    for j, col in enumerate(zip(*table)):
+        if set(col) != elements:  # n entries, one per row
             raise NotLatinSquare(f"{name}: column {j} is not a permutation of 0..{n - 1}")
     if list(table[0]) != expected or any(table[i][0] != i for i in range(n)):
         raise NoIdentity(f"{name}: index 0 is not a two-sided identity")
     # Light's test: the z with (x*y)*z == x*(y*z) for all x, y include the
     # identity and are closed under products, so checking z over a set
-    # that generates the table suffices.
+    # that generates the table suffices; itemgetter(*row)(col) composes in C.
+    row_getters = [itemgetter(*row) for row in table]
     for s in _generating_set(table):
-        col = [row[s] for row in table]
-        for x, row in enumerate(table):
-            lhs = list(map(col.__getitem__, row))  # (x*y)*s over y
-            rhs = list(map(row.__getitem__, col))  # x*(y*s) over y
+        col = tuple(row[s] for row in table)
+        col_getter = itemgetter(*col)
+        for x, (row, row_getter) in enumerate(zip(table, row_getters)):
+            lhs = row_getter(col)  # (x*y)*s over y
+            rhs = col_getter(row)  # x*(y*s) over y
             if lhs != rhs:
                 y = next(y for y in range(n) if lhs[y] != rhs[y])
                 raise AssociativityViolation(
@@ -206,11 +204,9 @@ def group_from_cayley_table(
     if len(set(names)) != n:
         raise ValueError("element names are not distinct")
 
-    identities = [
-        e
-        for e in range(n)
-        if rows[e] == list(range(n)) and all(rows[i][e] == i for i in range(n))
-    ]
+    expected = list(range(n))
+    identities = [e for e in range(n)
+                  if rows[e] == expected and all(rows[i][e] == i for i in range(n))]
     if len(identities) != 1:
         raise NoIdentity(f"{name}: found {len(identities)} two-sided identities")
     e = identities[0]
@@ -218,7 +214,8 @@ def group_from_cayley_table(
         # Swap labels 0 <-> e so the identity lands at index 0.
         perm = list(range(n))
         perm[0], perm[e] = e, 0
-        rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
+        swap = itemgetter(*perm)  # n >= 2, so the getters return tuples
+        rows = [list(swap(itemgetter(*rows[a])(perm))) for a in perm]
         names = [names[perm[i]] for i in range(n)]
     return _finish(rows, names, name)
 

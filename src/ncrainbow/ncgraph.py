@@ -4,7 +4,8 @@ The non-commuting graph of a non-abelian group has the non-central
 elements as vertices and an edge between x and y exactly when xy != yx.
 Common-neighbor counts can be computed two independent ways (adjacency
 intersection on the graph side, centralizer unions on the group side);
-`pair_profile` is the one place that cross-asserts them, on every pair,
+`pair_profile` is the one place that cross-asserts them, once per pair
+of twin classes (vertices with equal centralizers, so equal rows),
 because that identity is the backbone of everything downstream.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
 from .graphs import Graph, lexicographic_product, edgeless_graph
 from .groups import Group, cyclic, direct_product
@@ -30,6 +33,14 @@ class NonCommutingGraph:
     graph: Graph
     group: Group
     vertex_to_element: tuple[int, ...]
+
+    @cached_property
+    def _twin_classes(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(centralizer, vertex mask, vertices) per twin class, by least vertex."""
+        members: dict[int, list[int]] = {}
+        for v, e in enumerate(self.vertex_to_element):
+            members.setdefault(self.group.centralizer_mask(e), []).append(v)
+        return tuple((c, sum(1 << v for v in vs), tuple(vs)) for c, vs in members.items())
 
 
 def noncommuting_graph(group: Group) -> NonCommutingGraph:
@@ -52,29 +63,48 @@ def noncommuting_graph(group: Group) -> NonCommutingGraph:
     return NonCommutingGraph(g, group, tuple(vertices))
 
 
+def _class_pairs(ncg: NonCommutingGraph) -> Iterator[tuple[int, bool, int, tuple[int, int]]]:
+    """(tau, adjacent, pair count, first pair) per pair of twin classes and
+    within each class of two or more, in order of first pair.
+
+    Each adjacency row must equal V less C(x), a union of twin classes;
+    then tau is checked once per class pair against |G| - |C(x) ∪ C(y)|.
+    Any disagreement raises BoundViolated.
+    """
+    adj = ncg.graph.adj
+    classes = ncg._twin_classes
+    for _, _, xs in classes:
+        x = ncg.vertex_to_element[xs[0]]  # class d meets C(x) iff x lies in C(d)
+        expected = sum(vs for cd, vs, _ in classes if not cd >> x & 1)
+        for v in xs:
+            if adj[v] != expected:
+                y = (adj[v] ^ expected).bit_length() - 1
+                raise BoundViolated(f"tau mismatch at ({v},{y}): graph edge"
+                                    f" {adj[v] >> y & 1}, group {expected >> y & 1}")
+    for i, (cx, _, xs) in enumerate(classes):
+        for cy, _, ys in classes[i:]:
+            if ys is xs and len(xs) < 2:
+                continue  # a class of one has no pair within it
+            y, count = ((xs[1], len(xs) * (len(xs) - 1) // 2) if ys is xs
+                        else (ys[0], len(xs) * len(ys)))
+            t = (adj[xs[0]] & adj[y]).bit_count()
+            group_side = ncg.group.order - (cx | cy).bit_count()
+            if t != group_side:
+                raise BoundViolated(f"tau mismatch at ({xs[0]},{y}): graph {t}, group {group_side}")
+            yield t, (adj[xs[0]] >> y & 1) == 1, count, (xs[0], y)
+
+
 def pair_profile(ncg: NonCommutingGraph) -> dict[tuple[int, bool], int]:
     """Histogram of (tau, adjacent) over unordered pairs of distinct vertices.
 
-    One pass over the pairs. tau is counted on the graph side and checked
-    on every pair against |G| - |C(x) ∪ C(y)| from the group side; a
-    mismatch raises BoundViolated. Every group-side pair quantity (the
-    failure bound for any k, the 6*tau >= |G| floor) is a function of this
-    histogram.
+    One term per pair of twin classes, each checked against the group
+    side; a mismatch raises BoundViolated. Every group-side pair quantity
+    (the failure bound for any k, the 6*tau >= |G| floor) is a function
+    of this histogram.
     """
-    adj = ncg.graph.adj
-    group = ncg.group
-    cent = [group.centralizer_mask(e) for e in ncg.vertex_to_element]
-    order = group.order
     hist: dict[tuple[int, bool], int] = {}
-    for x, (ax, cx) in enumerate(zip(adj, cent)):
-        for y in range(x + 1, len(adj)):
-            t = (ax & adj[y]).bit_count()
-            group_side = order - (cx | cent[y]).bit_count()
-            if t != group_side:
-                raise BoundViolated(
-                    f"tau mismatch at ({x},{y}): graph {t}, group {group_side}")
-            key = (t, (ax >> y & 1) == 1)
-            hist[key] = hist.get(key, 0) + 1
+    for t, adjacent, count, _ in _class_pairs(ncg):
+        hist[t, adjacent] = hist.get((t, adjacent), 0) + count
     return hist
 
 
@@ -94,12 +124,9 @@ def common_neighbor_floor_check(group: Group) -> CommonNeighborReport:
     raised as BoundViolated (it would indicate a bug) rather than reported.
     """
     ncg = noncommuting_graph(group)
-    t = min(key[0] for key in pair_profile(ncg))
-    # The witness is the first pair in index order with the least tau;
-    # pair_profile has just cross-checked every pair's tau.
-    adj = ncg.graph.adj
-    x, y = next((x, y) for x, ax in enumerate(adj) for y in range(x + 1, len(adj))
-                if (ax & adj[y]).bit_count() == t)
+    # The witness is the first pair in index order with the least tau:
+    # the least first pair over the class pairs at that tau.
+    t, (x, y) = min((t, first) for t, _, _, first in _class_pairs(ncg))
     if 6 * t < group.order:
         raise BoundViolated(
             f"{group.name}: 6*tau({ncg.graph.labels[x]},{ncg.graph.labels[y]})"
@@ -112,32 +139,6 @@ def common_neighbor_floor_check(group: Group) -> CommonNeighborReport:
         min_ratio=Fraction(t * 6, group.order),
         witness=(ncg.graph.labels[x], ncg.graph.labels[y]),
     )
-
-
-@dataclass(frozen=True)
-class EdgeCountReport:
-    group_name: str
-    edge_count: int
-    centralizer_sum_halved: Fraction
-    lower_bound: Fraction
-
-
-def edge_count_identity_check(group: Group) -> EdgeCountReport:
-    """Assert |E| = (1/2) * sum over vertices of (|G| - |C(x)|), and the
-    quarter bound |E| >= |G| * (|G| - |Z|) / 4."""
-    ncg = noncommuting_graph(group)
-    n = group.order
-    total = sum(n - group.centralizer_mask(e).bit_count() for e in ncg.vertex_to_element)
-    halved = Fraction(total, 2)
-    edges = ncg.graph.edge_count
-    if halved != edges:
-        raise BoundViolated(
-            f"{group.name}: edge count {edges} != centralizer sum/2 = {halved}"
-        )
-    bound = Fraction(n * (n - group.center_mask.bit_count()), 4)
-    if edges < bound:
-        raise BoundViolated(f"{group.name}: |E| = {edges} below bound {bound}")
-    return EdgeCountReport(group.name, edges, halved, bound)
 
 
 @dataclass(frozen=True)

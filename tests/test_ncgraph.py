@@ -4,10 +4,11 @@ import pytest
 
 from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
                               write_graph_file)
-from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
+from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direct_product,
+                              metacyclic)
 from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                                abelian_extension_check, common_neighbor_floor_check,
-                               edge_count_identity_check, noncommuting_graph, pair_profile)
+                               noncommuting_graph, pair_profile)
 
 
 def both_taus(ncg, x, y):
@@ -95,6 +96,25 @@ def test_cross_check_catches_a_flipped_edge():
         pair_profile(bad)
 
 
+@pytest.mark.parametrize("group", [dihedral(4), dicyclic(3), metacyclic(8, 3),
+                                   direct_product(dihedral(3), cyclic(3)),
+                                   central_product(dihedral(4), dihedral(4), 2, 2)],
+                         ids=lambda g: g.name)
+def test_every_single_edge_flip_is_caught(group):
+    # Toggling any one vertex pair on both sides makes that pair's row
+    # disagree with the group side, whether it adds or removes an edge.
+    ncg = noncommuting_graph(group)
+    n = ncg.graph.vertex_count
+    for a in range(n):
+        for b in range(a + 1, n):
+            adj = list(ncg.graph.adj)
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            graph = Graph(n, ncg.graph.labels, tuple(adj))
+            with pytest.raises(BoundViolated, match="tau mismatch"):
+                pair_profile(NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element))
+
+
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dicyclic(3), metacyclic(8, 3)])
 def test_floor_witness_is_the_first_pair_with_least_tau(group):
     ncg = noncommuting_graph(group)
@@ -112,15 +132,6 @@ def test_floor_reports():
     assert rep.min_tau == 2 and rep.min_ratio == 2
     rep = common_neighbor_floor_check(dicyclic(2))
     assert 6 * rep.min_tau >= 8
-
-
-def test_edge_count_identity():
-    rep = edge_count_identity_check(dihedral(4))
-    assert rep.edge_count == 12 and rep.lower_bound == 12
-    rep = edge_count_identity_check(dihedral(3))
-    assert rep.edge_count == 9 and rep.lower_bound == 7.5
-    rep = edge_count_identity_check(dicyclic(2))
-    assert rep.edge_count == 12 and rep.lower_bound == 12
 
 
 def test_fiber_expansion_checks():

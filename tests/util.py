@@ -8,6 +8,7 @@ from typing import Sequence
 from ncrainbow import rainbow
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
+from ncrainbow.groups import AssociativityViolation, NoIdentity, NotLatinSquare, _generating_set
 
 Path_ = tuple[int, ...]
 
@@ -124,6 +125,33 @@ def brute_associativity_violation(table):
             if lhs != rhs:
                 return i, j, next(k for k in range(n) if lhs[k] != rhs[k])
     return None
+
+
+def reference_validate_table(table, name):
+    """The table validator as it was before its C-level passes: sorted rows
+    and columns, and Light's test composed by map. The reference for the
+    class and message of every error groups._validate_table raises."""
+    n = len(table)
+    expected = list(range(n))
+    for i, row in enumerate(table):
+        if sorted(row) != expected:
+            raise NotLatinSquare(f"{name}: row {i} is not a permutation of 0..{n - 1}")
+    for j in range(n):
+        col = sorted(table[i][j] for i in range(n))
+        if col != expected:
+            raise NotLatinSquare(f"{name}: column {j} is not a permutation of 0..{n - 1}")
+    if list(table[0]) != expected or any(table[i][0] != i for i in range(n)):
+        raise NoIdentity(f"{name}: index 0 is not a two-sided identity")
+    for s in _generating_set(table):
+        col = [row[s] for row in table]
+        for x, row in enumerate(table):
+            lhs = list(map(col.__getitem__, row))  # (x*y)*s over y
+            rhs = list(map(row.__getitem__, col))  # x*(y*s) over y
+            if lhs != rhs:
+                y = next(y for y in range(n) if lhs[y] != rhs[y])
+                raise AssociativityViolation(
+                    f"{name}: ({x}*{y})*{s} = {lhs[y]} but {x}*({y}*{s}) = {rhs[y]}"
+                )
 
 
 def brute_simple_paths(g: Graph, x: int, y: int, max_len: int):
