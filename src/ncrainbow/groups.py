@@ -273,13 +273,16 @@ def _two_generator_table(
     extensions, and dicyclic groups (flip_power = m on a 2m-cycle).
     """
     size = 2 * n
-    table = [[0] * size for _ in range(size)]
+    rs, ss = list(range(n)), list(range(n, size))
+    # with t = twist and f = flip_power: r^i r^j = r^(i+j), r^i (r^j s) = r^(i+j) s,
+    # (r^i s) r^j = r^(i+tj) s and (r^i s)(r^j s) = r^(i+tj+f), so each row is
+    # a rotation of rs and one of ss, those of r^i s read through j -> tj
+    twisted = [twist * j % n for j in range(n)]
+    table = [rs[i:] + rs[:i] + ss[i:] + ss[:i] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n  # r^i r^j
-            table[i][n + j] = n + (i + j) % n  # r^i (r^j s)
-            table[n + i][j] = n + (i + twist * j) % n  # (r^i s) r^j
-            table[n + i][n + j] = (i + twist * j + flip_power) % n  # (r^i s)(r^j s)
+        h = (i + flip_power) % n
+        table.append(list(map((ss[i:] + ss[:i]).__getitem__, twisted))
+                     + list(map((rs[h:] + rs[:h]).__getitem__, twisted)))
     a, b = letters
     names = [f"{a}^{i}" for i in range(n)] + [f"{a}^{i}*{b}" for i in range(n)]
     return table, names, name or f"D{size}"

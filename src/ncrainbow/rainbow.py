@@ -5,9 +5,12 @@ edges. For two colors that means length <= 2, and every rainbow path is
 either the direct edge or a 2-path through a common neighbor whose two
 edge colors differ; such paths are automatically pairwise internally
 disjoint, so verification counts them per vertex pair by a popcount of
-one mask and builds only the k paths the certificate keeps. Three or more
-colors fall back to enumeration plus a branch-and-bound selection, meant
-only for small exhaustive studies; one verification call may take at most
+one mask and builds only the k paths the certificate keeps. It decides
+and builds in one pass per row: one mask computation covers the pairs
+(x, y > x), and each pair is decided and its paths built from it, until
+the first pair short of k. Three or more colors fall back to
+enumeration plus a branch-and-bound selection, meant only for small
+exhaustive studies; one verification call may take at most
 PATH_NODE_BUDGET path extensions and selector steps in all, across its
 pairs, before it stops with SearchBudgetExceeded.
 
@@ -16,7 +19,9 @@ independent validator that shares no code with the path selector. The
 selector reads the coloring's per-color masks (``col.masks``); the
 validator reads only the color list ``col.edge_colors``, so a fault in
 building the masks cannot make both agree on a bad certificate. The
-validator makes one linear pass over each pair's paths.
+validator makes one linear pass over each pair's paths, and checks a
+path of one or two edges straight-line, with the same checks and
+messages as its per-edge loop for longer paths.
 
 The search runs in the calling process and returns the lowest passing
 attempt index. Its deciders read only the seed and one row plan per
@@ -162,20 +167,31 @@ def _bichromatic(g: Graph, col: EdgeColoring, x: int, ys: slice) -> list[int]:
     return middles
 
 
+def _pairs(g: Graph, col: EdgeColoring):
+    """Each pair x < y, in index order, as (x, y, direct, middles, found):
+    the bit of the edge x-y, the middles of the rainbow x-y 2-paths, and
+    found = direct + popcount(middles).
+
+    On at most two colors these are all the pair's rainbow paths and they
+    are pairwise internally disjoint, so found is the verifier's count. One
+    _bichromatic call covers each row x, which is how the search's guard
+    and the verifier decide and build in one pass per row.
+    """
+    adj = g.adj
+    for x in range(g.vertex_count):
+        row = adj[x]
+        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
+            direct = row >> y & 1
+            yield x, y, direct, middles, direct + middles.bit_count()
+
+
 def _short_pair(g: Graph, col: EdgeColoring, k: int) -> FailureWitness | None:
     """The first pair (x, y), in index order, with fewer than k rainbow
-    paths of length <= 2, or None when every pair has k.
-
-    On at most two colors these are all the rainbow paths and they are
-    pairwise internally disjoint, so this is the verifier's decision: a
-    pair passes when adjacent + popcount(middles) >= k.
-    """
-    for x in range(g.vertex_count):
-        row = g.adj[x]
-        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
-            found = (row >> y & 1) + middles.bit_count()
-            if found < k:
-                return FailureWitness((x, y), k, found)
+    paths of length <= 2, or None when every pair has k: on at most two
+    colors, the verifier's decision."""
+    for x, y, _, _, found in _pairs(g, col):
+        if found < k:
+            return FailureWitness((x, y), k, found)
     return None
 
 
@@ -237,11 +253,12 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     """Certificate with k disjoint rainbow paths per pair, or the first failure.
 
     With at most two colors each pair's rainbow paths are the direct edge
-    and the 2-paths through the bichromatic common neighbors, so
-    _short_pair decides every pair by a popcount first, and only then is
-    the certificate built: the direct edge and the lowest middles, k paths
-    per pair. With more colors every pair is enumerated and selected under
-    one PathBudget for the whole call.
+    and the 2-paths through the bichromatic common neighbors. One pass per
+    row, the one _short_pair reads, decides each pair by a popcount and
+    builds its k paths, the direct edge and then the lowest middles; the
+    first pair short of k is returned as the witness. With more colors
+    every pair is enumerated and selected under one PathBudget for the
+    whole call.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -250,18 +267,15 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     n = g.vertex_count
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
     if col.color_count <= 2:
-        witness = _short_pair(g, col, k)
-        if witness is not None:
-            return witness
-        for x in range(n):
-            row = g.adj[x]
-            for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
-                paths = [(x, y)] if row >> y & 1 else []
-                while len(paths) < k:
-                    low = middles & -middles
-                    paths.append((x, low.bit_length() - 1, y))
-                    middles ^= low
-                per_pair[(x, y)] = tuple(paths)
+        for x, y, direct, middles, found in _pairs(g, col):
+            if found < k:
+                return FailureWitness((x, y), k, found)
+            paths = [(x, y)] if direct else []
+            while len(paths) < k:
+                low = middles & -middles
+                paths.append((x, low.bit_length() - 1, y))
+                middles ^= low
+            per_pair[(x, y)] = tuple(paths)
     else:
         budget = PathBudget()
         for x in range(n):
@@ -285,6 +299,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
     ``col.edge_colors`` alone, never from ``col.masks``. Each pair takes
     one pass over its paths: the interiors go into one set, and they are
     pairwise disjoint exactly when its size is the sum of their lengths.
+    A path of one or two edges, all that a certificate on two colors
+    holds, is checked straight-line: endpoints, a middle distinct from
+    both, its two edges, and their two colors, in the order and with the
+    messages of the per-edge loop that checks longer paths.
     """
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
@@ -310,6 +328,30 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
         inside: set[int] = set()
         inside_count = 0
         for p in paths:
+            # the checks of the loop below, straight-line for one and two
+            # edges; with x < y, one edge cannot repeat a vertex or a color
+            if len(p) == 2:
+                a, b = p
+                if a != x or b != y:
+                    raise ValueError(f"path {p} does not join ({x},{y})")
+                if not adj[a] >> b & 1:
+                    raise ValueError(f"path {p} uses non-edge ({a},{b})")
+                continue
+            if len(p) == 3:
+                a, w, b = p
+                if a != x or b != y:
+                    raise ValueError(f"path {p} does not join ({x},{y})")
+                if w == a or w == b:
+                    raise ValueError(f"path {p} repeats a vertex")
+                if not adj[a] >> w & 1:
+                    raise ValueError(f"path {p} uses non-edge ({a},{w})")
+                if not adj[w] >> b & 1:
+                    raise ValueError(f"path {p} uses non-edge ({w},{b})")
+                if colors_at[a][w] == colors_at[w][b]:
+                    raise ValueError(f"path {p} repeats a color")
+                inside.add(w)
+                inside_count += 1
+                continue
             if p[0] != x or p[-1] != y:
                 raise ValueError(f"path {p} does not join ({x},{y})")
             if len(set(p)) != len(p):

@@ -2,10 +2,10 @@ import pytest
 
 from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
                               NotAutomorphism, NotCentral, NotHomomorphism,
-                              NotLatinSquare, OrderMismatch, central_product, cyclic,
-                              dicyclic, dihedral, direct_product, group_from_cayley_table,
-                              load_cayley_table, metacyclic, semidirect_product,
-                              write_cayley_table)
+                              NotLatinSquare, OrderMismatch, _two_generator_table,
+                              central_product, cyclic, dicyclic, dihedral, direct_product,
+                              group_from_cayley_table, load_cayley_table, metacyclic,
+                              semidirect_product, write_cayley_table)
 from ncrainbow.reproduce import order16_family
 from util import brute_center, group_isomorphism, mask_members
 
@@ -108,6 +108,19 @@ def test_metacyclic():
 @pytest.mark.parametrize("m", range(3, 9))
 def test_metacyclic_twist_minus_one_is_dihedral(m):
     assert group_isomorphism(metacyclic(m, m - 1), dihedral(m)) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_two_generator_table_matches_the_entry_formula(n):
+    """The table built from rotated slices equals the product rule applied
+    entry by entry, for every involution twist and flip powers 0 and n/2."""
+    for t in (t for t in range(n) if t * t % n == 1 % n):
+        for f in (0, n // 2) if n % 2 == 0 else (0,):
+            expected = [[(i + j) % n for j in range(n)] + [n + (i + j) % n for j in range(n)]
+                        for i in range(n)]
+            expected += [[n + (i + t * j) % n for j in range(n)]
+                         + [(i + t * j + f) % n for j in range(n)] for i in range(n)]
+            assert _two_generator_table(n, twist=t, flip_power=f)[0] == expected
 
 
 def test_direct_product():

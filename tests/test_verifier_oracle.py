@@ -20,7 +20,7 @@ from ncrainbow.graphs import complete_graph, graph_from_edges
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, is_rainbow_k_connected,
                                short_rainbow_paths)
-from util import two_color_failure_pair
+from util import reference_two_color_paths, two_color_failure_pair
 
 
 @st.composite
@@ -68,3 +68,20 @@ def test_search_guard_decides_as_the_verifier(graph_and_coloring, k):
         assert isinstance(result, RainbowCertificate)
     else:
         assert result == witness
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(colored_graphs(), st.integers(1, 4))
+@example((K16, random_two_coloring(K16, 1)), 4)
+def test_one_pass_verifier_returns_the_guard_witness_or_the_reference_build(
+        graph_and_coloring, k):
+    """Deciding and building in one pass per row gives the guard's witness,
+    or the certificate of util.reference_two_color_paths: the direct edge,
+    then the lowest middles, read from the color list."""
+    g, col = graph_and_coloring
+    result = is_rainbow_k_connected(g, col, k)
+    if isinstance(result, FailureWitness):
+        assert result == rainbow._short_pair(g, col, k)
+    else:
+        assert rainbow._short_pair(g, col, k) is None
+        assert result == RainbowCertificate(k, reference_two_color_paths(g, col, k))

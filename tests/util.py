@@ -154,6 +154,75 @@ def reference_validate_table(table, name):
                 )
 
 
+def reference_validate_certificate(g: Graph, col: EdgeColoring,
+                                   cert: rainbow.RainbowCertificate) -> None:
+    """The certificate validator as it was before its straight-line checks
+    of one- and two-edge paths: one per-edge loop for every path. The
+    reference for the verdict, error class and message of
+    rainbow.validate_certificate."""
+    if col.graph is not g and col.graph.adj != g.adj:
+        raise ValueError("coloring belongs to a different graph")
+    adj = g.adj
+    n = g.vertex_count
+    colors_at: list[dict[int, int]] = [{} for _ in range(n)]  # a -> b -> color
+    for (a, b), c in col.assignment().items():
+        colors_at[a][b] = colors_at[b][a] = c
+    if len(cert.per_pair) != n * (n - 1) // 2:
+        raise ValueError("certificate does not cover every vertex pair")
+    vertices = range(n)
+    for pair, paths in cert.per_pair.items():
+        # with the count above: exactly the pairs x < y; `in range` compares
+        # a key of any type without raising
+        if not (type(pair) is tuple and len(pair) == 2 and pair[0] in vertices
+                and pair[1] in vertices and pair[0] < pair[1]):
+            raise ValueError("certificate does not cover every vertex pair")
+        x, y = pair
+        if len(paths) < cert.k:
+            raise ValueError(f"pair ({x},{y}) lists {len(paths)} < {cert.k} paths")
+        if len(set(paths)) != len(paths):
+            raise ValueError(f"pair ({x},{y}) lists a path twice")
+        inside: set[int] = set()
+        inside_count = 0
+        for p in paths:
+            if p[0] != x or p[-1] != y:
+                raise ValueError(f"path {p} does not join ({x},{y})")
+            if len(set(p)) != len(p):
+                raise ValueError(f"path {p} repeats a vertex")
+            colors = set()
+            for a, b in zip(p, p[1:]):
+                if not adj[a] >> b & 1:
+                    raise ValueError(f"path {p} uses non-edge ({a},{b})")
+                colors.add(colors_at[a][b])
+            if len(colors) != len(p) - 1:
+                raise ValueError(f"path {p} repeats a color")
+            inside.update(p[1:-1])
+            inside_count += len(p) - 2
+        if len(inside) != inside_count:
+            raise ValueError(f"paths for ({x},{y}) share internal vertices")
+
+
+def reference_two_color_paths(g: Graph, col: EdgeColoring, k: int) -> dict:
+    """For each pair x < y, the direct edge if there is one and then the
+    2-paths x-w-y through the lowest common neighbours w whose two edge
+    colors differ, read from the color list: the first k, or all when
+    there are fewer. The reference for the certificate rainbow's verifier
+    builds on at most two colors."""
+    colors = col.assignment()
+    n = g.vertex_count
+
+    def color(a, b):
+        return colors[min(a, b), max(a, b)]
+
+    per_pair = {}
+    for x in range(n):
+        for y in range(x + 1, n):
+            paths = [(x, y)] if g.adjacent(x, y) else []
+            paths += [(x, w, y) for w in range(n) if w not in (x, y) and g.adjacent(x, w)
+                      and g.adjacent(w, y) and color(x, w) != color(w, y)]
+            per_pair[(x, y)] = tuple(paths[:k])
+    return per_pair
+
+
 def brute_simple_paths(g: Graph, x: int, y: int, max_len: int):
     """All simple x-y paths with at most max_len edges, as vertex tuples."""
     out = []
