@@ -16,8 +16,7 @@ from .ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                       abelian_extension_check, common_neighbor_floor_check,
                       noncommuting_graph, pair_profile)
 from .rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
-                      RainbowCertificate, Rc2Certificate, certify_rc2,
-                      enumerate_rainbow_paths, is_rainbow_k_connected, rc_lower_bound,
-                      search_two_coloring)
+                      RainbowCertificate, Rc2Certificate, certify_rc2, is_rainbow_k_connected,
+                      rc_lower_bound, search_two_coloring)
 
 __version__ = "0.1.0"

@@ -1,27 +1,25 @@
 """Rainbow-k-connectivity: verification, certificates, and coloring search.
 
 A rainbow path repeats no edge color, so under c colors it has at most c
-edges. For two colors that means length <= 2, and every rainbow path is
-either the direct edge or a 2-path through a common neighbor whose two
-edge colors differ; such paths are automatically pairwise internally
+edges. Verification takes colorings with at most two colors in use, all
+that the paper's claims need. Then every rainbow path has length <= 2: it
+is either the direct edge or a 2-path through a common neighbor whose two
+edge colors differ, and such paths are automatically pairwise internally
 disjoint, so verification counts them per vertex pair by a popcount of
 one mask and builds only the k paths the certificate keeps. It decides
 and builds in one pass per row: one mask computation covers the pairs
 (x, y > x), and each pair is decided and its paths built from it, until
-the first pair short of k. Three or more colors fall back to
-enumeration plus a branch-and-bound selection, meant only for small
-exhaustive studies; one verification call may take at most
-PATH_NODE_BUDGET path extensions and selector steps in all, across its
-pairs, before it stops with SearchBudgetExceeded.
+the first pair short of k. A coloring with three or more colors in use
+is refused with ValueError.
 
 Certificates returned by the verifier are always re-checked by an
-independent validator that shares no code with the path selector. The
-selector reads the coloring's per-color masks (``col.masks``); the
+independent validator that shares no code with the verifier. The
+verifier reads the coloring's per-color masks (``col.masks``); the
 validator reads only the color list ``col.edge_colors``, so a fault in
 building the masks cannot make both agree on a bad certificate. The
-validator makes one linear pass over each pair's paths, and checks a
-path of one or two edges straight-line, with the same checks and
-messages as its per-edge loop for longer paths.
+validator takes any number of colors. It makes one linear pass over each
+pair's paths, and checks a path of one or two edges straight-line, with
+the same checks and messages as its per-edge loop for longer paths.
 
 The search runs in the calling process and returns the lowest passing
 attempt index. Its deciders read only the seed and one row plan per
@@ -43,11 +41,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
                         random_two_coloring)
-from .graphs import Graph, SearchBudgetExceeded, connectivity_at_least, iter_bits
+from .graphs import Graph, connectivity_at_least, iter_bits
 
 
 class PreconditionKappa(Exception):
@@ -80,78 +77,6 @@ class Rc2Certificate:
     certificate: RainbowCertificate
     rc2: int
     rc: int
-
-
-PATH_NODE_BUDGET = 50_000  # steps per verification call: >10x the most a test or reproduce uses
-
-
-class PathBudget:
-    """Work a 3+-color verification may still do. One budget is shared by
-    the path enumerations and selections of one call, so the call as a
-    whole stops with SearchBudgetExceeded; a path function called on its
-    own gets a fresh one."""
-
-    __slots__ = ("left",)
-
-    def __init__(self) -> None:
-        self.left = PATH_NODE_BUDGET
-
-
-def enumerate_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
-                            max_len: int, budget: PathBudget | None = None) -> list[Path_]:
-    """All simple x-y paths of <= max_len edges with distinct edge colors.
-
-    Output is lexicographic by vertex sequence (depth-first extension in
-    ascending neighbor order). The search keeps one frame per path vertex
-    on an explicit stack, so a path may be longer than the interpreter's
-    recursion limit. A frame is the mask of the next vertices still to try:
-    the vertex's neighbors off the path, less those it reaches through
-    ``col.masks`` of a color already on the path (only y once the path has
-    max_len - 1 edges). Each frame beyond x's costs one step of the budget;
-    once the budget is spent the search raises SearchBudgetExceeded: the
-    paths are then unknown, not absent.
-    """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    budget = budget or PathBudget()
-    left = budget.left
-    masks = col.masks
-    out: list[Path_] = []
-    path = [x]
-    colors: list[int] = []  # colors[i]: color of the edge path[i]-path[i+1]
-    visited = 1 << x
-    ybit = 1 << y
-    stack: list[int | None] = [None]  # None: the frame's mask is not built yet
-    while stack:
-        rest = stack[-1]
-        if rest is None:
-            v = path[-1]
-            rest = g.adj[v] & (~visited if len(path) < max_len else ybit)
-            for c in colors:
-                rest &= ~masks[c][v]
-        low = rest & -rest
-        if low == ybit:
-            out.append(tuple(path) + (y,))
-            rest ^= low
-            low = rest & -rest
-        if not low:
-            stack.pop()
-            visited ^= 1 << path.pop()
-            del colors[-1:]
-            continue
-        stack[-1] = rest ^ low
-        left -= 1
-        if left < 0:
-            raise SearchBudgetExceeded(f"rainbow paths {x}-{y}: exceeded {PATH_NODE_BUDGET} steps")
-        v = path[-1]
-        colors.append(next(c for c, rows in masks.items() if rows[v] & low))
-        path.append(low.bit_length() - 1)
-        visited |= low
-        stack.append(None)
-    budget.left = left
-    return out
 
 
 def _bichromatic(g: Graph, col: EdgeColoring, x: int, ys: slice) -> list[int]:
@@ -206,85 +131,34 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     return paths
 
 
-def select_disjoint_paths(paths: Sequence[Path_], k: int,
-                          budget: PathBudget | None = None) -> list[Path_]:
-    """The first k pairwise internally-disjoint paths in take-first order,
-    or a largest set of them when fewer than k exist.
-
-    One branch-and-bound over the paths in list order, each taken before
-    it is skipped, on an explicit stack instead of recursion: a branch is
-    cut once it cannot beat the largest set found so far. Each take or
-    backtrack costs one step of the budget.
-    """
-    budget = budget or PathBudget()
-    left = budget.left
-    users: dict[int, int] = {}  # vertex -> mask of the paths with it inside
-    for i, path in enumerate(paths):
-        for v in path[1:-1]:
-            users[v] = users.get(v, 0) | 1 << i
-    best: list[int] = []
-    chosen: list[int] = []
-    skipped: list[int] = []  # skipped[d]: candidates left if chosen[d] is skipped
-    avail = (1 << len(paths)) - 1
-    while len(best) < k:
-        left -= 1
-        if left < 0:
-            raise SearchBudgetExceeded(f"path selection: exceeded {PATH_NODE_BUDGET} steps")
-        if len(chosen) + avail.bit_count() <= len(best):
-            if not chosen:
-                break
-            chosen.pop()
-            avail = skipped.pop()
-            continue
-        low = avail & -avail
-        chosen.append(low.bit_length() - 1)
-        avail ^= low
-        skipped.append(avail)
-        for v in paths[chosen[-1]][1:-1]:
-            avail &= ~users[v]
-        if len(chosen) > len(best):
-            best = chosen[:]
-    budget.left = left
-    return [paths[i] for i in best]
-
-
 def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
                            ) -> RainbowCertificate | FailureWitness:
     """Certificate with k disjoint rainbow paths per pair, or the first failure.
 
-    With at most two colors each pair's rainbow paths are the direct edge
-    and the 2-paths through the bichromatic common neighbors. One pass per
-    row, the one _short_pair reads, decides each pair by a popcount and
-    builds its k paths, the direct edge and then the lowest middles; the
-    first pair short of k is returned as the witness. With more colors
-    every pair is enumerated and selected under one PathBudget for the
-    whole call.
+    The coloring may use at most two colors, whatever its declared
+    color_count; more raise ValueError. Each pair's rainbow paths are then
+    the direct edge and the 2-paths through the bichromatic common
+    neighbors. One pass per row, the one _short_pair reads, decides each
+    pair by a popcount and builds its k paths, the direct edge and then
+    the lowest middles; the first pair short of k is returned as the
+    witness.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
-    n = g.vertex_count
+    if len(col.masks) > 2:  # masks has a row only for the colors in use
+        raise ValueError(f"verification takes at most 2 colors in use, not {len(col.masks)}")
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
-    if col.color_count <= 2:
-        for x, y, direct, middles, found in _pairs(g, col):
-            if found < k:
-                return FailureWitness((x, y), k, found)
-            paths = [(x, y)] if direct else []
-            while len(paths) < k:
-                low = middles & -middles
-                paths.append((x, low.bit_length() - 1, y))
-                middles ^= low
-            per_pair[(x, y)] = tuple(paths)
-    else:
-        budget = PathBudget()
-        for x in range(n):
-            for y in range(x + 1, n):
-                paths = select_disjoint_paths(
-                    enumerate_rainbow_paths(g, col, x, y, col.color_count, budget), k, budget)
-                if len(paths) < k:
-                    return FailureWitness((x, y), k, len(paths))
-                per_pair[(x, y)] = tuple(paths)
+    for x, y, direct, middles, found in _pairs(g, col):
+        if found < k:
+            return FailureWitness((x, y), k, found)
+        paths = [(x, y)] if direct else []
+        while len(paths) < k:
+            low = middles & -middles
+            paths.append((x, low.bit_length() - 1, y))
+            middles ^= low
+        per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
     return cert
@@ -293,16 +167,18 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
 def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) -> None:
     """Independent re-check of a certificate; raises ValueError on any defect.
 
-    Deliberately shares no code with the selector: path validity, rainbow
+    Deliberately shares no code with the verifier: path validity, rainbow
     condition, pairwise internal disjointness, and pair coverage are all
     rederived from the adjacency rows and the color list
-    ``col.edge_colors`` alone, never from ``col.masks``. Each pair takes
-    one pass over its paths: the interiors go into one set, and they are
-    pairwise disjoint exactly when its size is the sum of their lengths.
-    A path of one or two edges, all that a certificate on two colors
-    holds, is checked straight-line: endpoints, a middle distinct from
-    both, its two edges, and their two colors, in the order and with the
-    messages of the per-edge loop that checks longer paths.
+    ``col.edge_colors`` alone, never from ``col.masks``, for any number
+    of colors. Pair keys and path vertices must be ints in 0..n-1 (a bool
+    is not one). Each pair takes one pass over its paths: the interiors go
+    into one set, and they are pairwise disjoint exactly when its size is
+    the sum of their lengths. A path of one or two edges, all that a
+    certificate on two colors holds, is checked straight-line: endpoints,
+    vertices, a middle distinct from both, its two edges, and their two
+    colors, in the order and with the messages of the per-edge loop that
+    checks longer paths.
     """
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
@@ -313,12 +189,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
         colors_at[a][b] = colors_at[b][a] = c
     if len(cert.per_pair) != n * (n - 1) // 2:
         raise ValueError("certificate does not cover every vertex pair")
-    vertices = range(n)
     for pair, paths in cert.per_pair.items():
-        # with the count above: exactly the pairs x < y; `in range` compares
-        # a key of any type without raising
-        if not (type(pair) is tuple and len(pair) == 2 and pair[0] in vertices
-                and pair[1] in vertices and pair[0] < pair[1]):
+        # with the count above: exactly the pairs x < y
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is type(pair[1]) is int and 0 <= pair[0] < pair[1] < n):
             raise ValueError("certificate does not cover every vertex pair")
         x, y = pair
         if len(paths) < cert.k:
@@ -329,11 +203,14 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
         inside_count = 0
         for p in paths:
             # the checks of the loop below, straight-line for one and two
-            # edges; with x < y, one edge cannot repeat a vertex or a color
+            # edges; an endpoint equal to x or y is in range, and with x < y
+            # one edge cannot repeat a vertex or a color
             if len(p) == 2:
                 a, b = p
                 if a != x or b != y:
                     raise ValueError(f"path {p} does not join ({x},{y})")
+                if not type(a) is type(b) is int:
+                    raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
                 if not adj[a] >> b & 1:
                     raise ValueError(f"path {p} uses non-edge ({a},{b})")
                 continue
@@ -341,6 +218,8 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
                 a, w, b = p
                 if a != x or b != y:
                     raise ValueError(f"path {p} does not join ({x},{y})")
+                if not (type(a) is type(w) is type(b) is int and 0 <= w < n):
+                    raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
                 if w == a or w == b:
                     raise ValueError(f"path {p} repeats a vertex")
                 if not adj[a] >> w & 1:
@@ -352,8 +231,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
                 inside.add(w)
                 inside_count += 1
                 continue
-            if p[0] != x or p[-1] != y:
+            if len(p) < 2 or p[0] != x or p[-1] != y:
                 raise ValueError(f"path {p} does not join ({x},{y})")
+            if not all(type(v) is int and 0 <= v < n for v in p):
+                raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
             if len(set(p)) != len(p):
                 raise ValueError(f"path {p} repeats a vertex")
             colors = set()

@@ -36,8 +36,8 @@ from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
-                      certify_rc2, enumerate_rainbow_paths, is_rainbow_k_connected,
-                      search_two_coloring, select_disjoint_paths, short_rainbow_paths)
+                      certify_rc2, is_rainbow_k_connected, search_two_coloring,
+                      short_rainbow_paths, validate_certificate)
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,13 @@ def check_triangle_exclusion() -> CriterionResult:
         if not isinstance(result, FailureWitness):
             return CriterionResult("triangle-exclusion", False,
                                    f"2-coloring {colors} unexpectedly passed")
-    rainbow = is_rainbow_k_connected(k3, EdgeColoring(k3, 3, [1, 2, 3]), 2)
-    ok = isinstance(rainbow, RainbowCertificate)
-    return CriterionResult("triangle-exclusion", ok,
+    # on colors 1, 2, 3 each pair has its edge and the path through the third vertex
+    cert = RainbowCertificate(2, {(x, y): ((x, y), (x, 3 - x - y, y)) for x, y in k3.edges})
+    try:
+        validate_certificate(k3, EdgeColoring(k3, 3, [1, 2, 3]), cert)
+    except ValueError as exc:
+        return CriterionResult("triangle-exclusion", False, f"3-coloring certificate: {exc}")
+    return CriterionResult("triangle-exclusion", True,
                            "all 8 two-colorings fail, a 3-coloring passes")
 
 
@@ -358,6 +362,23 @@ def _random_test_graph(stream, max_vertices: int = 12) -> tuple[Graph, EdgeColor
     return graph, EdgeColoring(graph, 2, colors)
 
 
+def brute_force_rainbow_counts(coloring: EdgeColoring) -> dict[tuple[int, int], int]:
+    """Reference count of the rainbow x-y paths of a coloring on at most
+    two colors, for each pair x < y, from its color list alone: the direct
+    edge, plus each common neighbor w whose edges x-w and w-y differ in
+    color. No longer path is rainbow on two colors."""
+    n = coloring.graph.vertex_count
+    color: dict[tuple[int, int], int] = {}
+    for (a, b), c in coloring.assignment().items():
+        color[a, b] = color[b, a] = c
+    counts = {}
+    for x, y in combinations(range(n), 2):
+        middles = [w for w in range(n) if (x, w) in color and (w, y) in color
+                   and color[x, w] != color[w, y]]
+        counts[x, y] = ((x, y) in color) + len(middles)
+    return counts
+
+
 def brute_force_vertex_connectivity(g: Graph) -> int:
     """Reference kappa by enumerating all candidate cut sets."""
     n = g.vertex_count
@@ -388,13 +409,9 @@ def check_oracle_equivalence(quick: bool) -> CriterionResult:
     rounds = 40 if quick else 200
     for _ in range(rounds):
         graph, coloring = _random_test_graph(stream)
-        for x in range(graph.vertex_count):
-            for y in range(x + 1, graph.vertex_count):
-                fast = len(short_rainbow_paths(graph, coloring, x, y))
-                paths = enumerate_rainbow_paths(graph, coloring, x, y, max_len=2)
-                slow = len(select_disjoint_paths(paths, len(paths)))
-                if fast != slow:
-                    problems.append(f"path count differs at ({x},{y})")
+        for (x, y), slow in brute_force_rainbow_counts(coloring).items():
+            if len(short_rainbow_paths(graph, coloring, x, y)) != slow:
+                problems.append(f"path count differs at ({x},{y})")
     for _ in range(rounds // 8):
         graph, _ = _random_test_graph(stream, max_vertices=9)
         if vertex_connectivity(graph) != brute_force_vertex_connectivity(graph):

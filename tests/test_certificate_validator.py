@@ -1,10 +1,12 @@
 """rainbow.validate_certificate gives the verdict of the per-edge reference
-validator in util.py, and on a defect the same error class and message,
-on valid certificates of 2- and 3-colorings damaged in five ways: the
-defects of test_rainbow, a middle vertex replaced, a path reversed, and
-4-vertex paths put in, most of them valid under a color per edge."""
+validator in util.py, and on a defect the same message and the class
+ValueError, on valid certificates of 2- and 3-colorings damaged in five
+ways: the defects of test_rainbow, a middle vertex replaced, a path
+reversed, and 4-vertex paths put in, most of them valid under a color per
+edge."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,19 +15,27 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import complete_multipartite
-from ncrainbow.rainbow import RainbowCertificate, is_rainbow_k_connected, validate_certificate
+from ncrainbow.rainbow import RainbowCertificate, validate_certificate
 from test_rainbow import DEFECTS, certificate_base, put_defect
-from util import reference_validate_certificate
+from util import (brute_simple_paths, recursive_select_disjoint_paths,
+                  reference_validate_certificate)
 
 
 def three_coloring_base(parts, seed):
-    """A random 3-coloring of K_parts and its k = 2 certificate, which
-    holds paths of one, two and three edges."""
+    """A random 3-coloring of K_parts and a k = 2 certificate for it, which
+    holds paths of one, two and three edges: for each pair, the first two
+    disjoint ones among its rainbow paths of up to three edges, taken in
+    lexicographic order."""
     g = complete_multipartite(parts)
     rng = random.Random(seed)
     col = EdgeColoring(g, 3, [rng.randint(1, 3) for _ in g.edges])
-    cert = is_rainbow_k_connected(g, col, 2)
-    return g, col, dict(cert.per_pair)
+    colors = col.assignment()
+    pairs = {}
+    for x, y in combinations(range(g.vertex_count), 2):
+        rainbow = [p for p in brute_simple_paths(g, x, y, 3)
+                   if len({colors[min(a, b), max(a, b)] for a, b in zip(p, p[1:])}) == len(p) - 1]
+        pairs[(x, y)] = tuple(recursive_select_disjoint_paths(rainbow, 2))
+    return g, col, pairs
 
 
 def color_per_edge_base():
@@ -117,6 +127,8 @@ def test_bases_are_valid(base):
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(damaged_certificates())
 def test_validator_agrees_with_reference(damaged):
+    """The same verdict and message, and a defect is always a ValueError."""
     g, col, pairs = damaged
-    assert outcome(validate_certificate, g, col, pairs) == \
-        outcome(reference_validate_certificate, g, col, pairs)
+    result = outcome(validate_certificate, g, col, pairs)
+    assert result == outcome(reference_validate_certificate, g, col, pairs)
+    assert result is None or result[0] is ValueError, result

@@ -173,19 +173,18 @@ def test_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
     assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
 
 
-def test_verify_over_the_path_budget_exits_three(tmp_path, capsys, monkeypatch):
+def test_verify_refuses_three_or_more_colors_in_use(tmp_path, capsys):
     g = complete_graph(8)
     rng = random.Random(8)
     graph, col = tmp_path / "k8.graph", tmp_path / "k8.col"
     write_graph_file(g, graph)
     write_coloring_file(EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges]), col)
-    argv = ("verify", "--graph", str(graph), "--coloring", str(col), "--k", "2")
-    code, manifest, _ = run(capsys, *argv)
-    assert code == 0 and manifest["outcome"]["rainbow_k_connected"]
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 10)
-    code, manifest, captured = run(capsys, *argv)
-    assert code == 3 and manifest is None
-    assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
+    code, manifest, captured = run(capsys, "verify", "--graph", str(graph),
+                                   "--coloring", str(col), "--k", "2")
+    assert code == 2 and manifest is None
+    error = one_error_line(captured)
+    assert error == {"error": "ValueError",
+                     "message": "verification takes at most 2 colors in use, not 4"}
 
 
 def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):

@@ -5,18 +5,17 @@ import pytest
 
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
-from ncrainbow.graphs import (SearchBudgetExceeded, complete_graph, complete_multipartite,
-                              graph_from_edges)
+from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
 from ncrainbow.groups import dihedral
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
-from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PathBudget,
-                               PreconditionKappa, RainbowCertificate, certify_rc2,
-                               enumerate_rainbow_paths, is_rainbow_k_connected,
-                               rc_lower_bound, search_two_coloring, select_disjoint_paths,
-                               short_rainbow_paths, validate_certificate, write_certificate)
+from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
+                               RainbowCertificate, certify_rc2, is_rainbow_k_connected,
+                               rc_lower_bound, search_two_coloring, short_rainbow_paths,
+                               validate_certificate, write_certificate)
+from ncrainbow.reproduce import brute_force_rainbow_counts
 from util import (brute_simple_paths, counting_validator, recursive_disjoint_count,
-                  recursive_rainbow_paths, two_color_failure_pair)
+                  two_color_failure_pair)
 
 
 def colored(g, colors):
@@ -33,135 +32,35 @@ def random_colored_graph(rng, max_n=12):
 def test_enumerate_single_edge():
     g = complete_graph(2)
     col = colored(g, [1])
-    assert enumerate_rainbow_paths(g, col, 0, 1, 2) == [(0, 1)]
+    assert short_rainbow_paths(g, col, 0, 1) == [(0, 1)]
 
 
 def test_enumerate_triangle():
     g = complete_graph(3)
     # edges (0,1), (0,2), (1,2): colors 1, 1, 2
     col = EdgeColoring(g, 2, [1, 1, 2])
-    assert enumerate_rainbow_paths(g, col, 0, 1, 2) == [(0, 1), (0, 2, 1)]
+    assert short_rainbow_paths(g, col, 0, 1) == [(0, 1), (0, 2, 1)]
 
 
 def test_enumerate_monochromatic_two_path():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     col = EdgeColoring(g, 2, [1, 1])
-    assert enumerate_rainbow_paths(g, col, 0, 2, 2) == []
-
-
-def test_enumerate_is_lexicographic():
-    g = complete_graph(4)
-    col = EdgeColoring(g, 3, [1, 2, 3, 3, 2, 1])
-    paths = enumerate_rainbow_paths(g, col, 0, 3, 3)
-    assert paths == sorted(paths)
+    assert short_rainbow_paths(g, col, 0, 2) == []
 
 
 def test_enumerate_matches_brute_force():
+    """short_rainbow_paths lists every rainbow path of a 2-coloring: on
+    two colors no longer path is rainbow."""
     rng = random.Random(5)
     for _ in range(30):
         g, col = random_colored_graph(rng, max_n=8)
         x, y = rng.sample(range(g.vertex_count), 2)
         expected = []
-        for p in brute_simple_paths(g, x, y, max_len=2):
+        for p in brute_simple_paths(g, x, y, max_len=g.vertex_count - 1):
             cols = [col.color_of(a, b) for a, b in zip(p, p[1:])]
             if len(set(cols)) == len(cols):
                 expected.append(p)
-        assert sorted(enumerate_rainbow_paths(g, col, x, y, 2)) == sorted(expected)
-
-
-@pytest.mark.parametrize("colors", [3, 4])
-def test_enumerate_matches_recursive_reference(colors, monkeypatch):
-    """Same paths in the same order as the recursive search, for every
-    pair and every length cap up to the color count, and one budget step
-    per path vertex the reference descends to. The search reads only the
-    coloring's masks: color_of raises while it runs."""
-    rng = random.Random(40 + colors)
-    cases = []
-    for _ in range(40):
-        n = rng.randint(3, 9)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < rng.choice([0.3, 0.6, 0.9])]
-        g = graph_from_edges(n, edges)
-        col = EdgeColoring(g, colors, [rng.randint(1, colors) for _ in edges])
-        cases += [(g, col, x, y, max_len, recursive_rainbow_paths(g, col, x, y, max_len))
-                  for x in range(n) for y in range(n) if x != y
-                  for max_len in range(1, colors + 1)]
-
-    def refuse(*args):
-        raise AssertionError("color_of called")
-
-    monkeypatch.setattr(EdgeColoring, "color_of", refuse)
-    total = 0
-    for g, col, x, y, max_len, (paths, levels) in cases:
-        assert steps_taken(lambda b: enumerate_rainbow_paths(g, col, x, y, max_len, b)) == (
-            levels, paths)
-        total += len(paths)
-    assert total > 1000
-
-
-def test_enumerate_path_longer_than_the_recursion_limit():
-    n = 1100
-    g = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    col = EdgeColoring(g, n - 1, list(range(1, n)))
-    assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 1) == [tuple(range(n))]
-    assert enumerate_rainbow_paths(g, col, 0, n - 1, n - 2) == []
-
-
-def k8_four_colors():
-    g = complete_graph(8)
-    rng = random.Random(8)
-    return g, EdgeColoring(g, 4, [rng.randint(1, 4) for _ in g.edges])
-
-
-def test_path_enumeration_budget_raises(monkeypatch):
-    g, col = k8_four_colors()
-    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 10)
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_rainbow_paths(g, col, 0, 1, 4)
-    with pytest.raises(SearchBudgetExceeded):
-        is_rainbow_k_connected(g, col, 2)
-    assert enumerate_rainbow_paths(g, col, 0, 1, 1) == [(0, 1)]  # no frame beyond x's
-
-
-def steps_taken(call):
-    """Budget steps one call takes with a fresh PathBudget, and its result."""
-    budget = PathBudget()
-    result = call(budget)
-    return rainbow.PATH_NODE_BUDGET - budget.left, result
-
-
-def test_path_budget_covers_the_whole_verification(monkeypatch):
-    g, col = k8_four_colors()
-    steps = [steps_taken(lambda b: enumerate_rainbow_paths(g, col, x, y, 4, b))[0]
-             for x, y in g.edges]
-    assert max(steps) < sum(steps)
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", max(steps))
-    for x, y in g.edges:  # every pair fits the budget on its own
-        enumerate_rainbow_paths(g, col, x, y, 4)
-    with pytest.raises(SearchBudgetExceeded):
-        is_rainbow_k_connected(g, col, 2)
-
-
-def test_selector_steps_count_against_the_budget(monkeypatch):
-    paths = [(0, 2, 1)] + [(0, 2, v, 1) for v in range(3, 13)]  # all pass through 2
-    assert select_disjoint_paths(paths, 2) == [(0, 2, 1)]
-    g, col = k8_four_colors()
-    total = 0
-    for x, y in g.edges:
-        enumerated, pair_paths = steps_taken(
-            lambda b: enumerate_rainbow_paths(g, col, x, y, 4, b))
-        selected, _ = steps_taken(lambda b: select_disjoint_paths(pair_paths, 2, b))
-        assert selected > 0
-        total += enumerated + selected
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", 5)
-    with pytest.raises(SearchBudgetExceeded):
-        select_disjoint_paths(paths, 2)
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", total)
-    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
-    monkeypatch.setattr(rainbow, "PATH_NODE_BUDGET", total - 1)
-    with pytest.raises(SearchBudgetExceeded):
-        is_rainbow_k_connected(g, col, 2)
+        assert sorted(short_rainbow_paths(g, col, x, y)) == sorted(expected)
 
 
 def test_short_paths_are_disjoint_and_complete():
@@ -169,16 +68,9 @@ def test_short_paths_are_disjoint_and_complete():
     for x in range(5):
         for y in range(x + 1, 5):
             paths = short_rainbow_paths(g, col, x, y)
-            assert len(paths) == recursive_disjoint_count(
-                enumerate_rainbow_paths(g, col, x, y, 2))
-
-
-def test_select_disjoint():
-    paths = [(0, 1), (0, 2, 1), (0, 3, 1), (0, 2, 4, 1)]
-    assert select_disjoint_paths(paths, 3) == [(0, 1), (0, 2, 1), (0, 3, 1)]
-    assert select_disjoint_paths(paths, 4) == [(0, 1), (0, 2, 1), (0, 3, 1)]  # largest set
-    assert select_disjoint_paths(paths[3:] + paths[:3], 4) == [(0, 2, 4, 1), (0, 1), (0, 3, 1)]
-    assert select_disjoint_paths([], 2) == []
+            rainbow = [p for p in brute_simple_paths(g, x, y, max_len=2)
+                       if len({col.color_of(a, b) for a, b in zip(p, p[1:])}) == len(p) - 1]
+            assert len(paths) == recursive_disjoint_count(rainbow)
 
 
 def test_k4_coloring_certificate():
@@ -194,8 +86,16 @@ def test_all_k3_two_colorings_fail():
         col = EdgeColoring(g, 2, [1 + (bits >> i & 1) for i in range(3)])
         result = is_rainbow_k_connected(g, col, 2)
         assert isinstance(result, FailureWitness)
-    rainbow = is_rainbow_k_connected(g, EdgeColoring(g, 3, [1, 2, 3]), 2)
-    assert isinstance(rainbow, RainbowCertificate)
+
+
+def test_three_colors_in_use_are_refused():
+    """Verification takes at most two colors in use, whatever color_count
+    declares; K3 on three colors, rainbow-2-connected, is refused."""
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="at most 2 colors in use, not 3"):
+        is_rainbow_k_connected(g, EdgeColoring(g, 3, [1, 2, 3]), 2)
+    assert isinstance(is_rainbow_k_connected(g, EdgeColoring(g, 9, [4, 9, 4]), 1),
+                      RainbowCertificate)
 
 
 def test_single_color_complete_graph_k1():
@@ -208,12 +108,8 @@ def test_fast_count_matches_backtracking():
     rng = random.Random(13)
     for _ in range(60):
         g, col = random_colored_graph(rng)
-        for x in range(g.vertex_count):
-            for y in range(x + 1, g.vertex_count):
-                fast = len(short_rainbow_paths(g, col, x, y))
-                paths = enumerate_rainbow_paths(g, col, x, y, 2)
-                slow = len(select_disjoint_paths(paths, len(paths)))
-                assert fast == slow
+        for (x, y), count in brute_force_rainbow_counts(col).items():
+            assert len(short_rainbow_paths(g, col, x, y)) == count
         witness = two_color_failure_pair(g, col, 2)
         checked = is_rainbow_k_connected(g, col, 2)
         assert (witness is None) == isinstance(checked, RainbowCertificate)
@@ -235,7 +131,8 @@ def test_certificate_validates_and_rejects_tampering():
 @pytest.mark.parametrize("other", ["smaller-graph", "other-edges"])
 def test_coloring_of_another_graph_is_refused(other):
     g = complete_graph(5)
-    col = EdgeColoring(g, 3, [1 + i % 3 for i in range(g.edge_count)])
+    # color 1 on the 5-cycle 0-1-2-3-4, color 2 on the pentagram
+    col = EdgeColoring.from_function(g, 2, lambda u, v: 1 if v - u in (1, 4) else 2)
     cert = is_rainbow_k_connected(g, col, 2)
     assert isinstance(cert, RainbowCertificate)
     if other == "smaller-graph":
@@ -266,13 +163,18 @@ DEFECTS = {
     "out-of-range pair": "cover every vertex pair",
     "pair as (y, x)": "cover every vertex pair",
     "pair of non-vertices": "cover every vertex pair",
+    "pair of bools": "cover every vertex pair",
     "key not a pair": "cover every vertex pair",
     "fewer than k paths": "lists 1 < 2 paths",
     "path listed twice": "lists a path twice",
     "wrong endpoints": "does not join",
+    "empty path": "does not join",
     "repeated vertex": "repeats a vertex",
     "non-edge": "uses non-edge",
     "repeated color": "repeats a color",
+    "bool vertex": "has a vertex that is not an int in 0",
+    "float vertex": "has a vertex that is not an int in 0",
+    "float endpoint": "has a vertex that is not an int in 0",
 }
 
 
@@ -289,6 +191,8 @@ def put_defect(defect, g, col, pairs):
         pairs[(1, 0)] = pairs.pop((0, 1))
     elif defect == "pair of non-vertices":
         pairs[("a", 0.5)] = pairs.pop((0, 1))
+    elif defect == "pair of bools":  # equal to (0, 1), but not ints
+        pairs[(False, True)] = pairs.pop((0, 1))
     elif defect == "key not a pair":
         pairs[5] = pairs.pop((0, 1))
     elif defect == "fewer than k paths":
@@ -297,6 +201,8 @@ def put_defect(defect, g, col, pairs):
         pairs[(0, 1)] = (first[0], first[0])
     elif defect == "wrong endpoints":
         pairs[(0, 1)] = (first[0], pairs[(0, 2)][0])
+    elif defect == "empty path":
+        pairs[(0, 1)] = ((),) + first[1:]
     elif defect == "repeated vertex":
         pairs[(0, 1)] = ((0, 2, 0, 1),) + first[1:]
     elif defect == "non-edge":
@@ -308,6 +214,13 @@ def put_defect(defect, g, col, pairs):
                          if w not in (x, y) and g.adjacent(x, w) and g.adjacent(w, y)
                          and colors[min(x, w), max(x, w)] == colors[min(w, y), max(w, y)])
         pairs[(x, y)] = ((x, w, y),) + pairs[(x, y)][1:]
+    elif defect in ("bool vertex", "float vertex"):  # True would be read as vertex 1
+        i, (x, w, y) = next((i, p) for i, p in enumerate(first) if len(p) == 3)
+        bad = True if defect == "bool vertex" else float(w)
+        pairs[(0, 1)] = first[:i] + ((x, bad, y),) + first[i + 1:]
+    elif defect == "float endpoint":  # equal to the vertex, but not an int
+        x, y = next(pair for pair in sorted(pairs) if pair in pairs[pair])
+        pairs[(x, y)] = ((float(x), y),) + pairs[(x, y)][1:]
 
 
 @pytest.mark.parametrize("base", ["multipartite", "J(6,2)"])
@@ -411,38 +324,9 @@ def test_certificate_json_round_trip(tmp_path):
 def test_validator_reads_edge_colors_not_masks():
     g, good = multipartite_two_coloring(PartitionSpec(1, 4, 1))
     bad = EdgeColoring(g, 2, [1] * g.edge_count)
-    bad.masks = good.masks  # the selector now finds paths the colors do not allow
+    bad.masks = good.masks  # the verifier now finds paths the colors do not allow
     with pytest.raises(ValueError, match="repeats a color"):
         is_rainbow_k_connected(g, bad, 2)
-
-
-def test_three_color_failure_is_first_pair_with_max_found():
-    rng = random.Random(8)
-    failures = 0
-    for _ in range(40):
-        n = rng.randint(3, 7)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
-        g = graph_from_edges(n, edges)
-        col = EdgeColoring(g, 3, [rng.randint(1, 3) for _ in edges])
-        colors = col.assignment()
-        k = rng.randint(1, 3)
-        found = {}
-        for x in range(n):
-            for y in range(x + 1, n):
-                paths = [p for p in brute_simple_paths(g, x, y, max_len=3)
-                         if len({colors[min(a, b), max(a, b)] for a, b in zip(p, p[1:])})
-                         == len(p) - 1]
-                found[(x, y)] = recursive_disjoint_count(paths)
-        failing = [pair for pair, count in found.items() if count < k]
-        result = is_rainbow_k_connected(g, col, k)
-        if not failing:
-            assert isinstance(result, RainbowCertificate)
-            continue
-        failures += 1
-        x, y = failing[0]
-        assert result == FailureWitness((x, y), k, found[(x, y)])
-        assert result.found == recursive_disjoint_count(enumerate_rainbow_paths(g, col, x, y, 3))
-    assert failures >= 10
 
 
 def test_search_winner_in_the_head():

@@ -24,10 +24,8 @@ from ncrainbow.colorings import random_two_coloring, splitmix64
 from ncrainbow.graphs import complete_graph, edgeless_graph, graph_from_edges
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
-from ncrainbow.rainbow import (SEARCH_BLOCK, SEARCH_HEAD, search_two_coloring,
-                               select_disjoint_paths)
-from util import (complement, internally_disjoint, recursive_disjoint_count,
-                  recursive_select_disjoint_paths, two_color_failure_pair)
+from ncrainbow.rainbow import SEARCH_BLOCK, SEARCH_HEAD, search_two_coloring
+from util import complement, two_color_failure_pair
 
 MASK64 = (1 << 64) - 1
 
@@ -212,31 +210,6 @@ def test_splitmix64_output_j_is_the_direct_formula():
         stream = splitmix64(seed)
         assert [next(stream) for _ in range(501)] == [direct_output(seed, j)
                                                       for j in range(501)]
-
-
-def test_select_disjoint_paths_has_no_recursion_limit():
-    paths = [(0, 5, i, 1) for i in range(6, 2106)]  # all share the internal vertex 5
-    assert select_disjoint_paths(paths, 2) == [paths[0]]  # the largest set has one path
-    assert select_disjoint_paths(paths, 1) == [paths[0]]
-
-
-def test_select_disjoint_paths_matches_recursive_selection():
-    rng = random.Random(5)
-    for _ in range(400):
-        x, y = 0, 1
-        paths = []
-        for _ in range(rng.randint(0, 9)):
-            inner = rng.sample(range(2, 9), rng.randint(0, 3))
-            paths.append((x, *inner, y))
-        best = recursive_disjoint_count(paths)
-        for k in range(len(paths) + 2):
-            chosen = select_disjoint_paths(paths, k)
-            expected = recursive_select_disjoint_paths(paths, k)
-            if expected is not None:  # the first k in take-first order
-                assert chosen == expected
-            else:  # a largest set
-                assert len(chosen) == best < k
-                assert internally_disjoint(chosen) and all(p in paths for p in chosen)
 
 
 def test_pair_that_could_overflow_a_byte_lane_is_left_out():

@@ -5,7 +5,8 @@ rainbow paths by a popcount and builds only the k paths it keeps. Its
 certificate must list, for every pair, the first k entries of
 `short_rainbow_paths`, and a failing coloring must be reported at the
 first pair the mask oracle of tests/util.py finds, with the number of
-short rainbow paths that pair has.
+short rainbow paths that pair has. A coloring may declare up to five
+colors and use any one or two of them.
 """
 
 import random
@@ -27,11 +28,12 @@ from util import reference_two_color_paths, two_color_failure_pair
 def colored_graphs(draw, max_n=16):
     n = draw(st.integers(2, max_n))
     p = draw(st.sampled_from([0.3, 0.7, 0.9, 1.0, 1.0]))
-    color_count = draw(st.integers(1, 2))
+    color_count = draw(st.integers(1, 5))
+    used = draw(st.lists(st.integers(1, color_count), min_size=1, max_size=2, unique=True))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     g = graph_from_edges(n, edges)
-    return g, EdgeColoring(g, color_count, [rng.randint(1, color_count) for _ in edges])
+    return g, EdgeColoring(g, color_count, [rng.choice(used) for _ in edges])
 
 
 K16 = complete_graph(16)
@@ -44,9 +46,10 @@ K16 = complete_graph(16)
 def test_verifier_matches_short_paths(graph_and_coloring, k):
     g, col = graph_and_coloring
     result = is_rainbow_k_connected(g, col, k)
-    # the oracle counts over colors 1 and 2, so a 1-color coloring is read as
-    # the same edge colors on two colors
-    pair = two_color_failure_pair(g, EdgeColoring(g, 2, col.edge_colors), k)
+    # the oracle counts over colors 1 and 2, so the colors in use are renamed
+    # 1 and 2
+    rename = {c: i for i, c in enumerate(sorted(col.masks), 1)}
+    pair = two_color_failure_pair(g, EdgeColoring(g, 2, [rename[c] for c in col.edge_colors]), k)
     if pair is None:
         n = g.vertex_count
         assert sorted(result.per_pair) == [(x, y) for x in range(n) for y in range(x + 1, n)]

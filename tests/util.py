@@ -157,8 +157,9 @@ def reference_validate_table(table, name):
 def reference_validate_certificate(g: Graph, col: EdgeColoring,
                                    cert: rainbow.RainbowCertificate) -> None:
     """The certificate validator as it was before its straight-line checks
-    of one- and two-edge paths: one per-edge loop for every path. The
-    reference for the verdict, error class and message of
+    of one- and two-edge paths: one per-edge loop for every path, which
+    refuses a pair key or path vertex that is not an int in 0..n-1 with
+    ValueError. The reference for the verdict, error class and message of
     rainbow.validate_certificate."""
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
@@ -169,12 +170,10 @@ def reference_validate_certificate(g: Graph, col: EdgeColoring,
         colors_at[a][b] = colors_at[b][a] = c
     if len(cert.per_pair) != n * (n - 1) // 2:
         raise ValueError("certificate does not cover every vertex pair")
-    vertices = range(n)
     for pair, paths in cert.per_pair.items():
-        # with the count above: exactly the pairs x < y; `in range` compares
-        # a key of any type without raising
-        if not (type(pair) is tuple and len(pair) == 2 and pair[0] in vertices
-                and pair[1] in vertices and pair[0] < pair[1]):
+        # with the count above: exactly the pairs x < y
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is type(pair[1]) is int and 0 <= pair[0] < pair[1] < n):
             raise ValueError("certificate does not cover every vertex pair")
         x, y = pair
         if len(paths) < cert.k:
@@ -184,8 +183,10 @@ def reference_validate_certificate(g: Graph, col: EdgeColoring,
         inside: set[int] = set()
         inside_count = 0
         for p in paths:
-            if p[0] != x or p[-1] != y:
+            if len(p) < 2 or p[0] != x or p[-1] != y:
                 raise ValueError(f"path {p} does not join ({x},{y})")
+            if not all(type(v) is int and 0 <= v < n for v in p):
+                raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
             if len(set(p)) != len(p):
                 raise ValueError(f"path {p} repeats a vertex")
             colors = set()
@@ -291,8 +292,10 @@ def _internal_mask(path: Path_) -> int:
 def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
     """Pick k pairwise internally-disjoint paths, or None if impossible.
 
-    The recursive selector, one level per candidate; the reference for the
-    selection order of rainbow.select_disjoint_paths."""
+    The recursive selector, one level per candidate, taking each path
+    before skipping it: on lexicographic paths, the first k disjoint ones
+    in that order. It builds the 3-coloring certificates of
+    test_certificate_validator."""
     if k == 0:
         return []
     p = len(paths)
@@ -331,12 +334,6 @@ def recursive_disjoint_count(paths: Sequence[Path_]) -> int:
     the largest k the recursive selector satisfies."""
     return max(k for k in range(len(paths) + 1)
                if recursive_select_disjoint_paths(paths, k) is not None)
-
-
-def internally_disjoint(paths: Sequence[Path_]) -> bool:
-    """No vertex lies inside two of the paths."""
-    inside = [v for path in paths for v in path[1:-1]]
-    return len(set(inside)) == len(inside)
 
 
 def recursive_are_isomorphic(g1: Graph, g2: Graph) -> tuple[list[int] | None, int]:
@@ -405,33 +402,3 @@ def recursive_are_isomorphic(g1: Graph, g2: Graph) -> tuple[list[int] | None, in
     if extend(0, 0, 0):
         return list(mapping), nodes
     return None, nodes
-
-
-def recursive_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int,
-                            max_len: int) -> tuple[list[Path_], int]:
-    """rainbow.enumerate_rainbow_paths as a recursive depth-first search,
-    one level per path vertex; the reference for the iterative search's
-    output and its order. Also returns the number of levels below x's,
-    the iterative search's budget steps."""
-    out: list[Path_] = []
-    path = [x]
-    levels = 0
-
-    def dfs(v: int, visited: int, colors_used: frozenset[int], length: int) -> None:
-        nonlocal levels
-        for w in g.neighbors(v):
-            c = col.color_of(v, w)
-            if c in colors_used:
-                continue
-            if w == y:
-                out.append(tuple(path) + (y,))
-                continue
-            if visited >> w & 1 or length + 1 == max_len:
-                continue
-            levels += 1
-            path.append(w)
-            dfs(w, visited | (1 << w), colors_used | {c}, length + 1)
-            path.pop()
-
-    dfs(x, 1 << x, frozenset(), 0)
-    return out, levels
