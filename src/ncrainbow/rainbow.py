@@ -7,10 +7,10 @@ is either the direct edge or a 2-path through a common neighbor whose two
 edge colors differ, and such paths are automatically pairwise internally
 disjoint, so verification counts them per vertex pair by a popcount of
 one mask and builds only the k paths the certificate keeps. It decides
-and builds in one pass per row: one mask computation covers the pairs
-(x, y > x), and each pair is decided and its paths built from it, until
-the first pair short of k. A coloring with three or more colors in use
-is refused with ValueError.
+and builds in one pass per row: one mask computation, over one color's
+rows, covers the pairs (x, y > x), and each pair is decided and its
+paths built from it, until the first pair short of k. A coloring with
+three or more colors in use is refused with ValueError.
 
 Certificates returned by the verifier are always re-checked by an
 independent validator that shares no code with the verifier. The
@@ -22,18 +22,18 @@ pair's paths, and checks a path of one or two edges straight-line, with
 the same checks and messages as its per-edge loop for longer paths.
 
 The search runs in the calling process and returns the lowest passing
-attempt index. Its deciders read only the seed and one row plan per
-search, built from ``g.adj``, ``g.edges`` and k; splitmix64 output j of
-seed s is a direct function of s + (j+1) * gamma (Steele, Lea and Flood,
-OOPSLA 2014), so they draw any edge's color without the ones before it
-and never build an EdgeColoring. The row kernel decides a head of
-SEARCH_HEAD attempts one by one; each later block of SEARCH_BLOCK
-attempts first passes a lane-parallel prefilter (SWAR: L. Lamport, CACM
-18(8), 1975), which drops only failing attempts. The winner is redrawn
-by random_two_coloring and checked by the verifier's two-color count,
-without a certificate: the search returns a coloring the verifier's
-count accepts, and its caller certifies it with certify_rc2 or
-is_rainbow_k_connected.
+attempt index. Attempt 0, which passes with probability at least 1 - the
+failure bound, is drawn and decided by the verifier's count. Later ones
+are decided from the seed and one row plan per search, built from
+``g.adj``, ``g.edges`` and k; splitmix64 output j of seed s is a direct
+function of s + (j+1) * gamma (Steele, Lea and Flood, OOPSLA 2014), so
+the deciders draw any edge's color without the ones before it and never
+build an EdgeColoring. The row kernel decides a head of SEARCH_HEAD
+attempts one by one; each later block of SEARCH_BLOCK attempts first
+passes a lane-parallel prefilter (SWAR: L. Lamport, CACM 18(8), 1975),
+which drops only failing attempts. The kernel's winner is redrawn and
+checked by the same count: the search returns, without a certificate, a
+coloring the verifier's count accepts, and its caller certifies it.
 """
 
 from __future__ import annotations
@@ -82,41 +82,29 @@ class Rc2Certificate:
 def _bichromatic(g: Graph, col: EdgeColoring, x: int, ys: slice) -> list[int]:
     """For each y in the slice ys of the vertices, the mask of the common
     neighbors w of x and y whose edges x-w and w-y differ in color: the
-    middles of the rainbow x-y 2-paths. One call covers a row of pairs, so
-    each color's row of x is read once, not once per pair."""
-    adj = g.adj[ys]
-    middles = [0] * len(adj)
-    for rows in col.masks.values():  # w with x-w in this color and w-y in another
-        rx = rows[x]
-        middles = [m | rx & (a ^ r) for m, a, r in zip(middles, adj, rows[ys])]
-    return middles
-
-
-def _pairs(g: Graph, col: EdgeColoring):
-    """Each pair x < y, in index order, as (x, y, direct, middles, found):
-    the bit of the edge x-y, the middles of the rainbow x-y 2-paths, and
-    found = direct + popcount(middles).
-
-    On at most two colors these are all the pair's rainbow paths and they
-    are pairwise internally disjoint, so found is the verifier's count. One
-    _bichromatic call covers each row x, which is how the search's guard
-    and the verifier decide and build in one pass per row.
-    """
+    middles of the rainbow x-y 2-paths. On at most two colors in use (more
+    raise ValueError) those are the w in A[x] ^ A[y] for one color's rows
+    A, and one call reads the row of x once for a row of pairs."""
+    if len(col.masks) > 2:  # masks has a row only for the colors in use
+        raise ValueError(f"verification takes at most 2 colors in use, not {len(col.masks)}")
     adj = g.adj
-    for x in range(g.vertex_count):
-        row = adj[x]
-        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
-            direct = row >> y & 1
-            yield x, y, direct, middles, direct + middles.bit_count()
+    rows = next(iter(col.masks.values()), adj)  # an edgeless graph has no color
+    ax, rx = adj[x], rows[x]
+    return [ax & a & (rx ^ r) for a, r in zip(adj[ys], rows[ys])]
 
 
 def _short_pair(g: Graph, col: EdgeColoring, k: int) -> FailureWitness | None:
     """The first pair (x, y), in index order, with fewer than k rainbow
     paths of length <= 2, or None when every pair has k: on at most two
-    colors, the verifier's decision."""
-    for x, y, _, _, found in _pairs(g, col):
-        if found < k:
-            return FailureWitness((x, y), k, found)
+    colors, the verifier's. Only a row x with a pair short of k middles is
+    scanned pair by pair, with the direct edge counted."""
+    for x in range(g.vertex_count):
+        middles = _bichromatic(g, col, x, slice(x + 1, None))
+        if min(map(int.bit_count, middles), default=k) < k:
+            for y, middle in enumerate(middles, x + 1):
+                found = (g.adj[x] >> y & 1) + middle.bit_count()
+                if found < k:
+                    return FailureWitness((x, y), k, found)
     return None
 
 
@@ -124,8 +112,12 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
     """The complete set of rainbow x-y paths of length <= 2.
 
     Direct edge first, then one 2-path per common neighbor whose two edge
-    colors differ; all of these are pairwise internally disjoint.
+    colors differ; all of these are pairwise internally disjoint. x and y
+    must be distinct vertices, on at most two colors in use (ValueError).
     """
+    n = g.vertex_count
+    if not (0 <= x < n and 0 <= y < n and x != y):
+        raise ValueError(f"({x},{y}) is not a pair of distinct vertices in 0..{n - 1}")
     paths: list[Path_] = [(x, y)] if g.adjacent(x, y) else []
     paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, slice(y, y + 1))[0]))
     return paths
@@ -138,27 +130,30 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     The coloring may use at most two colors, whatever its declared
     color_count; more raise ValueError. Each pair's rainbow paths are then
     the direct edge and the 2-paths through the bichromatic common
-    neighbors. One pass per row, the one _short_pair reads, decides each
-    pair by a popcount and builds its k paths, the direct edge and then
-    the lowest middles; the first pair short of k is returned as the
-    witness.
+    neighbors, and they are pairwise internally disjoint. One
+    _bichromatic call per row, the one _short_pair reads, covers the pairs
+    (x, y > x): each is decided by its direct edge plus a popcount and
+    gets its k paths, the direct edge and then the lowest middles; the
+    first pair short of k is returned as the witness.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
-    if len(col.masks) > 2:  # masks has a row only for the colors in use
-        raise ValueError(f"verification takes at most 2 colors in use, not {len(col.masks)}")
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
-    for x, y, direct, middles, found in _pairs(g, col):
-        if found < k:
-            return FailureWitness((x, y), k, found)
-        paths = [(x, y)] if direct else []
-        while len(paths) < k:
-            low = middles & -middles
-            paths.append((x, low.bit_length() - 1, y))
-            middles ^= low
-        per_pair[(x, y)] = tuple(paths)
+    for x in range(g.vertex_count):
+        row = g.adj[x]
+        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
+            direct = row >> y & 1
+            found = direct + middles.bit_count()
+            if found < k:
+                return FailureWitness((x, y), k, found)
+            paths = [(x, y)] if direct else []
+            while len(paths) < k:
+                low = middles & -middles
+                paths.append((x, low.bit_length() - 1, y))
+                middles ^= low
+            per_pair[(x, y)] = tuple(paths)
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
     return cert
@@ -172,9 +167,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
     rederived from the adjacency rows and the color list
     ``col.edge_colors`` alone, never from ``col.masks``, for any number
     of colors. Pair keys and path vertices must be ints in 0..n-1 (a bool
-    is not one). Each pair takes one pass over its paths: the interiors go
-    into one set, and they are pairwise disjoint exactly when its size is
-    the sum of their lengths. A path of one or two edges, all that a
+    is not one), and a pair's paths and each path must be tuples. Each
+    pair takes one pass over its paths: the interiors go into one set,
+    and they are pairwise disjoint exactly when its size is the sum of
+    their lengths. A path of one or two edges, all that a
     certificate on two colors holds, is checked straight-line: endpoints,
     vertices, a middle distinct from both, its two edges, and their two
     colors, in the order and with the messages of the per-edge loop that
@@ -195,13 +191,21 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
                 and type(pair[0]) is type(pair[1]) is int and 0 <= pair[0] < pair[1] < n):
             raise ValueError("certificate does not cover every vertex pair")
         x, y = pair
+        if type(paths) is not tuple:
+            raise ValueError(f"pair ({x},{y}) does not list its paths as a tuple")
         if len(paths) < cert.k:
             raise ValueError(f"pair ({x},{y}) lists {len(paths)} < {cert.k} paths")
-        if len(set(paths)) != len(paths):
+        try:
+            repeated = len(set(paths)) != len(paths)
+        except TypeError:  # an unhashable path or vertex, which the loop below refuses
+            repeated = False
+        if repeated:
             raise ValueError(f"pair ({x},{y}) lists a path twice")
         inside: set[int] = set()
         inside_count = 0
         for p in paths:
+            if type(p) is not tuple:
+                raise ValueError(f"path {p} is not a tuple")
             # the checks of the loop below, straight-line for one and two
             # edges; an endpoint equal to x or y is in range, and with x < y
             # one edge cannot repeat a vertex or a color
@@ -383,8 +387,10 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     success is returned. None after the budget is exhausted. The returned
     coloring is one the verifier's count accepts (_short_pair); no
     certificate is built or validated here, so certify it with certify_rc2
-    or is_rainbow_k_connected. A winner that count rejects means the
-    kernel is wrong, and raises AssertionError.
+    or is_rainbow_k_connected. That count alone decides attempt 0; only
+    when it fails does _first_passing build the row plan and decide the
+    rest. Its winner is redrawn and checked by the count too, and one the
+    count rejects means the kernel is wrong: AssertionError.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -392,10 +398,13 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
     if attempts < 1:
         return None
-    winner = _first_passing(g, k, attempts, seed)
+    col = random_two_coloring(g, seed)
+    if _short_pair(g, col, k) is None:
+        return col
+    winner = _first_passing(g, k, attempts - 1, seed + 1)
     if winner is None:
         return None
-    col = random_two_coloring(g, seed + winner)
+    col = random_two_coloring(g, seed + 1 + winner)
     witness = _short_pair(g, col, k)
     if witness is not None:  # kernel and verifier disagree
         raise AssertionError(f"search accepted a failing coloring at {witness.pair}")

@@ -48,6 +48,21 @@ def test_enumerate_monochromatic_two_path():
     assert short_rainbow_paths(g, col, 0, 2) == []
 
 
+@pytest.mark.parametrize("x, y", [(-1, 1), (0, 4), (4, 0), (2, 2), (0, -4)])
+def test_short_paths_refuse_endpoints_that_are_not_a_vertex_pair(x, y):
+    g = complete_graph(4)
+    col = EdgeColoring(g, 2, [1, 2, 1, 2, 1, 2])
+    with pytest.raises(ValueError, match=r"is not a pair of distinct vertices in 0\.\.3"):
+        short_rainbow_paths(g, col, x, y)
+
+
+def test_short_paths_refuse_three_colors_in_use():
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="at most 2 colors in use, not 3"):
+        short_rainbow_paths(g, EdgeColoring(g, 3, [1, 2, 3]), 0, 1)
+    assert short_rainbow_paths(g, EdgeColoring(g, 9, [4, 9, 4]), 0, 1) == [(0, 1), (0, 2, 1)]
+
+
 def test_enumerate_matches_brute_force():
     """short_rainbow_paths lists every rainbow path of a 2-coloring: on
     two colors no longer path is rainbow."""
@@ -321,6 +336,28 @@ def test_certificate_json_round_trip(tmp_path):
             assert len(set(path_colors)) == len(path_colors)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (lambda paths: list(paths), r"pair \(0,1\) does not list its paths as a tuple"),
+    (lambda paths: 7, r"pair \(0,1\) does not list its paths as a tuple"),
+    (lambda paths: None, r"pair \(0,1\) does not list its paths as a tuple"),
+    (lambda paths: (list(paths[0]),) + paths[1:], r"path \[0, 1\] is not a tuple"),
+    (lambda paths: paths[:1] + (7,), r"path 7 is not a tuple"),
+    (lambda paths: paths[:1] + (None,), r"path None is not a tuple"),
+    (lambda paths: paths[:1] + ((0, [4], 1),),
+     r"path \(0, \[4\], 1\) has a vertex that is not an int"),
+])
+def test_validator_refuses_paths_that_are_not_tuples(bad, message):
+    """A pair's paths, each path and each vertex have one type each: a
+    JSON reader's lists, or any other value, are refused with ValueError."""
+    g, col = multipartite_two_coloring(PartitionSpec(1, 3, 1))
+    cert = is_rainbow_k_connected(g, col, 2)
+    pairs = dict(cert.per_pair)
+    assert pairs[(0, 1)][0] == (0, 1)
+    pairs[(0, 1)] = bad(pairs[(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        validate_certificate(g, col, RainbowCertificate(2, pairs))
+
+
 def test_validator_reads_edge_colors_not_masks():
     g, good = multipartite_two_coloring(PartitionSpec(1, 4, 1))
     bad = EdgeColoring(g, 2, [1] * g.edge_count)
@@ -352,6 +389,42 @@ def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
     assert col.seed == 13  # two rejected attempts, the same winner as before
     certify_rc2(g, col)
     assert calls == [2]
+
+
+def test_search_decides_a_passing_attempt_zero_without_a_plan(monkeypatch):
+    """Attempt 0 is decided by the verifier's count alone, so a search it
+    ends builds no row plan and returns that attempt's coloring."""
+    def no_plan(g, k):
+        raise AssertionError("row plan built")
+
+    monkeypatch.setattr(rainbow, "_search_plan", no_plan)
+    g = noncommuting_graph(dihedral(10)).graph
+    col = search_two_coloring(g, 2, 1000, 14)
+    assert col.seed == 14
+    assert col.edge_colors == random_two_coloring(g, 14).edge_colors
+    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
+
+
+def test_search_builds_one_plan_when_attempt_zero_fails(monkeypatch):
+    """D14 at k = 3 from seed 1: attempt 0 fails, and the kernel, started
+    at attempt 1 with one row plan, finds the winner at attempt 45,483."""
+    g14 = noncommuting_graph(dihedral(7)).graph
+    assert rainbow._short_pair(g14, random_two_coloring(g14, 1), 3) is not None
+    plans = []
+    build = rainbow._search_plan
+    monkeypatch.setattr(rainbow, "_search_plan", lambda g, k: plans.append(k) or build(g, k))
+    col = search_two_coloring(g14, 3, 10 ** 5, seed=1)
+    assert col.seed - 1 == 45_483
+    assert plans == [3]
+
+
+def test_search_guard_rejects_a_kernel_winner_past_attempt_zero(monkeypatch):
+    """A kernel that accepts only seed 7 wins at index 1 of the attempts it
+    decides, attempt 2 of a search from seed 5; on K3 every coloring fails
+    at k = 2, so the count rejects it."""
+    monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: s == 7)
+    with pytest.raises(AssertionError, match="search accepted a failing coloring at"):
+        search_two_coloring(complete_graph(3), 2, 10, 5)
 
 
 @pytest.mark.parametrize("g, k", [(complete_graph(3), 2),

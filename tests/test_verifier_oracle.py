@@ -73,6 +73,47 @@ def test_search_guard_decides_as_the_verifier(graph_and_coloring, k):
         assert result == witness
 
 
+K4 = complete_graph(4)
+# rainbow-2-connected, though pairs (0, 2) and (0, 3) have one bichromatic
+# middle each: only their direct edges lift them to k = 2
+K4_LIFTED = EdgeColoring(K4, 2, [2, 1, 2, 2, 1, 1])
+
+
+@st.composite
+def two_colorings(draw, max_n=16):
+    n = draw(st.integers(2, max_n))
+    p = draw(st.sampled_from([0.3, 0.7, 0.9, 1.0, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p])
+    return g, EdgeColoring(g, 2, [rng.choice((1, 2)) for _ in g.edges])
+
+
+def test_k4_example_is_lifted_by_direct_edges_only():
+    assert [m.bit_count() for m in rainbow._bichromatic(K4, K4_LIFTED, 0, slice(1, None))] \
+        == [2, 1, 1]
+    assert rainbow._short_pair(K4, K4_LIFTED, 2) is None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(two_colorings(), st.integers(1, 4))
+@example((K4, K4_LIFTED), 2)
+@example((K16, random_two_coloring(K16, 1)), 4)
+@example((K16, random_two_coloring(K16, 2)), 4)
+def test_short_pair_witness_is_the_mask_oracle_pair(graph_and_coloring, k):
+    """The search's count, which skips a row whose every pair has k
+    middles and counts the direct edge only in the rows it scans, fails
+    at the first pair tests/util.py's mask oracle finds, with the number
+    of short rainbow paths that pair has."""
+    g, col = graph_and_coloring
+    witness = rainbow._short_pair(g, col, k)
+    pair = two_color_failure_pair(g, col, k)
+    if pair is None:
+        assert witness is None
+    else:
+        assert witness == FailureWitness(pair, k, len(short_rainbow_paths(g, col, *pair)))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(colored_graphs(), st.integers(1, 4))
 @example((K16, random_two_coloring(K16, 1)), 4)
