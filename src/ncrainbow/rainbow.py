@@ -113,11 +113,14 @@ def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Pat
 
     Direct edge first, then one 2-path per common neighbor whose two edge
     colors differ; all of these are pairwise internally disjoint. x and y
-    must be distinct vertices, on at most two colors in use (ValueError).
+    must be distinct vertices of g, and col a coloring of g with at most
+    two colors in use (ValueError).
     """
     n = g.vertex_count
     if not (0 <= x < n and 0 <= y < n and x != y):
         raise ValueError(f"({x},{y}) is not a pair of distinct vertices in 0..{n - 1}")
+    if col.graph is not g and col.graph.adj != g.adj:
+        raise ValueError("coloring belongs to a different graph")
     paths: list[Path_] = [(x, y)] if g.adjacent(x, y) else []
     paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, slice(y, y + 1))[0]))
     return paths
@@ -401,7 +404,7 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     col = random_two_coloring(g, seed)
     if _short_pair(g, col, k) is None:
         return col
-    winner = _first_passing(g, k, attempts - 1, seed + 1)
+    winner = _first_passing(g, k, attempts - 1, seed + 1) if attempts > 1 else None
     if winner is None:
         return None
     col = random_two_coloring(g, seed + 1 + winner)

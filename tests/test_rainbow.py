@@ -56,6 +56,15 @@ def test_short_paths_refuse_endpoints_that_are_not_a_vertex_pair(x, y):
         short_rainbow_paths(g, col, x, y)
 
 
+@pytest.mark.parametrize("x, y", [(0, 1), (0, 4), (3, 4)])
+def test_short_paths_refuse_a_coloring_of_another_graph(x, y):
+    """A coloring of K3 read on K5 would miss middles 3 and 4, or index
+    past its rows."""
+    g3 = complete_graph(3)
+    with pytest.raises(ValueError, match="coloring belongs to a different graph"):
+        short_rainbow_paths(complete_graph(5), EdgeColoring(g3, 2, [1, 2, 1]), x, y)
+
+
 def test_short_paths_refuse_three_colors_in_use():
     g = complete_graph(3)
     with pytest.raises(ValueError, match="at most 2 colors in use, not 3"):
@@ -393,7 +402,8 @@ def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
 
 def test_search_decides_a_passing_attempt_zero_without_a_plan(monkeypatch):
     """Attempt 0 is decided by the verifier's count alone, so a search it
-    ends builds no row plan and returns that attempt's coloring."""
+    ends, by passing or by a budget of one attempt, builds no row plan; a
+    passing attempt 0 returns that attempt's coloring."""
     def no_plan(g, k):
         raise AssertionError("row plan built")
 
@@ -403,6 +413,7 @@ def test_search_decides_a_passing_attempt_zero_without_a_plan(monkeypatch):
     assert col.seed == 14
     assert col.edge_colors == random_two_coloring(g, 14).edge_colors
     assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
+    assert search_two_coloring(complete_graph(3), 2, 1, 0) is None  # one attempt, which fails
 
 
 def test_search_builds_one_plan_when_attempt_zero_fails(monkeypatch):
