@@ -36,12 +36,15 @@ class EdgeColoring:
 
     def __init__(self, graph: Graph, color_count: int, edge_colors: Sequence[int],
                  seed: int | None = None):
-        if color_count < 1:
-            raise ValueError("need at least one color")
+        if type(color_count) is not int or color_count < 1:
+            raise ValueError(f"need at least one color, counted by an int, not {color_count!r}")
         if len(edge_colors) != graph.edge_count:
             raise ValueError(
                 f"{len(edge_colors)} colors for {graph.edge_count} edges"
             )
+        if not set(map(type, edge_colors)) <= {int}:  # a bool is no int
+            c = next(c for c in edge_colors if type(c) is not int)
+            raise ValueError(f"color {c!r} is not an int")
         masks: dict[int, list[int]] = defaultdict(lambda: [0] * graph.vertex_count)
         for (u, v), c in zip(graph.edges, edge_colors):
             if not 1 <= c <= color_count:

@@ -62,20 +62,6 @@ class Graph:
         n = self.vertex_count
         return self.edge_count == n * (n - 1) // 2
 
-    def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << n) - 1
-
 
 def graph_from_edges(
     n: int,
@@ -407,17 +393,17 @@ def vertex_connectivity(g: Graph, at_most: int | None = None) -> int:
     first vertex it misses is separated from some later non-neighbor.
     Since best >= kappa, that source is reached unless best == kappa
     already. That is O(kappa * n) flows of O(kappa * n) steps each. With
-    ``at_most`` the computation is capped, returning min(kappa, at_most).
+    ``at_most`` the computation is capped, returning min(kappa, at_most);
+    a negative ``at_most`` raises ValueError. No case is special: source 0
+    has no flow to a vertex outside its component, so a disconnected graph
+    gives 0, and a complete graph has no non-adjacent pair to lower n-1.
     """
+    if at_most is not None and at_most < 0:
+        raise ValueError(f"at_most must be non-negative, not {at_most}")
     n = g.vertex_count
     if n <= 1:
         return 0
-    cap_limit = n - 1 if at_most is None else min(at_most, n - 1)
-    if not g.is_connected():
-        return 0
-    if g.is_complete():
-        return cap_limit if at_most is not None else n - 1
-    best = cap_limit
+    best = n - 1 if at_most is None else min(at_most, n - 1)
     for u in range(n):
         if u >= best:
             break

@@ -195,8 +195,8 @@ def group_from_cayley_table(
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
         for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise ValueError(f"row {i} contains out-of-range entry {x!r}")
+            if type(x) is not int or not 0 <= x < n:  # a bool is no int
+                raise ValueError(f"row {i} contains {x!r}, not an int in 0..{n - 1}")
     if names is None:
         names = [f"x{i}" for i in range(n)]
     if len(names) != n:

@@ -22,18 +22,20 @@ pair's paths, and checks a path of one or two edges straight-line, with
 the same checks and messages as its per-edge loop for longer paths.
 
 The search runs in the calling process and returns the lowest passing
-attempt index. Attempt 0, which passes with probability at least 1 - the
-failure bound, is drawn and decided by the verifier's count. Later ones
-are decided from the seed and one row plan per search, built from
-``g.adj``, ``g.edges`` and k; splitmix64 output j of seed s is a direct
-function of s + (j+1) * gamma (Steele, Lea and Flood, OOPSLA 2014), so
-the deciders draw any edge's color without the ones before it and never
-build an EdgeColoring. The row kernel decides a head of SEARCH_HEAD
-attempts one by one; each later block of SEARCH_BLOCK attempts first
+attempt index, in two phases with one decider each. The head, the first
+SEARCH_HEAD attempts, is drawn and decided by the verifier's count: a
+uniform random 2-coloring passes with probability at least 1 - the
+failure bound, so most searches end there and set up nothing more. A
+budget past the head builds one row plan per search, from ``g.adj``,
+``g.edges`` and k; splitmix64 output j of seed s is a direct function of
+s + (j+1) * gamma (Steele, Lea and Flood, OOPSLA 2014), so the later
+deciders draw any edge's color without the ones before it and never
+build an EdgeColoring. Each later block of SEARCH_BLOCK attempts first
 passes a lane-parallel prefilter (SWAR: L. Lamport, CACM 18(8), 1975),
-which drops only failing attempts. The kernel's winner is redrawn and
-checked by the same count: the search returns, without a certificate, a
-coloring the verifier's count accepts, and its caller certifies it.
+which drops only failing attempts, and the row kernel decides the ones
+it keeps in ascending order. The kernel's winner is redrawn and checked
+by the same count: the search returns, without a certificate, a coloring
+the verifier's count accepts, and its caller certifies it.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) 
             raise ValueError(f"paths for ({x},{y}) share internal vertices")
 
 
-SEARCH_HEAD = 64  # attempts decided one by one before any lane is set up
+SEARCH_HEAD = 64  # attempts decided by the verifier's count before any plan is built
 SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
 
 
@@ -363,26 +365,6 @@ def _survivors(plan, k: int, s: int, width: int) -> list[int]:
     return [bit >> 3 for bit in iter_bits(alive)]
 
 
-def _first_passing(g: Graph, k: int, attempts: int, seed: int) -> int | None:
-    """Lowest attempt index in [0, attempts) whose coloring passes, or None.
-
-    Attempt i decides random_two_coloring(g, seed + i) without building
-    it, from the row plan of g and k. The first SEARCH_HEAD attempts are
-    decided one by one; the rest go in blocks of SEARCH_BLOCK attempts.
-    _survivors drops failing attempts from each block, and the row kernel
-    decides the ones it keeps in ascending order.
-    """
-    plan = _search_plan(g, k)
-    for i in range(min(SEARCH_HEAD, attempts)):
-        if _attempt_passes(plan, seed + i):
-            return i
-    for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
-        for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
-            if _attempt_passes(plan, seed + lo + t):
-                return lo + t
-    return None
-
-
 def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColoring | None:
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
@@ -390,28 +372,36 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     success is returned. None after the budget is exhausted. The returned
     coloring is one the verifier's count accepts (_short_pair); no
     certificate is built or validated here, so certify it with certify_rc2
-    or is_rainbow_k_connected. That count alone decides attempt 0; only
-    when it fails does _first_passing build the row plan and decide the
-    rest. Its winner is redrawn and checked by the count too, and one the
+    or is_rainbow_k_connected.
+
+    The search has two phases, each with one decider. The first
+    SEARCH_HEAD attempts (the head) are drawn and decided by the count
+    itself. Only a budget past the head builds the row plan, once; each
+    later block of SEARCH_BLOCK attempts goes through _survivors, and the
+    row kernel decides the attempts it keeps in ascending order. The
+    kernel's winner is redrawn and checked by the count, and one the
     count rejects means the kernel is wrong: AssertionError.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if not connectivity_at_least(g, k):
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
-    if attempts < 1:
+    for i in range(min(SEARCH_HEAD, attempts)):
+        col = random_two_coloring(g, seed + i)
+        if _short_pair(g, col, k) is None:
+            return col
+    if attempts <= SEARCH_HEAD:
         return None
-    col = random_two_coloring(g, seed)
-    if _short_pair(g, col, k) is None:
-        return col
-    winner = _first_passing(g, k, attempts - 1, seed + 1) if attempts > 1 else None
-    if winner is None:
-        return None
-    col = random_two_coloring(g, seed + 1 + winner)
-    witness = _short_pair(g, col, k)
-    if witness is not None:  # kernel and verifier disagree
-        raise AssertionError(f"search accepted a failing coloring at {witness.pair}")
-    return col
+    plan = _search_plan(g, k)
+    for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
+        for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
+            if _attempt_passes(plan, seed + lo + t):
+                col = random_two_coloring(g, seed + lo + t)
+                witness = _short_pair(g, col, k)
+                if witness is not None:  # kernel and verifier disagree
+                    raise AssertionError(f"search accepted a failing coloring at {witness.pair}")
+                return col
+    return None
 
 
 def rc_lower_bound(g: Graph, k: int) -> int:

@@ -192,7 +192,7 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")  # no 2-coloring of K3 is rainbow-2
     monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: True)  # a broken kernel
     code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "2",
-                                   "--attempts", "10", "--seed", "0")
+                                   "--attempts", str(rainbow.SEARCH_HEAD + 10), "--seed", "0")
     assert code == 4 and manifest is None
     error = one_error_line(captured)
     assert error["error"] == "AssertionError" and "accepted a failing coloring" in error["message"]
@@ -252,6 +252,30 @@ QUICK_PASS_LINES = [
     " [126, 180, 237, 296, 357]",
     "PASS  oracle-equivalence      40 colored graphs agree",
 ]
+
+
+FULL_STDOUT = "".join(line + "\n" for line in [
+    "PASS  tau-floor               35 groups, min 6*tau/|G| = 3/2 at D8",
+    "PASS  multipartite-structure  13 graphs match",
+    "PASS  fiber-expansion         4 natural maps verified",
+    "PASS  coloring-grid           24 grid points certified",
+    "PASS  triangle-exclusion      all 8 two-colorings fail, a 3-coloring passes",
+    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 112",
+    "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
+    "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
+    "PASS  inequality-chain        coarse exact on 114..2000, mid <= coarse through n = 300",
+    "PASS  rainbow3-threshold      kappa = 7, rc3 = 2 for D14, thresholds"
+    " [126, 180, 237, 296, 357]",
+    "PASS  oracle-equivalence      200 colored graphs agree",
+    '{"command": "reproduce", "inputs": {}, "outcome": {"criteria": 11, "failed": [],'
+    ' "passed": true}, "outputs": {}, "parameters": {"quick": false}}',
+])
+
+
+def test_reproduce_full_stdout_is_pinned(capsys):
+    """The full run's stdout, byte for byte: every PASS line and the manifest."""
+    assert main(["reproduce"]) == 0
+    assert capsys.readouterr().out == FULL_STDOUT
 
 
 def test_reproduce_quick(capsys):

@@ -259,6 +259,9 @@ def test_vertex_connectivity_examples():
     disconnected = graph_from_edges(4, [(0, 1), (2, 3)])
     assert vertex_connectivity(disconnected) == 0
     assert vertex_connectivity(edgeless_graph(1)) == 0
+    for g in (complete_graph(4), edgeless_graph(3), edgeless_graph(1)):
+        with pytest.raises(ValueError, match="at_most must be non-negative, not -1"):
+            vertex_connectivity(g, at_most=-1)
 
 
 @pytest.mark.parametrize("parts", [[1, 1, 2], [2, 2, 2], [3, 1, 1, 1], [2, 2, 6],
@@ -270,10 +273,20 @@ def test_multipartite_connectivity_formula(parts):
 
 
 def test_connectivity_against_brute_force():
+    """Random graphs, and the cases the flow loop meets with no code of
+    their own: n <= 1, edgeless, disconnected and complete, at every cap."""
+    k4_and_edge = graph_from_edges(6, list(complete_graph(4).edges) + [(4, 5)])
+    isolated_zero = graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    cases = [edgeless_graph(0), edgeless_graph(1), edgeless_graph(2), edgeless_graph(5),
+             complete_graph(2), complete_graph(3), complete_graph(6), k4_and_edge, isolated_zero]
     rng = random.Random(23)
     for trial in range(25):
-        g = random_graph(rng, rng.randint(2, 8), p=rng.choice([0.3, 0.5, 0.8]))
-        assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+        cases.append(random_graph(rng, rng.randint(2, 8), p=rng.choice([0.3, 0.5, 0.8])))
+    for g in cases:
+        kappa = brute_vertex_connectivity(g)
+        assert vertex_connectivity(g) == kappa
+        for k in range(g.vertex_count + 1):
+            assert vertex_connectivity(g, at_most=k) == min(kappa, k)
 
 
 def _assert_connectivity_matches_networkx(nx, g):

@@ -400,10 +400,11 @@ def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
     assert calls == [2]
 
 
-def test_search_decides_a_passing_attempt_zero_without_a_plan(monkeypatch):
-    """Attempt 0 is decided by the verifier's count alone, so a search it
-    ends, by passing or by a budget of one attempt, builds no row plan; a
-    passing attempt 0 returns that attempt's coloring."""
+def test_search_within_the_head_builds_no_plan(monkeypatch):
+    """Every head attempt is drawn and decided by the verifier's count, so a
+    search the head ends, by a winner or by a budget of at most SEARCH_HEAD
+    attempts that all fail (no 2-coloring of K3 is rainbow-2-connected),
+    builds no row plan; a winner is that attempt's coloring."""
     def no_plan(g, k):
         raise AssertionError("row plan built")
 
@@ -413,14 +414,18 @@ def test_search_decides_a_passing_attempt_zero_without_a_plan(monkeypatch):
     assert col.seed == 14
     assert col.edge_colors == random_two_coloring(g, 14).edge_colors
     assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
-    assert search_two_coloring(complete_graph(3), 2, 1, 0) is None  # one attempt, which fails
+    assert search_two_coloring(g, 2, 1000, 11).seed == 13
+    assert search_two_coloring(complete_multipartite([2, 2, 2]), 2, 800, 1799).seed == 1799 + 44
+    for budget in (1, 2, rainbow.SEARCH_HEAD):
+        assert search_two_coloring(complete_graph(3), 2, budget, 0) is None
 
 
-def test_search_builds_one_plan_when_attempt_zero_fails(monkeypatch):
-    """D14 at k = 3 from seed 1: attempt 0 fails, and the kernel, started
-    at attempt 1 with one row plan, finds the winner at attempt 45,483."""
+def test_search_builds_one_plan_when_the_head_fails(monkeypatch):
+    """D14 at k = 3 from seed 1: every head attempt fails, and the blocks,
+    read from one row plan, find the winner at attempt 45,483."""
     g14 = noncommuting_graph(dihedral(7)).graph
-    assert rainbow._short_pair(g14, random_two_coloring(g14, 1), 3) is not None
+    assert all(rainbow._short_pair(g14, random_two_coloring(g14, 1 + i), 3) is not None
+               for i in range(rainbow.SEARCH_HEAD))
     plans = []
     build = rainbow._search_plan
     monkeypatch.setattr(rainbow, "_search_plan", lambda g, k: plans.append(k) or build(g, k))
@@ -430,12 +435,13 @@ def test_search_builds_one_plan_when_attempt_zero_fails(monkeypatch):
 
 
 def test_search_guard_rejects_a_kernel_winner_past_attempt_zero(monkeypatch):
-    """A kernel that accepts only seed 7 wins at index 1 of the attempts it
-    decides, attempt 2 of a search from seed 5; on K3 every coloring fails
-    at k = 2, so the count rejects it."""
-    monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: s == 7)
+    """A kernel that accepts only seed 5 + SEARCH_HEAD + 2 wins at attempt
+    SEARCH_HEAD + 2 of a search from seed 5, the third of the first block;
+    on K3 every coloring fails at k = 2, so the count rejects it."""
+    monkeypatch.setattr(rainbow, "_attempt_passes",
+                        lambda plan, s: s == 5 + rainbow.SEARCH_HEAD + 2)
     with pytest.raises(AssertionError, match="search accepted a failing coloring at"):
-        search_two_coloring(complete_graph(3), 2, 10, 5)
+        search_two_coloring(complete_graph(3), 2, rainbow.SEARCH_HEAD + 10, 5)
 
 
 @pytest.mark.parametrize("g, k", [(complete_graph(3), 2),
@@ -443,4 +449,4 @@ def test_search_guard_rejects_a_kernel_winner_past_attempt_zero(monkeypatch):
 def test_search_guard_rejects_what_a_broken_kernel_accepts(monkeypatch, g, k):
     monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: True)
     with pytest.raises(AssertionError, match="search accepted a failing coloring at"):
-        search_two_coloring(g, k, 10, 0)
+        search_two_coloring(g, k, rainbow.SEARCH_HEAD + 10, 0)

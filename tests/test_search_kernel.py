@@ -3,11 +3,13 @@
 Attempt s of the search must pass exactly when the coloring
 random_two_coloring(g, s) passes the mask-based pair check of
 tests/util.py. The row kernel is asked for the verdict of every attempt
-in a range, and whole searches through `_first_passing`, which decides a
-head of attempts one by one and then switches to prefiltered blocks, are
-restarted after each success, so every verdict in a range is compared,
-not only the first success. Each prefiltered block must keep every
-passing attempt, and the prefilter must keep exactly the attempts whose
+in a range. Whole searches through `search_two_coloring` are restarted
+after each success, so every verdict in a range is compared, not only the
+first success: the search decides a head of SEARCH_HEAD attempts by the
+verifier's count, and then prefiltered blocks by the row kernel. A search
+that finds k above the vertex connectivity, where no attempt can pass,
+counts as finding none. Each prefiltered block must keep every passing
+attempt, and the prefilter must keep exactly the attempts whose
 non-adjacent pairs all have k rainbow 2-paths. The oracle's verdicts are
 computed once per (graph, k, seed, count) and shared by the checks.
 """
@@ -24,7 +26,7 @@ from ncrainbow.colorings import random_two_coloring, splitmix64
 from ncrainbow.graphs import complete_graph, edgeless_graph, graph_from_edges
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
-from ncrainbow.rainbow import SEARCH_BLOCK, SEARCH_HEAD, search_two_coloring
+from ncrainbow.rainbow import SEARCH_BLOCK, SEARCH_HEAD, PreconditionKappa, search_two_coloring
 from util import complement, two_color_failure_pair
 
 MASK64 = (1 << 64) - 1
@@ -68,8 +70,12 @@ def assert_blocks_match(g, k, seed, verdicts):
 
 def assert_search_matches(g, k, seed, verdicts):
     def search(start):
-        found = rainbow._first_passing(g, k, len(verdicts) - start, seed + start)
-        return None if found is None else start + found
+        try:
+            col = search_two_coloring(g, k, len(verdicts) - start, seed + start)
+        except PreconditionKappa:
+            assert not any(verdicts[start:])
+            return None
+        return None if col is None else col.seed - seed
 
     restarts(verdicts, search)
 
@@ -173,10 +179,9 @@ def test_prefilter_keeps_exactly_the_attempts_whose_nonadjacent_pairs_pass(g, wi
 
 
 def test_stop_inside_a_block():
-    winner = rainbow._first_passing(D18, 3, 5000, 0)
-    assert winner is not None and winner > SEARCH_HEAD and (winner - SEARCH_HEAD) % SEARCH_BLOCK
-    assert rainbow._first_passing(D18, 3, winner, 0) is None
-    assert rainbow._first_passing(D18, 3, winner + 1, 0) == winner
+    winner = search_two_coloring(D18, 3, 5000, 0).seed
+    assert winner > SEARCH_HEAD and (winner - SEARCH_HEAD) % SEARCH_BLOCK
+    assert search_two_coloring(D18, 3, winner, 0) is None
     assert search_two_coloring(D18, 3, winner + 1, 0).seed == winner
 
 

@@ -4,6 +4,7 @@ memory that does not follow the color count a header declares."""
 import contextlib
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -99,6 +100,27 @@ def test_coloring_round_trip(col):
         write_coloring_file(col, path)
         back = read_coloring_file(path, col.graph)
     assert (back.color_count, back.edge_colors) == (col.color_count, col.edge_colors)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None], ids=repr)
+def test_entries_and_colors_that_are_not_ints_are_refused(tmp_path, bad):
+    """A bool passes isinstance(x, int) but is written as True or False,
+    which no reader takes back; a table entry, a color or a color count
+    that is not an int is refused, and the int version round-trips."""
+    with pytest.raises(ValueError, match=re.escape(f"row 1 contains {bad!r}, not an int in 0..1")):
+        group_from_cayley_table([[0, 1], [bad, 0]])
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match=re.escape(f"color {bad!r} is not an int")):
+        EdgeColoring(g, 2, [bad, 2, 2])
+    with pytest.raises(ValueError, match="at least one color"):
+        EdgeColoring(g, bad, [1, 1, 1])
+    group = group_from_cayley_table([[0, 1], [1, 0]])
+    write_cayley_table(group, tmp_path / "z2.cay")
+    assert load_cayley_table(tmp_path / "z2.cay").table == group.table
+    col = EdgeColoring(g, 2, [1, 2, 2])
+    write_coloring_file(col, tmp_path / "k3.col")
+    back = read_coloring_file(tmp_path / "k3.col", g)
+    assert (back.color_count, back.edge_colors) == (2, (1, 2, 2))
 
 
 def test_writer_refuses_names_that_do_not_survive_splitting(tmp_path):
