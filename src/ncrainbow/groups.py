@@ -1,10 +1,13 @@
 """Finite groups as validated Cayley tables.
 
 Elements are indices 0..order-1 with the identity pinned at index 0.
-Every constructor routes through the same exhaustive validation (Latin
-square, identity, inverses, and associativity by Light's test over a
-generating set in O(n^2 log n)), so a `Group` instance can be assumed
-lawful everywhere downstream. Groups are immutable.
+Every constructor routes through the same exhaustive validation, so a
+`Group` instance can be assumed lawful everywhere downstream: Latin rows,
+then the identity, then associativity by Light's test over a generating
+set in O(n^2 log n). Latin rows, an identity and associativity make a
+group, and a group's columns are Latin, so the columns are checked only
+when the identity or Light's test fails, to name a bad column first.
+Groups are immutable.
 """
 
 from __future__ import annotations
@@ -111,38 +114,56 @@ class Group:
 def _validate_table(table: list[list[int]], name: str) -> None:
     """Raise the matching GroupError unless table is a group with identity 0.
 
-    Latin square and identity take O(n^2). They also give the inverses:
-    row i is a permutation, so some j has i*j = 0. Associativity is
-    Light's test (Rajagopalan & Schulman, SIAM J. Comput. 29, 2000):
-    (x*y)*s == x*(y*s) for s in a generating set S, as two length-n row
-    comparisons per (x, s), which is O(n^2 |S|) with |S| <= log2 n. A
-    violation names one failing triple.
+    The passes run in this order, each O(n^2) or less:
+    - Latin rows: each row has n entries and its set is {0..n-1};
+    - identity: row 0 and column 0 are 0..n-1;
+    - associativity by Light's test (Rajagopalan & Schulman, SIAM J.
+      Comput. 29, 2000): (x*y)*s == x*(y*s) for s in a generating set S,
+      |S| <= log2 n, as one length-n column comparison per (s, y) on the
+      transpose, O(n^2 |S|). A violation names the first failing triple
+      by s in S, then x, then y.
+    Latin rows give the inverses: row i is a permutation, so some j has
+    i*j = 0. Latin rows, identity 0 and associativity make a group, and a
+    group's columns are permutations. So the Latin column check runs only
+    when the identity or Light's test fails, before that error is raised:
+    a table with Latin rows and a bad column is refused as NotLatinSquare
+    naming its first bad column, whatever else is wrong with it.
     """
     n = len(table)
-    expected, elements = list(range(n)), set(range(n))
+    elements = set(range(n))
     for i, row in enumerate(table):
         if len(row) != n or set(row) != elements:
             raise NotLatinSquare(f"{name}: row {i} is not a permutation of 0..{n - 1}")
-    for j, col in enumerate(zip(*table)):
-        if set(col) != elements:  # n entries, one per row
-            raise NotLatinSquare(f"{name}: column {j} is not a permutation of 0..{n - 1}")
-    if list(table[0]) != expected or any(table[i][0] != i for i in range(n)):
+    cols = list(zip(*table))  # cols[y][x] = x*y
+    if list(table[0]) != list(range(n)) or cols[0] != tuple(range(n)):
+        _check_columns(cols, name)
         raise NoIdentity(f"{name}: index 0 is not a two-sided identity")
     # Light's test: the z with (x*y)*z == x*(y*z) for all x, y include the
     # identity and are closed under products, so checking z over a set
-    # that generates the table suffices; itemgetter(*row)(col) composes in C.
-    row_getters = [itemgetter(*row) for row in table]
+    # that generates the table suffices. Over x, (x*y)*s is column s read
+    # through column y, composed in C by itemgetter, and x*(y*s) is column
+    # y*s. A one-element table has S empty, so each getter gets n >= 2
+    # indices and returns a tuple.
     for s in _generating_set(table):
-        col = tuple(row[s] for row in table)
-        col_getter = itemgetter(*col)
-        for x, (row, row_getter) in enumerate(zip(table, row_getters)):
-            lhs = row_getter(col)  # (x*y)*s over y
-            rhs = col_getter(row)  # x*(y*s) over y
-            if lhs != rhs:
-                y = next(y for y in range(n) if lhs[y] != rhs[y])
+        col_s = cols[s]
+        for y, col_y in enumerate(cols):
+            if itemgetter(*col_y)(col_s) != cols[table[y][s]]:
+                _check_columns(cols, name)
+                x, y = next((x, y) for x in range(n) for y in range(n)
+                            if col_s[table[x][y]] != table[x][col_s[y]])
                 raise AssociativityViolation(
-                    f"{name}: ({x}*{y})*{s} = {lhs[y]} but {x}*({y}*{s}) = {rhs[y]}"
+                    f"{name}: ({x}*{y})*{s} = {col_s[table[x][y]]}"
+                    f" but {x}*({y}*{s}) = {table[x][col_s[y]]}"
                 )
+
+
+def _check_columns(cols: list[tuple[int, ...]], name: str) -> None:
+    """Raise NotLatinSquare naming the first column that is not a permutation."""
+    n = len(cols)
+    elements = set(range(n))
+    for j, col in enumerate(cols):
+        if set(col) != elements:  # n entries, one per row
+            raise NotLatinSquare(f"{name}: column {j} is not a permutation of 0..{n - 1}")
 
 
 def _generating_set(table: list[list[int]]) -> list[int]:
@@ -299,10 +320,20 @@ def semidirect_product(n: Group, h: Group, action: Sequence[Sequence[int]]) -> G
 
     ``action[y]`` is the automorphism applied by h-element y, given as a
     permutation of n's element indices. The product rule is
-    (x1, y1)(x2, y2) = (x1 * action[y1](x2), y1 y2).
+    (x1, y1)(x2, y2) = (x1 * action[y1](x2), y1 y2). An action that is not a
+    list of lists of ints is refused with ValueError (a bool is no int).
     """
+    if not isinstance(action, (list, tuple)):
+        raise ValueError(f"action must be a list of {h.order} permutations, "
+                         f"not {type(action).__name__}")
     if len(action) != h.order:
         raise ValueError(f"need {h.order} automorphisms, got {len(action)}")
+    for y, p in enumerate(action):
+        if not isinstance(p, (list, tuple)):
+            raise ValueError(f"action[{y}] must be a list of ints, not {type(p).__name__}")
+        for x in p:
+            if type(x) is not int:
+                raise ValueError(f"action[{y}] contains {x!r}, not an int")
     perms = [list(p) for p in action]
     ident = list(range(n.order))
     for y, p in enumerate(perms):

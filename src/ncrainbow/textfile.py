@@ -1,6 +1,9 @@
 """The one reader and writer of the `.cay`, `.graph` and `.col` text files:
 a header line ``<keyword> <int> ...``, an optional names line and one line
 of ints per record. Blank lines are ignored and keywords are whole tokens.
+Record tokens are read through a table of the canonical decimals
+``"0"``..``"r-1"`` (r records), and a line with any other token through
+``int()``, so both paths give the same ints and the same errors.
 """
 
 from __future__ import annotations
@@ -32,7 +35,17 @@ def read(path: str | Path, header: str, names_keyword: str | None, width: int | 
         names = None
         if len(lines) > 1 and lines[1].split(None, 1)[0] == names_keyword:
             names = lines.pop(1).split()[1:]
-        rows = [list(map(int, ln.split())) for ln in lines[1:]]
+        # A token is looked up among the canonical decimals "0".."r-1", r the
+        # number of rows read; a line holding any other spelling goes through
+        # int(), which gives the same value or the same error.
+        canonical = {str(i): i for i in range(len(lines) - 1)}.__getitem__
+        rows = []
+        for ln in lines[1:]:
+            tokens = ln.split()
+            try:
+                rows.append(list(map(canonical, tokens)))
+            except KeyError:
+                rows.append(list(map(int, tokens)))
         for ln, row in zip(lines[1:], rows):
             if width is not None and len(row) != width:
                 raise ValueError(f"line {ln.strip()!r} is not {width} integers")

@@ -238,6 +238,26 @@ def test_semidirect_build(tmp_path, capsys):
     assert manifest["outcome"]["center_size"] == 1
 
 
+@pytest.mark.parametrize("action,message", [
+    ([[0, 1, 2], [0, 2, 1.0]], "action[1] contains 1.0, not an int"),
+    ([[0, 1, 2], [0, 2, "1"]], "action[1] contains '1', not an int"),
+    ([[0, 1, 2], [0, 2, [1]]], "action[1] contains [1], not an int"),
+    ([[0, 1, 2], [0, 2, True]], "action[1] contains True, not an int"),
+    (5, "action must be a list of 2 permutations, not int"),
+])
+def test_semidirect_refuses_a_malformed_action(tmp_path, capsys, action, message):
+    z3, z2, path = tmp_path / "z3.cay", tmp_path / "z2.cay", tmp_path / "action.json"
+    run(capsys, "group", "build", "--family", "cyclic", "--params", "3", "--out", str(z3))
+    run(capsys, "group", "build", "--family", "cyclic", "--params", "2", "--out", str(z2))
+    path.write_text(json.dumps(action))
+    out = tmp_path / "s3.cay"
+    code, manifest, captured = run(capsys, "group", "build", "--family", "semidirect",
+                                   "--left", str(z3), "--right", str(z2),
+                                   "--action", str(path), "--out", str(out))
+    assert code == 2 and manifest is None and not out.exists()
+    assert one_error_line(captured) == {"error": "ValueError", "message": message}
+
+
 QUICK_PASS_LINES = [
     "PASS  tau-floor               35 groups, min 6*tau/|G| = 3/2 at D8",
     "PASS  multipartite-structure  13 graphs match",

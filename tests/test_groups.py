@@ -179,6 +179,23 @@ def test_semidirect_rejects_bad_action():
         semidirect_product(z3, cyclic(2), [ident, [1, 0, 2]])
 
 
+@pytest.mark.parametrize("action,message", [
+    ([[0, 1, 2], [0, 2, 1.0]], "action[1] contains 1.0, not an int"),
+    ([[0, 1, 2], [0, 2, "1"]], "action[1] contains '1', not an int"),
+    ([[0, 1, 2], [0, 2, [1]]], "action[1] contains [1], not an int"),
+    ([[0, 1, 2], [0, 2, True]], "action[1] contains True, not an int"),
+    ([[False, 1, 2], [0, 2, 1]], "action[0] contains False, not an int"),
+    ([[0, 1, 2], 5], "action[1] must be a list of ints, not int"),
+    (5, "action must be a list of 2 permutations, not int"),
+    ({0: [0, 1, 2], 1: [0, 2, 1]}, "action must be a list of 2 permutations, not dict"),
+], ids=repr)
+def test_semidirect_refuses_an_action_that_is_not_lists_of_ints(action, message):
+    """A bool is no int: [0, 2, True] once passed as the inversion of Z3."""
+    with pytest.raises(ValueError) as info:
+        semidirect_product(cyclic(3), cyclic(2), action)
+    assert str(info.value) == message
+
+
 def test_central_products():
     d8 = dihedral(4)
     q8 = dicyclic(2)
