@@ -109,7 +109,7 @@ def test_bad_tokens_keep_the_int_message(tmp_path, suffix, header, width, text, 
     assert str(info.value) == f"{path}: invalid literal for int() with base 10: '{token}'"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)),
                          min_size=1, max_size=6), min_size=1, max_size=8))
 def test_any_spelling_reads_as_int(cells):
