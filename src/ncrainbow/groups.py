@@ -72,14 +72,19 @@ class Group:
     names: tuple[str, ...]
     name: str = "G"
 
+    def _element(self, a: int) -> int:
+        if not 0 <= a < self.order:  # a negative a would wrap
+            raise IndexError(f"element {a} out of range for order {self.order}")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table[self._element(a)][self._element(b)]
 
     def inverse(self, a: int) -> int:
-        return self.table[a].index(0)
+        return self.table[self._element(a)].index(0)
 
     def element_order(self, a: int) -> int:
-        t, power = 1, a
+        t, power = 1, self._element(a)
         while power != 0:
             power = self.table[power][a]
             t += 1
@@ -92,9 +97,7 @@ class Group:
     def centralizer_mask(self, g: int) -> int:
         """Elements commuting with g, as a mask; always a subgroup containing
         the center."""
-        if not 0 <= g < self.order:  # a negative g would wrap
-            raise IndexError(f"element {g} out of range for order {self.order}")
-        return self._centralizer_masks[g]
+        return self._centralizer_masks[self._element(g)]
 
     @cached_property
     def _centralizer_masks(self) -> tuple[int, ...]:

@@ -12,14 +12,9 @@ rows, covers the pairs (x, y > x), and each pair is decided and its
 paths built from it, until the first pair short of k. A coloring with
 three or more colors in use is refused with ValueError.
 
-Certificates returned by the verifier are always re-checked by an
-independent validator that shares no code with the verifier. The
-verifier reads the coloring's per-color masks (``col.masks``); the
-validator reads only the color list ``col.edge_colors``, so a fault in
-building the masks cannot make both agree on a bad certificate. The
-validator takes any number of colors. It makes one linear pass over each
-pair's paths, and checks a path of one or two edges straight-line, with
-the same checks and messages as its per-edge loop for longer paths.
+The verifier reads the coloring's per-color masks (``col.masks``), and
+every certificate it returns is re-checked by check.validate_certificate,
+which reads only the color list and shares no code with this module.
 
 The search runs in the calling process and returns the lowest passing
 attempt index, in two phases with one decider each. The head, the first
@@ -44,6 +39,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .check import validate_certificate
 from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
                         random_two_coloring)
 from .graphs import Graph, connectivity_at_least, iter_bits
@@ -162,101 +158,6 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     cert = RainbowCertificate(k, per_pair)
     validate_certificate(g, col, cert)
     return cert
-
-
-def validate_certificate(g: Graph, col: EdgeColoring, cert: RainbowCertificate) -> None:
-    """Independent re-check of a certificate; raises ValueError on any defect.
-
-    Deliberately shares no code with the verifier: path validity, rainbow
-    condition, pairwise internal disjointness, and pair coverage are all
-    rederived from the adjacency rows and the color list
-    ``col.edge_colors`` alone, never from ``col.masks``, for any number
-    of colors. Pair keys and path vertices must be ints in 0..n-1 (a bool
-    is not one), and a pair's paths and each path must be tuples. Each
-    pair takes one pass over its paths: the interiors go into one set,
-    and they are pairwise disjoint exactly when its size is the sum of
-    their lengths. A path of one or two edges, all that a
-    certificate on two colors holds, is checked straight-line: endpoints,
-    vertices, a middle distinct from both, its two edges, and their two
-    colors, in the order and with the messages of the per-edge loop that
-    checks longer paths.
-    """
-    if col.graph is not g and col.graph.adj != g.adj:
-        raise ValueError("coloring belongs to a different graph")
-    adj = g.adj
-    n = g.vertex_count
-    colors_at: list[dict[int, int]] = [{} for _ in range(n)]  # a -> b -> color
-    for (a, b), c in col.assignment().items():
-        colors_at[a][b] = colors_at[b][a] = c
-    if len(cert.per_pair) != n * (n - 1) // 2:
-        raise ValueError("certificate does not cover every vertex pair")
-    for pair, paths in cert.per_pair.items():
-        # with the count above: exactly the pairs x < y
-        if not (type(pair) is tuple and len(pair) == 2
-                and type(pair[0]) is type(pair[1]) is int and 0 <= pair[0] < pair[1] < n):
-            raise ValueError("certificate does not cover every vertex pair")
-        x, y = pair
-        if type(paths) is not tuple:
-            raise ValueError(f"pair ({x},{y}) does not list its paths as a tuple")
-        if len(paths) < cert.k:
-            raise ValueError(f"pair ({x},{y}) lists {len(paths)} < {cert.k} paths")
-        try:
-            repeated = len(set(paths)) != len(paths)
-        except TypeError:  # an unhashable path or vertex, which the loop below refuses
-            repeated = False
-        if repeated:
-            raise ValueError(f"pair ({x},{y}) lists a path twice")
-        inside: set[int] = set()
-        inside_count = 0
-        for p in paths:
-            if type(p) is not tuple:
-                raise ValueError(f"path {p} is not a tuple")
-            # the checks of the loop below, straight-line for one and two
-            # edges; an endpoint equal to x or y is in range, and with x < y
-            # one edge cannot repeat a vertex or a color
-            if len(p) == 2:
-                a, b = p
-                if a != x or b != y:
-                    raise ValueError(f"path {p} does not join ({x},{y})")
-                if not type(a) is type(b) is int:
-                    raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
-                if not adj[a] >> b & 1:
-                    raise ValueError(f"path {p} uses non-edge ({a},{b})")
-                continue
-            if len(p) == 3:
-                a, w, b = p
-                if a != x or b != y:
-                    raise ValueError(f"path {p} does not join ({x},{y})")
-                if not (type(a) is type(w) is type(b) is int and 0 <= w < n):
-                    raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
-                if w == a or w == b:
-                    raise ValueError(f"path {p} repeats a vertex")
-                if not adj[a] >> w & 1:
-                    raise ValueError(f"path {p} uses non-edge ({a},{w})")
-                if not adj[w] >> b & 1:
-                    raise ValueError(f"path {p} uses non-edge ({w},{b})")
-                if colors_at[a][w] == colors_at[w][b]:
-                    raise ValueError(f"path {p} repeats a color")
-                inside.add(w)
-                inside_count += 1
-                continue
-            if len(p) < 2 or p[0] != x or p[-1] != y:
-                raise ValueError(f"path {p} does not join ({x},{y})")
-            if not all(type(v) is int and 0 <= v < n for v in p):
-                raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
-            if len(set(p)) != len(p):
-                raise ValueError(f"path {p} repeats a vertex")
-            colors = set()
-            for a, b in zip(p, p[1:]):
-                if not adj[a] >> b & 1:
-                    raise ValueError(f"path {p} uses non-edge ({a},{b})")
-                colors.add(colors_at[a][b])
-            if len(colors) != len(p) - 1:
-                raise ValueError(f"path {p} repeats a color")
-            inside.update(p[1:-1])
-            inside_count += len(p) - 2
-        if len(inside) != inside_count:
-            raise ValueError(f"paths for ({x},{y}) share internal vertices")
 
 
 SEARCH_HEAD = 64  # attempts decided by the verifier's count before any plan is built

@@ -22,22 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
 
 from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, mid_bound,
                      scan_exception_report, threshold_for_k)
+from .check import brute_force_vertex_connectivity, short_rainbow_counts, validate_certificate
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
 from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complete_graph,
-                     detect_complete_multipartite, graph_from_edges, iter_bits,
-                     vertex_connectivity)
+                     detect_complete_multipartite, graph_from_edges, vertex_connectivity)
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
                      direct_product, load_cayley_table, metacyclic, semidirect_product)
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
                       certify_rc2, is_rainbow_k_connected, search_two_coloring,
-                      short_rainbow_paths, validate_certificate)
+                      short_rainbow_paths)
 
 
 @dataclass(frozen=True)
@@ -362,54 +361,13 @@ def _random_test_graph(stream, max_vertices: int = 12) -> tuple[Graph, EdgeColor
     return graph, EdgeColoring(graph, 2, colors)
 
 
-def brute_force_rainbow_counts(coloring: EdgeColoring) -> dict[tuple[int, int], int]:
-    """Reference count of the rainbow x-y paths of a coloring on at most
-    two colors, for each pair x < y, from its color list alone: the direct
-    edge, plus each common neighbor w whose edges x-w and w-y differ in
-    color. No longer path is rainbow on two colors."""
-    n = coloring.graph.vertex_count
-    color: dict[tuple[int, int], int] = {}
-    for (a, b), c in coloring.assignment().items():
-        color[a, b] = color[b, a] = c
-    counts = {}
-    for x, y in combinations(range(n), 2):
-        middles = [w for w in range(n) if (x, w) in color and (w, y) in color
-                   and color[x, w] != color[w, y]]
-        counts[x, y] = ((x, y) in color) + len(middles)
-    return counts
-
-
-def brute_force_vertex_connectivity(g: Graph) -> int:
-    """Reference kappa by enumerating all candidate cut sets."""
-    n = g.vertex_count
-    if n <= 1:
-        return 0
-    for size in range(n - 1):
-        for cut in combinations(range(n), size):
-            keep = [v for v in range(n) if v not in cut]
-            if len(keep) < 2:
-                continue
-            seen = {keep[0]}
-            stack = [keep[0]]
-            keep_set = set(keep)
-            while stack:
-                v = stack.pop()
-                for w in iter_bits(g.adj[v]):
-                    if w in keep_set and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(keep):
-                return size
-    return n - 1
-
-
 def check_oracle_equivalence(quick: bool) -> CriterionResult:
     stream = splitmix64(2024)
     problems = []
     rounds = 40 if quick else 200
     for _ in range(rounds):
         graph, coloring = _random_test_graph(stream)
-        for (x, y), slow in brute_force_rainbow_counts(coloring).items():
+        for (x, y), slow in short_rainbow_counts(coloring):
             if len(short_rainbow_paths(graph, coloring, x, y)) != slow:
                 problems.append(f"path count differs at ({x},{y})")
     for _ in range(rounds // 8):

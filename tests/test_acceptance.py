@@ -12,6 +12,8 @@ import pytest
 
 from ncrainbow.bounds import (coarse_bound, coarse_bound_holds, failure_bound,
                               mid_bound, threshold_for_k)
+from ncrainbow.check import (brute_force_vertex_connectivity as brute_vertex_connectivity,
+                             short_rainbow_counts)
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring)
 from ncrainbow.graphs import (are_isomorphic, complete_graph, detect_complete_multipartite,
@@ -21,9 +23,8 @@ from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
                                is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
                                short_rainbow_paths, validate_certificate)
-from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, brute_force_rainbow_counts,
-                                 brute_force_vertex_connectivity as brute_vertex_connectivity,
-                                 certify_by_structure, standard_suite)
+from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, certify_by_structure,
+                                 standard_suite)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +200,7 @@ def test_criterion_11_oracle_equivalence():
                  if rng.random() < 0.5]
         g = graph_from_edges(n, edges)
         coloring = EdgeColoring(g, 2, [rng.choice([1, 2]) for _ in edges])
-        for (x, y), slow in brute_force_rainbow_counts(coloring).items():
+        for (x, y), slow in short_rainbow_counts(coloring):
             assert len(short_rainbow_paths(g, coloring, x, y)) == slow, (trial, x, y)
     checked = 0
     for trial in range(30):

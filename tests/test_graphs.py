@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ncrainbow import graphs
+from ncrainbow.check import brute_force_vertex_connectivity as brute_vertex_connectivity
 from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_isomorphic,
                               complete_graph, complete_multipartite,
                               detect_complete_multipartite, edgeless_graph,
@@ -10,7 +11,6 @@ from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_is
                               read_graph_file, vertex_connectivity, write_graph_file)
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
-from ncrainbow.reproduce import brute_force_vertex_connectivity as brute_vertex_connectivity
 from util import brute_isomorphic, complement, recursive_are_isomorphic
 
 

@@ -239,6 +239,34 @@ def test_centralizer_mask_rejects_out_of_range(bad):
         dihedral(3).centralizer_mask(bad)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (6, 0), (0, 6)])
+def test_mul_rejects_out_of_range(a, b):
+    """A negative element must not wrap to the last row: mul(-1, 0) on D6 would be 5."""
+    d6 = dihedral(3)
+    with pytest.raises(IndexError, match="out of range for order 6"):
+        d6.mul(a, b)
+    assert [d6.mul(5, x) for x in range(6)] == list(d6.table[5])
+
+
+@pytest.mark.parametrize("bad", [-1, -6, 6])
+def test_inverse_rejects_out_of_range(bad):
+    """A negative element must not wrap to the last row: inverse(-1) on D6 would be 5."""
+    d6 = dihedral(3)
+    with pytest.raises(IndexError, match="out of range for order 6"):
+        d6.inverse(bad)
+    assert all(d6.mul(x, d6.inverse(x)) == 0 for x in range(6))
+
+
+@pytest.mark.parametrize("bad", [-1, -6, 6])
+def test_element_order_rejects_out_of_range(bad):
+    """A negative element must not wrap to the last row: element_order(-1) on D6
+    would be 2."""
+    d6 = dihedral(3)
+    with pytest.raises(IndexError, match="out of range for order 6"):
+        d6.element_order(bad)
+    assert [d6.element_order(x) for x in range(6)] == [1, 3, 3, 2, 2, 2]
+
+
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dicyclic(2),
                                    metacyclic(8, 3), direct_product(dihedral(3), cyclic(3))])
 def test_centralizer_contains_center_and_divides(group):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
 from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
@@ -13,9 +14,7 @@ from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKap
                                RainbowCertificate, certify_rc2, is_rainbow_k_connected,
                                rc_lower_bound, search_two_coloring, short_rainbow_paths,
                                validate_certificate, write_certificate)
-from ncrainbow.reproduce import brute_force_rainbow_counts
-from util import (brute_simple_paths, counting_validator, recursive_disjoint_count,
-                  two_color_failure_pair)
+from util import brute_simple_paths, counting_validator, first_short_pair
 
 
 def colored(g, colors):
@@ -88,13 +87,17 @@ def test_enumerate_matches_brute_force():
 
 
 def test_short_paths_are_disjoint_and_complete():
+    """short_rainbow_paths lists exactly the rainbow paths of at most two
+    edges, each once, and no two share an internal vertex."""
     g, col = multipartite_two_coloring(PartitionSpec(1, 4, 1))
     for x in range(5):
         for y in range(x + 1, 5):
             paths = short_rainbow_paths(g, col, x, y)
             rainbow = [p for p in brute_simple_paths(g, x, y, max_len=2)
                        if len({col.color_of(a, b) for a, b in zip(p, p[1:])}) == len(p) - 1]
-            assert len(paths) == recursive_disjoint_count(rainbow)
+            assert len(paths) == len(set(paths)) and set(paths) == set(rainbow)
+            interiors = [v for p in paths for v in p[1:-1]]
+            assert len(interiors) == len(set(interiors))
 
 
 def test_k4_coloring_certificate():
@@ -132,9 +135,9 @@ def test_fast_count_matches_backtracking():
     rng = random.Random(13)
     for _ in range(60):
         g, col = random_colored_graph(rng)
-        for (x, y), count in brute_force_rainbow_counts(col).items():
+        for (x, y), count in short_rainbow_counts(col):
             assert len(short_rainbow_paths(g, col, x, y)) == count
-        witness = two_color_failure_pair(g, col, 2)
+        witness = first_short_pair(col, 2)
         checked = is_rainbow_k_connected(g, col, 2)
         assert (witness is None) == isinstance(checked, RainbowCertificate)
         if witness is not None:
@@ -284,7 +287,7 @@ def test_search_deterministic_and_lowest_index():
     assert a is not None and a.edge_colors == b.edge_colors
     for i in range(a.seed - 9):
         early = random_two_coloring(g, 9 + i)
-        assert two_color_failure_pair(g, early, 2) is not None
+        assert first_short_pair(early, 2) is not None
 
 
 def test_search_immediate_and_exhausted():

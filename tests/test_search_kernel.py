@@ -1,17 +1,18 @@
 """The search kernel against the coloring it stands for.
 
 Attempt s of the search must pass exactly when the coloring
-random_two_coloring(g, s) passes the mask-based pair check of
-tests/util.py. The row kernel is asked for the verdict of every attempt
-in a range. Whole searches through `search_two_coloring` are restarted
-after each success, so every verdict in a range is compared, not only the
-first success: the search decides a head of SEARCH_HEAD attempts by the
-verifier's count, and then prefiltered blocks by the row kernel. A search
-that finds k above the vertex connectivity, where no attempt can pass,
-counts as finding none. Each prefiltered block must keep every passing
-attempt, and the prefilter must keep exactly the attempts whose
-non-adjacent pairs all have k rainbow 2-paths. The oracle's verdicts are
-computed once per (graph, k, seed, count) and shared by the checks.
+random_two_coloring(g, s) passes the pair count of ncrainbow.check,
+which reads the color list and not the masks. The row kernel is asked
+for the verdict of every attempt in a range. Whole searches through
+`search_two_coloring` are restarted after each success, so every verdict
+in a range is compared, not only the first success: the search decides
+a head of SEARCH_HEAD attempts by the verifier's count, and then
+prefiltered blocks by the row kernel. A search that finds k above the
+vertex connectivity, where no attempt can pass, counts as finding none.
+Each prefiltered block must keep every passing attempt, and the
+prefilter must keep exactly the attempts whose non-adjacent pairs all
+have k rainbow 2-paths. The oracle's verdicts are computed once per
+(graph, k, seed, count) and shared by the checks.
 """
 
 import random
@@ -22,18 +23,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncrainbow import rainbow
+from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import random_two_coloring, splitmix64
 from ncrainbow.graphs import complete_graph, edgeless_graph, graph_from_edges
 from ncrainbow.groups import dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow.rainbow import SEARCH_BLOCK, SEARCH_HEAD, PreconditionKappa, search_two_coloring
-from util import complement, two_color_failure_pair
+from util import complement, first_short_pair
 
 MASK64 = (1 << 64) - 1
 
 
 def oracle_verdicts(g, k, seed, count):
-    return [two_color_failure_pair(g, random_two_coloring(g, seed + i), k) is None
+    return [first_short_pair(random_two_coloring(g, seed + i), k) is None
             for i in range(count)]
 
 
@@ -82,12 +84,8 @@ def assert_search_matches(g, k, seed, verdicts):
 
 def prefilter_passes(g, k, s):
     """Every non-adjacent pair of random_two_coloring(g, s) has k rainbow 2-paths."""
-    col = random_two_coloring(g, s)
-    absent = (0,) * g.vertex_count
-    m1, m2 = col.masks.get(1, absent), col.masks.get(2, absent)
-    n = g.vertex_count
-    return all(((m1[a] & m2[u]) | (m2[a] & m1[u])).bit_count() >= k
-               for u in range(n) for a in range(u) if not g.adj[a] >> u & 1)
+    return all(count >= k for (a, u), count in short_rainbow_counts(random_two_coloring(g, s))
+               if not g.adj[a] >> u & 1)
 
 
 @st.composite

@@ -4,7 +4,7 @@ For one and two colors, `is_rainbow_k_connected` counts each pair's
 rainbow paths by a popcount and builds only the k paths it keeps. Its
 certificate must list, for every pair, the first k entries of
 `short_rainbow_paths`, and a failing coloring must be reported at the
-first pair the mask oracle of tests/util.py finds, with the number of
+first pair the count of ncrainbow.check finds short, with the number of
 short rainbow paths that pair has. A coloring may declare up to five
 colors and use any one or two of them.
 """
@@ -21,7 +21,7 @@ from ncrainbow.graphs import complete_graph, graph_from_edges
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, is_rainbow_k_connected,
                                short_rainbow_paths)
-from util import reference_two_color_paths, two_color_failure_pair
+from util import first_short_pair, reference_two_color_paths
 
 
 @st.composite
@@ -46,10 +46,7 @@ K16 = complete_graph(16)
 def test_verifier_matches_short_paths(graph_and_coloring, k):
     g, col = graph_and_coloring
     result = is_rainbow_k_connected(g, col, k)
-    # the oracle counts over colors 1 and 2, so the colors in use are renamed
-    # 1 and 2
-    rename = {c: i for i, c in enumerate(sorted(col.masks), 1)}
-    pair = two_color_failure_pair(g, EdgeColoring(g, 2, [rename[c] for c in col.edge_colors]), k)
+    pair = first_short_pair(col, k)
     if pair is None:
         n = g.vertex_count
         assert sorted(result.per_pair) == [(x, y) for x in range(n) for y in range(x + 1, n)]
@@ -100,14 +97,14 @@ def test_k4_example_is_lifted_by_direct_edges_only():
 @example((K4, K4_LIFTED), 2)
 @example((K16, random_two_coloring(K16, 1)), 4)
 @example((K16, random_two_coloring(K16, 2)), 4)
-def test_short_pair_witness_is_the_mask_oracle_pair(graph_and_coloring, k):
+def test_short_pair_witness_is_the_oracle_pair(graph_and_coloring, k):
     """The search's count, which skips a row whose every pair has k
     middles and counts the direct edge only in the rows it scans, fails
-    at the first pair tests/util.py's mask oracle finds, with the number
-    of short rainbow paths that pair has."""
+    at the first pair the count of ncrainbow.check finds short, with the
+    number of short rainbow paths that pair has."""
     g, col = graph_and_coloring
     witness = rainbow._short_pair(g, col, k)
-    pair = two_color_failure_pair(g, col, k)
+    pair = first_short_pair(col, k)
     if pair is None:
         assert witness is None
     else:

@@ -1,11 +1,13 @@
 """Brute-force reference implementations used as independent oracles, and
-a call counter for the certificate validator."""
+a call counter for the certificate validator. The oracles that the
+package itself runs live in ncrainbow.check."""
 
 from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
 from ncrainbow import rainbow
+from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
 from ncrainbow.groups import AssociativityViolation, NoIdentity, NotLatinSquare, _generating_set
@@ -262,24 +264,11 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
-def two_color_failure_pair(g: Graph, col: EdgeColoring, k: int) -> tuple[int, int] | None:
-    """First vertex pair (in index order) lacking k disjoint rainbow paths.
-
-    Count-only check for 2-colorings over the coloring's masks; the oracle
-    the search kernel is tested against. None means the coloring passes.
-    """
-    if col.color_count != 2:
-        raise ValueError("fast counting is defined for 2-colorings only")
-    n = g.vertex_count
-    absent = (0,) * n  # masks has a row only for the colors that occur
-    m1, m2 = col.masks.get(1, absent), col.masks.get(2, absent)
-    for x in range(n):
-        ax = g.adj[x]
-        for y in range(x + 1, n):
-            count = ((m1[x] & m2[y]) | (m2[x] & m1[y])).bit_count() + (ax >> y & 1)
-            if count < k:
-                return (x, y)
-    return None
+def first_short_pair(col: EdgeColoring, k: int) -> tuple[int, int] | None:
+    """First vertex pair x < y, in index order, with fewer than k rainbow
+    paths of at most two edges by check.short_rainbow_counts, which reads
+    the color list and not the masks; None means the coloring passes."""
+    return next((pair for pair, count in short_rainbow_counts(col) if count < k), None)
 
 
 def _internal_mask(path: Path_) -> int:
@@ -327,13 +316,6 @@ def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path
     if bt((1 << p) - 1, k):
         return [paths[i] for i in chosen]
     return None
-
-
-def recursive_disjoint_count(paths: Sequence[Path_]) -> int:
-    """Largest number of pairwise internally-disjoint paths in the list:
-    the largest k the recursive selector satisfies."""
-    return max(k for k in range(len(paths) + 1)
-               if recursive_select_disjoint_paths(paths, k) is not None)
 
 
 def recursive_are_isomorphic(g1: Graph, g2: Graph) -> tuple[list[int] | None, int]:
