@@ -37,14 +37,19 @@ class Graph:
     labels: tuple[str, ...]
     adj: tuple[int, ...]
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.vertex_count:  # a negative v would wrap
+            raise IndexError(f"vertex {v} out of range for {self.vertex_count} vertices")
+        return v
+
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
+        return list(iter_bits(self.adj[self._vertex(v)]))
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

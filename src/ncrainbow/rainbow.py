@@ -17,20 +17,19 @@ every certificate it returns is re-checked by check.validate_certificate,
 which reads only the color list and shares no code with this module.
 
 The search runs in the calling process and returns the lowest passing
-attempt index, in two phases with one decider each. The head, the first
-SEARCH_HEAD attempts, is drawn and decided by the verifier's count: a
-uniform random 2-coloring passes with probability at least 1 - the
-failure bound, so most searches end there and set up nothing more. A
-budget past the head builds one row plan per search, from ``g.adj``,
-``g.edges`` and k; splitmix64 output j of seed s is a direct function of
-s + (j+1) * gamma (Steele, Lea and Flood, OOPSLA 2014), so the later
-deciders draw any edge's color without the ones before it and never
-build an EdgeColoring. Each later block of SEARCH_BLOCK attempts first
-passes a lane-parallel prefilter (SWAR: L. Lamport, CACM 18(8), 1975),
-which drops only failing attempts, and the row kernel decides the ones
-it keeps in ascending order. The kernel's winner is redrawn and checked
-by the same count: the search returns, without a certificate, a coloring
-the verifier's count accepts, and its caller certifies it.
+attempt index. Each attempt it decides is drawn as a coloring and
+decided by the verifier's count. The head, the first SEARCH_HEAD
+attempts, is decided in full: a uniform random 2-coloring passes with
+probability at least 1 - the failure bound, so most searches end there
+and set up nothing more. A budget past the head builds one search plan
+per search, from ``g.adj`` and ``g.edges``; splitmix64 output j of seed
+s is a direct function of s + (j+1) * gamma (Steele, Lea and Flood,
+OOPSLA 2014), so a lane-parallel prefilter (SWAR: L. Lamport, CACM
+18(8), 1975) draws any edge's color for a whole block of SEARCH_BLOCK
+attempts without the ones before it. It drops only failing attempts,
+and the count decides the ones it keeps in ascending order. The search
+returns, without a certificate, a coloring the count accepts, and its
+caller certifies it.
 """
 
 from __future__ import annotations
@@ -164,102 +163,71 @@ SEARCH_HEAD = 64  # attempts decided by the verifier's count before any plan is 
 SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
 
 
-def _search_plan(g: Graph, k: int) -> list:
-    """Row plan of the search, built once per search and read by the row
-    kernel and the prefilter.
+def _search_plan(g: Graph) -> tuple[dict[tuple[int, int], int], list]:
+    """What the prefilter reads of g, built once per search past the head.
 
-    Row u is (u, 1 << u, draws, commons, needs). draws holds each edge
-    (u, v > u) as (the splitmix64 offset (j+1) * gamma of its index j, v,
-    1 << v); commons[a] and needs[a], for each a < u, are the common
-    neighbours of a and u and the rainbow 2-paths they still need,
-    k - adj(a, u), so need == k marks a non-adjacent pair. A 2-path a-w-u
-    is rainbow when exactly one of its edges is color 1, and all of them
-    lie in rows <= u, so pair (a, u) is decided once row u is drawn.
+    The first part maps each edge, either way round, to the splitmix64
+    offset (j+1) * gamma of its index j. The second lists the non-adjacent
+    pairs (a, u), a < u, as (common count, u, a, common mask), fewest
+    common neighbours first: the pairs most likely to fail.
     """
-    adj = g.adj
-    draws = [[] for _ in adj]
+    offsets = {}
     for j, (u, v) in enumerate(g.edges):
-        draws[u].append(((j + 1) * SPLITMIX_GAMMA & MASK64, v, 1 << v))
-    return [(u, 1 << u, draws[u],
-             [a & au for a in adj[:u]], [k - (a >> u & 1) for a in adj[:u]])
-            for u, au in enumerate(adj)]
-
-
-def _attempt_passes(plan, s: int) -> bool:
-    r1 = [0] * len(plan)  # r1[v]: neighbours of v through color-1 edges
-    for u, bu, draws, commons, needs in plan:
-        ru = r1[u]
-        for offset, v, bv in draws:
-            z = (s + offset) & MASK64
-            z = ((z ^ (z >> 30)) * SPLITMIX_MUL1) & MASK64
-            z = (z ^ (z >> 27)) * SPLITMIX_MUL2  # only bits 0 and 31 are read below
-            if not (z ^ (z >> 31)) & 1:
-                ru |= bv
-                r1[v] |= bu
-        r1[u] = ru
-        for ra, common, need in zip(r1, commons, needs):
-            if ((ru ^ ra) & common).bit_count() < need:
-                return False
-    return True
+        offsets[u, v] = offsets[v, u] = (j + 1) * SPLITMIX_GAMMA & MASK64
+    adj = g.adj
+    pairs = sorted(((adj[a] & au).bit_count(), u, a, adj[a] & au)
+                   for u, au in enumerate(adj) for a in range(u) if not au >> a & 1)
+    return offsets, pairs
 
 
 def _survivors(plan, k: int, s: int, width: int) -> list[int]:
     """Lanes t < width whose attempt s + t passes the prefilter, ascending.
 
-    It covers the plan's non-adjacent pairs (a, u), those with need == k,
-    fewest common neighbours w first, as the most likely to fail.
+    It covers the plan's non-adjacent pairs in the plan's order.
 
     Attempt t lives in bits 128t.. of one int. An edge is drawn for every
-    lane at once: its offset is added to every lane's seed and the
-    splitmix64 mix runs lane-wise. Lanes are cut back to 64 bits before
-    each multiply, so a product never reaches the next lane, and the
-    second multiply uses only the low 32 bits of its constant because
-    output bits 0 and 31 are all that is read. The low byte of every lane
-    moves to a byte lane, and its bit 0 is the edge's color bit. Each
-    pair sums c(a,w) ^ c(u,w) over its common neighbours: bit 7
-    of count + 128 - k is set exactly when count >= k, so a lane is
-    dropped only for a pair that really has fewer than k rainbow paths.
-    A pair whose count could overflow a byte lane (more than 127 + k
-    common neighbours, or k > 128) is left out, which only weakens the
+    lane at once: its offset times the int with 1 in every lane is added
+    to the seeds, and the splitmix64 mix runs lane-wise. Lanes are cut
+    back to 64 bits before each multiply, so a product never reaches the
+    next lane, and the second multiply uses only the low 32 bits of its
+    constant because output bits 0 and 31 are all that is read. The low
+    byte of every lane moves to a byte lane, and its bit 0 is the edge's
+    color bit. Each pair sums c(a,w) ^ c(u,w) over its common neighbours:
+    bit 7 of count + 128 - k is set exactly when count >= k, so a lane is
+    dropped only for a pair that really has fewer than k rainbow paths. A
+    pair whose count could overflow a byte lane (more than 127 + k common
+    neighbours, or k > 128) is left out, which only weakens the
     prefilter. Edges are drawn as the pairs first need them, and the pass
     stops once every lane is dropped.
     """
-    def spread(value: int) -> int:  # value in every lane
-        return int.from_bytes(value.to_bytes(16, "little") * width, "little")
-
+    offsets, pairs = plan
+    lanes = int.from_bytes((b"\x01" + bytes(15)) * width, "little")  # 1 in every lane
+    low64 = lanes * MASK64
     ramp = bytearray(16 * width)  # t in lane t; width <= 2^16
-    ramp[0::16] = bytes(t & 255 for t in range(width))
-    ramp[1::16] = bytes(t >> 8 for t in range(width))
-    seeds = int.from_bytes(ramp, "little") + spread(s & MASK64)
+    ramp[0::16] = (bytes(range(256)) * (width // 256 + 1))[:width]
+    ramp[1::16] = b"".join(bytes([high]) * 256 for high in range(width // 256 + 1))[:width]
+    seeds = int.from_bytes(ramp, "little") + (s & MASK64) * lanes
     del ramp
-    low64 = spread(MASK64)
     bytes_one = int.from_bytes(b"\x01" * width, "little")
+    colors = {}  # color bits of an edge in every byte lane, by its offset, once drawn
 
-    def draw(x: int, y: int) -> int:  # color bit of edge {x, y} in every byte lane
-        x, y = min(x, y), max(x, y)
-        offset = next(offset for offset, v, _ in plan[x][2] if v == y)
-        z = (seeds + spread(offset)) & low64
-        z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
-        z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
-        low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
-        return int.from_bytes(low_bytes, "little") & bytes_one
+    def color(offset: int) -> int:
+        if offset not in colors:
+            z = (seeds + offset * lanes) & low64
+            z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
+            z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
+            low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
+            colors[offset] = int.from_bytes(low_bytes, "little") & bytes_one
+        return colors[offset]
 
-    pairs = sorted((common.bit_count(), u, a, common) for u, _, _, commons, needs in plan
-                   for a, (common, need) in enumerate(zip(commons, needs)) if need == k)
-    colors = [{} for _ in plan]  # colors[x][y]: color bits of edge {x, y} once drawn
     bias = (128 - k) * bytes_one
     alive = bytes_one << 7
     for size, u, a, common in pairs:
         if k > 128 or size > 127 + k:  # this count, and every later one, could overflow
             break
-        ca, cu = colors[a], colors[u]
         count = bias
         for w in iter_bits(common):
-            if w not in ca:
-                ca[w] = colors[w][a] = draw(a, w)
-            if w not in cu:
-                cu[w] = colors[w][u] = draw(u, w)
-            count += ca[w] ^ cu[w]
+            count += color(offsets[a, w]) ^ color(offsets[u, w])
         alive &= count
         if not alive:
             return []
@@ -270,38 +238,35 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
     Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
-    success is returned. None after the budget is exhausted. The returned
-    coloring is one the verifier's count accepts (_short_pair); no
-    certificate is built or validated here, so certify it with certify_rc2
-    or is_rainbow_k_connected.
+    success is returned. None after the budget is exhausted. Every
+    attempt it decides is drawn so and decided by the verifier's count
+    (_short_pair), so the returned coloring is one that count accepts; no
+    certificate is built or validated here, so certify it with
+    certify_rc2 or is_rainbow_k_connected.
 
-    The search has two phases, each with one decider. The first
-    SEARCH_HEAD attempts (the head) are drawn and decided by the count
-    itself. Only a budget past the head builds the row plan, once; each
-    later block of SEARCH_BLOCK attempts goes through _survivors, and the
-    row kernel decides the attempts it keeps in ascending order. The
-    kernel's winner is redrawn and checked by the count, and one the
-    count rejects means the kernel is wrong: AssertionError.
+    The first SEARCH_HEAD attempts (the head) are all decided. Only a
+    budget past the head builds the search plan, once; each later block
+    of SEARCH_BLOCK attempts goes through _survivors, which drops only
+    failing attempts, and the attempts it keeps are decided in ascending
+    order.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if not connectivity_at_least(g, k):
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
-    for i in range(min(SEARCH_HEAD, attempts)):
+
+    def undropped():  # the head, then each block's prefilter survivors
+        yield from range(min(SEARCH_HEAD, attempts))
+        if attempts > SEARCH_HEAD:
+            plan = _search_plan(g)
+            for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
+                for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
+                    yield lo + t
+
+    for i in undropped():
         col = random_two_coloring(g, seed + i)
         if _short_pair(g, col, k) is None:
             return col
-    if attempts <= SEARCH_HEAD:
-        return None
-    plan = _search_plan(g, k)
-    for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
-        for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
-            if _attempt_passes(plan, seed + lo + t):
-                col = random_two_coloring(g, seed + lo + t)
-                witness = _short_pair(g, col, k)
-                if witness is not None:  # kernel and verifier disagree
-                    raise AssertionError(f"search accepted a failing coloring at {witness.pair}")
-                return col
     return None
 
 

@@ -190,7 +190,7 @@ def test_verify_refuses_three_or_more_colors_in_use(tmp_path, capsys):
 def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "k3.graph"
     graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")  # no 2-coloring of K3 is rainbow-2
-    monkeypatch.setattr(rainbow, "_attempt_passes", lambda plan, s: True)  # a broken kernel
+    monkeypatch.setattr(rainbow, "_short_pair", lambda g, col, k: None)  # a broken decider
     code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "2",
                                    "--attempts", str(rainbow.SEARCH_HEAD + 10), "--seed", "0")
     assert code == 4 and manifest is None

@@ -372,3 +372,32 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 5)])
+def test_adjacent_rejects_out_of_range(u, v):
+    """A negative vertex must not wrap to the last row: adjacent(-1, 0) on K3
+    would be True, and adjacent(0, -1) would raise 'negative shift count'."""
+    k3 = complete_graph(3)
+    with pytest.raises(IndexError, match="out of range for 3 vertices"):
+        k3.adjacent(u, v)
+    assert [k3.adjacent(0, x) for x in range(3)] == [False, True, True]
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3])
+def test_neighbors_rejects_out_of_range(bad):
+    """A negative vertex must not wrap to the last row: neighbors(-1) on K3
+    would be [0, 1]."""
+    k3 = complete_graph(3)
+    with pytest.raises(IndexError, match="out of range for 3 vertices"):
+        k3.neighbors(bad)
+    assert [k3.neighbors(x) for x in range(3)] == [[1, 2], [0, 2], [0, 1]]
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3])
+def test_degree_rejects_out_of_range(bad):
+    """A negative vertex must not wrap: degree(-3) on K3 would be 2."""
+    k3 = complete_graph(3)
+    with pytest.raises(IndexError, match="out of range for 3 vertices"):
+        k3.degree(bad)
+    assert [k3.degree(x) for x in range(3)] == [2, 2, 2]

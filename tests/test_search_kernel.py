@@ -2,20 +2,25 @@
 
 Attempt s of the search must pass exactly when the coloring
 random_two_coloring(g, s) passes the pair count of ncrainbow.check,
-which reads the color list and not the masks. The row kernel is asked
-for the verdict of every attempt in a range. Whole searches through
-`search_two_coloring` are restarted after each success, so every verdict
-in a range is compared, not only the first success: the search decides
-a head of SEARCH_HEAD attempts by the verifier's count, and then
-prefiltered blocks by the row kernel. A search that finds k above the
-vertex connectivity, where no attempt can pass, counts as finding none.
-Each prefiltered block must keep every passing attempt, and the
-prefilter must keep exactly the attempts whose non-adjacent pairs all
-have k rainbow 2-paths. The oracle's verdicts are computed once per
-(graph, k, seed, count) and shared by the checks.
+which reads the color list and not the masks. The kernel is the
+lane-parallel prefilter of a block plus the verifier's count
+(rainbow._short_pair), which decides every attempt the search draws:
+the head of SEARCH_HEAD attempts, then each prefilter survivor, redrawn.
+The count is asked for the verdict of every attempt in a range. Whole
+searches through `search_two_coloring` are restarted after each success,
+so every verdict in a range is compared, not only the first success. A
+search that finds k above the vertex connectivity, where no attempt can
+pass, counts as finding none. Each prefiltered block must keep every
+passing attempt, and the prefilter must keep exactly the attempts whose
+non-adjacent pairs all have k rainbow 2-paths. The search plan it reads
+is built once per search, and no block may change it. The oracle's
+verdicts are computed once per (graph, k, seed, count) and shared by
+the checks.
 """
 
+import copy
 import random
+from itertools import combinations
 
 import pytest
 
@@ -51,23 +56,26 @@ def restarts(verdicts, search):
         start = expected + 1
 
 
+def decides(g, k, s):
+    """The search's verdict on attempt s: the verifier's count on its redraw."""
+    return rainbow._short_pair(g, random_two_coloring(g, s), k) is None
+
+
 def assert_kernel_matches(g, k, seed, verdicts):
-    plan = rainbow._search_plan(g, k)
-    assert [rainbow._attempt_passes(plan, seed + i) for i in range(len(verdicts))] == verdicts
+    assert [decides(g, k, seed + i) for i in range(len(verdicts))] == verdicts
 
 
 def assert_blocks_match(g, k, seed, verdicts):
-    """Each prefiltered block keeps every passing attempt, and the row
-    kernel decides each attempt it keeps as the oracle does."""
+    """Each prefiltered block keeps every passing attempt. The count that
+    decides the attempts kept reads no plan, so assert_kernel_matches and
+    the searches check its verdicts."""
     count = len(verdicts)
-    plan = rainbow._search_plan(g, k)
+    plan = rainbow._search_plan(g)
     for lo in range(0, count, SEARCH_BLOCK):
         width = min(SEARCH_BLOCK, count - lo)
         survivors = rainbow._survivors(plan, k, seed + lo, width)
         assert survivors == sorted(set(survivors)) and all(0 <= t < width for t in survivors)
         assert set(survivors) >= {t for t in range(width) if verdicts[lo + t]}
-        assert all(rainbow._attempt_passes(plan, seed + lo + t) == verdicts[lo + t]
-                   for t in survivors)
 
 
 def assert_search_matches(g, k, seed, verdicts):
@@ -131,16 +139,20 @@ def test_kernel_matches_oracle_on_noncommuting_graphs(group, k):
 
 
 def test_wrapped_seed_gives_the_same_verdicts():
+    """A seed shifted by a multiple of 2^64 draws the same colorings, so the
+    block path, a width-1 prefilter pass and the count on the redraw, gives
+    the same verdicts."""
     g = noncommuting_graph(dicyclic(3)).graph
-    plan = rainbow._search_plan(g, 2)
+    plan = rainbow._search_plan(g)
 
     def block_of_one(s):  # the block path's verdict on attempt s alone
-        return rainbow._survivors(plan, 2, s, 1) == [0] and rainbow._attempt_passes(plan, s)
+        return rainbow._survivors(plan, 2, s, 1) == [0] and decides(g, 2, s)
 
-    base = [rainbow._attempt_passes(plan, s) for s in range(30)]
+    base = [decides(g, 2, s) for s in range(30)]
+    assert any(base) and not all(base)
     assert [block_of_one(s) for s in range(30)] == base
     for shift in (2 ** 64, -2 ** 64, 2 ** 70):
-        assert base == [rainbow._attempt_passes(plan, s + shift) for s in range(30)]
+        assert base == [decides(g, 2, s + shift) for s in range(30)]
         assert base == [block_of_one(s + shift) for s in range(30)]
 
 
@@ -157,6 +169,32 @@ def test_search_matches_oracle_across_the_switch(g, seed):
     assert_search_matches(g, 3, seed, oracle_verdicts(g, 3, seed, count))
 
 
+@pytest.mark.parametrize("g", [D14, D18], ids=["D14", "D18"])
+def test_search_plan_holds_the_edge_offsets_and_the_nonadjacent_pairs(g):
+    """Each edge, either way round, maps to the offset of its splitmix64
+    output; the pairs are exactly the non-adjacent ones, in (common count,
+    u, a) order, with their common neighbours."""
+    offsets, pairs = rainbow._search_plan(g)
+    assert offsets == {edge: (j + 1) * 0x9E3779B97F4A7C15 & MASK64
+                       for j, (u, v) in enumerate(g.edges) for edge in ((u, v), (v, u))}
+    common = {(a, u): set(g.neighbors(a)) & set(g.neighbors(u))
+              for a, u in combinations(range(g.vertex_count), 2) if not g.adjacent(a, u)}
+    assert [(size, u, a) for size, u, a, _ in pairs] == sorted(
+        (len(ws), u, a) for (a, u), ws in common.items())
+    assert all(mask == sum(1 << w for w in common[a, u]) for _, u, a, mask in pairs)
+
+
+def test_blocks_leave_the_plan_as_built():
+    """Two prefilter passes on one plan keep the same lanes, and neither
+    changes the plan the next block reads."""
+    plan = rainbow._search_plan(D14)
+    before = copy.deepcopy(plan)
+    first = rainbow._survivors(plan, 3, 1 + SEARCH_HEAD, SEARCH_BLOCK)
+    assert first and plan == before
+    assert rainbow._survivors(plan, 3, 1 + SEARCH_HEAD, SEARCH_BLOCK) == first
+    assert plan == before
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(graphs(max_n=9), st.integers(1, 3), SEEDS)
 def test_search_matches_oracle_on_random_graphs(g, k, seed):
@@ -171,7 +209,7 @@ def test_search_matches_oracle_on_random_graphs(g, k, seed):
     ids=["D14", "D14-wrap-333", "D18-negative", "D18-2^70-517", "Q12--2^70-700"])
 def test_prefilter_keeps_exactly_the_attempts_whose_nonadjacent_pairs_pass(g, width, seed):
     k = 3 if g.vertex_count > 10 else 2
-    survivors = rainbow._survivors(rainbow._search_plan(g, k), k, seed, width)
+    survivors = rainbow._survivors(rainbow._search_plan(g), k, seed, width)
     assert survivors == [t for t in range(width) if prefilter_passes(g, k, seed + t)]
     assert survivors  # the oracle above must not be vacuous
 
@@ -185,14 +223,14 @@ def test_stop_inside_a_block():
 
 def test_pair_short_of_common_neighbours_rejects_every_attempt():
     hexagon = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])  # kappa = 2
-    assert rainbow._survivors(rainbow._search_plan(hexagon, 2), 2, 0, SEARCH_BLOCK) == []
+    assert rainbow._survivors(rainbow._search_plan(hexagon), 2, 0, SEARCH_BLOCK) == []
     assert search_two_coloring(hexagon, 2, SEARCH_HEAD + SEARCH_BLOCK + 5, 0) is None
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 2), (5, 3), (6, 2)])
 def test_complete_graph_has_nothing_to_prefilter(n, k):
     g = complete_graph(n)
-    assert rainbow._survivors(rainbow._search_plan(g, k), k, 5, 300) == list(range(300))
+    assert rainbow._survivors(rainbow._search_plan(g), k, 5, 300) == list(range(300))
     verdicts = oracle_verdicts(g, k, 5, 3000)
     assert_blocks_match(g, k, 5, verdicts)
     assert_search_matches(g, k, 5, verdicts)
@@ -223,5 +261,5 @@ def test_pair_that_could_overflow_a_byte_lane_is_left_out():
     g = complement(graph_from_edges(302, [(0, 1)]))
     verdicts = oracle_verdicts(g, 2, 11, 4)
     assert any(verdicts)
-    survivors = rainbow._survivors(rainbow._search_plan(g, 2), 2, 11, 4)
+    survivors = rainbow._survivors(rainbow._search_plan(g), 2, 11, 4)
     assert set(survivors) >= {t for t in range(4) if verdicts[t]}

@@ -59,7 +59,7 @@ def test_verifier_matches_short_paths(graph_and_coloring, k):
 @settings(max_examples=300, deadline=None)
 @given(colored_graphs(max_n=10), st.integers(1, 4))
 def test_search_guard_decides_as_the_verifier(graph_and_coloring, k):
-    """The count the search's guard reads is the verifier's: the same first
+    """The count the search decides by is the verifier's: the same first
     short pair and path count, and None exactly when a certificate comes back."""
     g, col = graph_and_coloring
     witness = rainbow._short_pair(g, col, k)
@@ -116,7 +116,7 @@ def test_short_pair_witness_is_the_oracle_pair(graph_and_coloring, k):
 @example((K16, random_two_coloring(K16, 1)), 4)
 def test_one_pass_verifier_returns_the_guard_witness_or_the_reference_build(
         graph_and_coloring, k):
-    """Deciding and building in one pass per row gives the guard's witness,
+    """Deciding and building in one pass per row gives the search's witness,
     or the certificate of util.reference_two_color_paths: the direct edge,
     then the lowest middles, read from the color list."""
     g, col = graph_and_coloring
