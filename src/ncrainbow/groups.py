@@ -7,7 +7,9 @@ then the identity, then associativity by Light's test over a generating
 set in O(n^2 log n). Latin rows, an identity and associativity make a
 group, and a group's columns are Latin, so the columns are checked only
 when the identity or Light's test fails, to name a bad column first.
-Groups are immutable.
+An imported table is validated once, in its own labels, so every error
+names the caller's indices; only a valid table is then relabelled to
+move its identity to index 0. Groups are immutable.
 """
 
 from __future__ import annotations
@@ -114,12 +116,12 @@ class Group:
         return sum(1 << z for z, c in enumerate(self._centralizer_masks) if c == full)
 
 
-def _validate_table(table: list[list[int]], name: str) -> None:
-    """Raise the matching GroupError unless table is a group with identity 0.
+def _validate_table(table: list[list[int]], name: str, identity: int = 0) -> None:
+    """Raise the matching GroupError unless table is a group with that identity.
 
     The passes run in this order, each O(n^2) or less:
     - Latin rows: each row has n entries and its set is {0..n-1};
-    - identity: row 0 and column 0 are 0..n-1;
+    - identity: row ``identity`` and column ``identity`` are 0..n-1;
     - associativity by Light's test (Rajagopalan & Schulman, SIAM J.
       Comput. 29, 2000): (x*y)*s == x*(y*s) for s in a generating set S,
       |S| <= log2 n, as one length-n column comparison per (s, y) on the
@@ -138,16 +140,16 @@ def _validate_table(table: list[list[int]], name: str) -> None:
         if len(row) != n or set(row) != elements:
             raise NotLatinSquare(f"{name}: row {i} is not a permutation of 0..{n - 1}")
     cols = list(zip(*table))  # cols[y][x] = x*y
-    if list(table[0]) != list(range(n)) or cols[0] != tuple(range(n)):
+    if list(table[identity]) != list(range(n)) or cols[identity] != tuple(range(n)):
         _check_columns(cols, name)
-        raise NoIdentity(f"{name}: index 0 is not a two-sided identity")
+        raise NoIdentity(f"{name}: index {identity} is not a two-sided identity")
     # Light's test: the z with (x*y)*z == x*(y*z) for all x, y include the
     # identity and are closed under products, so checking z over a set
     # that generates the table suffices. Over x, (x*y)*s is column s read
     # through column y, composed in C by itemgetter, and x*(y*s) is column
     # y*s. A one-element table has S empty, so each getter gets n >= 2
     # indices and returns a tuple.
-    for s in _generating_set(table):
+    for s in _generating_set(table, identity):
         col_s = cols[s]
         for y, col_y in enumerate(cols):
             if itemgetter(*col_y)(col_s) != cols[table[y][s]]:
@@ -169,8 +171,8 @@ def _check_columns(cols: list[tuple[int, ...]], name: str) -> None:
             raise NotLatinSquare(f"{name}: column {j} is not a permutation of 0..{n - 1}")
 
 
-def _generating_set(table: list[list[int]]) -> list[int]:
-    """Greedy S whose right-multiplication closure from index 0 is every element.
+def _generating_set(table: list[list[int]], identity: int = 0) -> list[int]:
+    """Greedy S whose right-multiplication closure from the identity is every element.
 
     Each new generator is the least element not yet reached. In a group
     the closure is the subgroup <S>, which at least doubles per
@@ -178,7 +180,8 @@ def _generating_set(table: list[list[int]]) -> list[int]:
     """
     n = len(table)
     gens: list[int] = []
-    reached = [True] + [False] * (n - 1)
+    reached = [False] * n
+    reached[identity] = True
     while not all(reached):
         gens.append(reached.index(False))
         frontier = [x for x in range(n) if reached[x]]
@@ -195,14 +198,17 @@ def _generating_set(table: list[list[int]]) -> list[int]:
     return gens
 
 
-def _finish(table: list[list[int]], names: Sequence[str], name: str) -> Group:
-    _validate_table(table, name)
-    return Group(
-        order=len(table),
-        table=tuple(tuple(row) for row in table),
-        names=tuple(names),
-        name=name,
-    )
+def _finish(table: list[list[int]], names: Sequence[str], name: str,
+            identity: int = 0) -> Group:
+    _validate_table(table, name, identity)
+    if identity:
+        # Swap labels 0 <-> identity. Every row is a permutation by now, so
+        # no negative entry wraps; n >= 2, so the getters return tuples.
+        perm = list(range(len(table)))
+        perm[0], perm[identity] = identity, 0
+        swap = itemgetter(*perm)
+        table, names = [swap(itemgetter(*table[a])(perm)) for a in perm], swap(names)
+    return Group(order=len(table), table=tuple(map(tuple, table)), names=tuple(names), name=name)
 
 
 def group_from_cayley_table(
@@ -210,7 +216,9 @@ def group_from_cayley_table(
     names: Sequence[str] | None = None,
     name: str = "imported",
 ) -> Group:
-    """Validate an arbitrary table, relocating its identity to index 0."""
+    """Check row lengths, entry types and names (ValueError), take the first
+    row reading 0..n-1 as the identity (NoIdentity if none), validate in the
+    caller's labels, so errors name its indices, then move the identity to 0."""
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
@@ -218,30 +226,20 @@ def group_from_cayley_table(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if type(x) is not int or not 0 <= x < n:  # a bool is no int
-                raise ValueError(f"row {i} contains {x!r}, not an int in 0..{n - 1}")
+        if not {int}.issuperset(map(type, row)):  # a bool is no int
+            x = next(x for x in row if type(x) is not int)
+            raise ValueError(f"row {i} contains {x!r}, not an int in 0..{n - 1}")
     if names is None:
         names = [f"x{i}" for i in range(n)]
     if len(names) != n:
         raise ValueError(f"{len(names)} names for {n} elements")
     if len(set(names)) != n:
         raise ValueError("element names are not distinct")
-
-    expected = list(range(n))
-    identities = [e for e in range(n)
-                  if rows[e] == expected and all(rows[i][e] == i for i in range(n))]
-    if len(identities) != 1:
-        raise NoIdentity(f"{name}: found {len(identities)} two-sided identities")
-    e = identities[0]
-    if e != 0:
-        # Swap labels 0 <-> e so the identity lands at index 0.
-        perm = list(range(n))
-        perm[0], perm[e] = e, 0
-        swap = itemgetter(*perm)  # n >= 2, so the getters return tuples
-        rows = [list(swap(itemgetter(*rows[a])(perm))) for a in perm]
-        names = [names[perm[i]] for i in range(n)]
-    return _finish(rows, names, name)
+    try:
+        identity = rows.index(list(range(n)))
+    except ValueError:
+        raise NoIdentity(f"{name}: no row reads 0..{n - 1}") from None
+    return _finish(rows, names, name, identity)
 
 
 def cyclic(n: int) -> Group:

@@ -252,6 +252,8 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if attempts < 0:
+        raise ValueError(f"attempts must be at least 0, not {attempts}")
     if not connectivity_at_least(g, k):
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
 

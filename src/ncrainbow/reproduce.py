@@ -168,22 +168,14 @@ def check_tau_floor(suite: list[Group]) -> CriterionResult:
 
 
 def check_multipartite_structure() -> CriterionResult:
+    cases = ([(dihedral(n), [1] * n + [n - 1]) for n in (3, 5, 7, 9)]
+             + [(dihedral(n), [2] * (n // 2) + [n - 2]) for n in (4, 6, 8, 10)]
+             + [(dicyclic(m), [2] * m + [2 * m - 2]) for m in range(2, 7)])
     bad = []
-    for n in (3, 5, 7, 9):
-        expected = sorted([1] * n + [n - 1])
-        got = detect_complete_multipartite(noncommuting_graph(dihedral(n)).graph)
-        if got != expected:
-            bad.append(f"D{2 * n}: {got}")
-    for n in (4, 6, 8, 10):
-        expected = sorted([2] * (n // 2) + [n - 2])
-        got = detect_complete_multipartite(noncommuting_graph(dihedral(n)).graph)
-        if got != expected:
-            bad.append(f"D{2 * n}: {got}")
-    for m in range(2, 7):
-        expected = sorted([2] * m + [2 * m - 2])
-        got = detect_complete_multipartite(noncommuting_graph(dicyclic(m)).graph)
-        if got != expected:
-            bad.append(f"Q{4 * m}: {got}")
+    for grp, parts in cases:
+        got = detect_complete_multipartite(noncommuting_graph(grp).graph)
+        if got != sorted(parts):
+            bad.append(f"{grp.name}: {got}")
     return CriterionResult("multipartite-structure", not bad,
                            "; ".join(bad) or "13 graphs match")
 
@@ -319,7 +311,7 @@ def check_inequality_chain(quick: bool) -> CriterionResult:
             break
     mid_top = 150 if quick else 300
     for n in range(3, mid_top + 1):
-        for z in range(2, n):
+        for z in range(1, n):
             if n % z == 0 and not mid_bound(n, z).leq(coarse_bound(n)):
                 problems.append(f"mid bound above coarse at (n={n}, z={z})")
     return CriterionResult("inequality-chain", not problems,

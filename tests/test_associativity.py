@@ -1,9 +1,11 @@
 """Light's associativity test against the exhaustive O(n^3) oracle.
 
-Intercalate swaps (exchanging the entries of a 2x2 Latin subsquare) keep
-a table Latin with identity 0, so only associativity can fail. Every
-mutated table must be accepted exactly when the oracle finds no failing
-triple, and a rejection must name a triple that really fails.
+Each base group is relabelled by a random permutation that may move its
+identity off index 0. Intercalate swaps (exchanging the entries of a 2x2
+Latin subsquare off the identity's row and column) keep a table Latin
+with that identity, so only associativity can fail. Every mutated table
+must be accepted exactly when the oracle finds no failing triple, and a
+rejection must name a triple that really fails in the table as given.
 """
 
 import re
@@ -21,12 +23,12 @@ BASES = [dihedral(3), dihedral(4), dihedral(5), dihedral(6), dicyclic(2), dicycl
          cyclic(7), cyclic(8), direct_product(cyclic(2), cyclic(4))]
 
 
-def intercalates(table):
-    """(a, b, c, d) with rows a < b, columns c < d off the identity, and a Latin 2x2 subsquare."""
-    n = len(table)
+def intercalates(table, e):
+    """(a, b, c, d) with rows a < b, columns c < d off the identity e, and a Latin 2x2 subsquare."""
+    off = [x for x in range(len(table)) if x != e]
     return [(a, b, c, d)
-            for a in range(1, n) for b in range(a + 1, n)
-            for c in range(1, n) for d in range(c + 1, n)
+            for a in off for b in off if a < b
+            for c in off for d in off if c < d
             if table[a][c] == table[b][d] and table[a][d] == table[b][c]]
 
 
@@ -34,13 +36,13 @@ def intercalates(table):
 def mutated_tables(draw):
     base = draw(st.sampled_from(BASES))
     n = base.order
-    perm = [0] + draw(st.permutations(range(1, n)))
+    perm = draw(st.permutations(range(n)))  # the identity moves to perm[0]
     table = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             table[perm[x]][perm[y]] = perm[base.table[x][y]]
     for pick in draw(st.lists(st.integers(min_value=0), max_size=3)):
-        squares = intercalates(table)
+        squares = intercalates(table, perm[0])
         if not squares:
             break
         a, b, c, d = squares[pick % len(squares)]

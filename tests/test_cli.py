@@ -155,6 +155,16 @@ def test_search_has_no_workers_option(tmp_path, capsys):
     assert one_error_line(captured)["error"] == "UsageError"
 
 
+def test_search_refuses_a_negative_budget_as_a_usage_error(tmp_path, capsys):
+    graph = tmp_path / "k3.graph"
+    graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")
+    code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "1",
+                                   "--attempts", "-5", "--seed", "0")
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == {"error": "ValueError",
+                                        "message": "attempts must be at least 0, not -5"}
+
+
 def test_threshold_k_over_the_budget_exits_three(capsys):
     code, manifest, captured = run(capsys, "bounds", "threshold", "--k", "101")
     assert code == 3 and manifest is None

@@ -1,5 +1,6 @@
 import pytest
 
+from ncrainbow import groups
 from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
                               NotAutomorphism, NotCentral, NotHomomorphism,
                               NotLatinSquare, OrderMismatch, _two_generator_table,
@@ -66,6 +67,36 @@ def test_identity_found_anywhere():
 def test_no_identity():
     with pytest.raises(NoIdentity):
         group_from_cayley_table([[1, 0], [0, 0]])
+
+
+# Z3 written with its identity at index 2.
+Z3_AT_2 = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("bad", [1, -1, -2, -3, 3, 7])
+def test_errors_name_the_callers_rows_and_never_wrap(bad):
+    """A bad row is named in the caller's labels, not the relabelled ones.
+    itemgetter reads a negative index from the end, so a relabel before
+    validation would have turned -1 into a real element."""
+    for i in range(2):
+        table = [row[:] for row in Z3_AT_2]
+        table[i][1] = bad
+        with pytest.raises(NotLatinSquare, match=rf"^T: row {i} is not a permutation of 0\.\.2$"):
+            group_from_cayley_table(table, name="T")
+
+
+def test_an_imported_table_is_validated_once_in_its_own_labels(monkeypatch):
+    seen = []
+    real = groups._validate_table
+
+    def spy(table, name, identity=0):
+        seen.append(([list(row) for row in table], identity))
+        real(table, name, identity)
+
+    monkeypatch.setattr(groups, "_validate_table", spy)
+    g = group_from_cayley_table(Z3_AT_2)
+    assert seen == [(Z3_AT_2, 2)]
+    assert g.table == cyclic(3).table
 
 
 def test_cyclic_groups():

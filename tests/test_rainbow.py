@@ -298,6 +298,12 @@ def test_search_immediate_and_exhausted():
     assert search_two_coloring(k3, 2, 300, seed=0) is None
 
 
+def test_search_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="attempts must be at least 0, not -5"):
+        search_two_coloring(complete_graph(2), 1, -5, seed=0)
+    assert search_two_coloring(complete_graph(2), 1, 0, seed=0) is None
+
+
 def test_search_precondition():
     path3 = graph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionKappa):

@@ -68,3 +68,18 @@ def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
     problems = result.detail.split("; ")
     assert len(problems) == 13
     assert all(p.startswith("searched coloring rejected for ") for p in problems)
+
+
+def test_inequality_chain_checks_every_center_size(monkeypatch):
+    """Center size 1 is the trivial center of D6, D10, D14 and S3; the mid
+    bound is compared with the coarse one at every proper divisor z of n."""
+    seen = []
+    real = reproduce.mid_bound
+
+    def spy(n, z):
+        seen.append((n, z))
+        return real(n, z)
+
+    monkeypatch.setattr(reproduce, "mid_bound", spy)
+    assert reproduce.check_inequality_chain(quick=True).passed
+    assert seen == [(n, z) for n in range(3, 151) for z in range(1, n) if n % z == 0]
