@@ -55,6 +55,8 @@ class DyadicBound:
         if self.prefactor <= 0:
             return True
         p, q = self.prefactor.numerator, self.prefactor.denominator
+        if self.sixth_log2 >= (p ** 6).bit_length():  # p^6 < 2^L <= q^6 * 2^L, as q >= 1
+            return True
         return p ** 6 < q ** 6 << self.sixth_log2
 
     def leq(self, other: "DyadicBound") -> bool:

@@ -427,7 +427,10 @@ def load_cayley_table(path: str | Path, name: str | None = None) -> Group:
     def build(counts, names, rows):
         if len(rows) != counts[0]:
             raise ValueError(f"expected {counts[0]} table rows, found {len(rows)}")
-        return group_from_cayley_table(rows, names, name or Path(path).stem)
+        try:
+            return group_from_cayley_table(rows, names, name or Path(path).stem)
+        except GroupError as exc:  # textfile.read puts the path only before a ValueError
+            raise type(exc)(f"{path}: {exc}") from None
 
     return textfile.read(path, "cayley <n>", "names", None, build)
 

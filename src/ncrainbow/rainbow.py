@@ -76,18 +76,18 @@ class Rc2Certificate:
     rc: int
 
 
-def _bichromatic(g: Graph, col: EdgeColoring, x: int, ys: slice) -> list[int]:
-    """For each y in the slice ys of the vertices, the mask of the common
-    neighbors w of x and y whose edges x-w and w-y differ in color: the
-    middles of the rainbow x-y 2-paths. On at most two colors in use (more
-    raise ValueError) those are the w in A[x] ^ A[y] for one color's rows
-    A, and one call reads the row of x once for a row of pairs."""
+def _bichromatic(g: Graph, col: EdgeColoring, x: int) -> list[int]:
+    """For each vertex y > x, the mask of the common neighbors w of x and
+    y whose edges x-w and w-y differ in color: the middles of the rainbow
+    x-y 2-paths. On at most two colors in use (more raise ValueError)
+    those are the w in A[x] ^ A[y] for one color's rows A, and one call
+    reads the row of x once for its row of pairs."""
     if len(col.masks) > 2:  # masks has a row only for the colors in use
         raise ValueError(f"verification takes at most 2 colors in use, not {len(col.masks)}")
     adj = g.adj
     rows = next(iter(col.masks.values()), adj)  # an edgeless graph has no color
     ax, rx = adj[x], rows[x]
-    return [ax & a & (rx ^ r) for a, r in zip(adj[ys], rows[ys])]
+    return [ax & a & (rx ^ r) for a, r in zip(adj[x + 1:], rows[x + 1:])]
 
 
 def _short_pair(g: Graph, col: EdgeColoring, k: int) -> FailureWitness | None:
@@ -96,31 +96,13 @@ def _short_pair(g: Graph, col: EdgeColoring, k: int) -> FailureWitness | None:
     colors, the verifier's. Only a row x with a pair short of k middles is
     scanned pair by pair, with the direct edge counted."""
     for x in range(g.vertex_count):
-        middles = _bichromatic(g, col, x, slice(x + 1, None))
+        middles = _bichromatic(g, col, x)
         if min(map(int.bit_count, middles), default=k) < k:
             for y, middle in enumerate(middles, x + 1):
                 found = (g.adj[x] >> y & 1) + middle.bit_count()
                 if found < k:
                     return FailureWitness((x, y), k, found)
     return None
-
-
-def short_rainbow_paths(g: Graph, col: EdgeColoring, x: int, y: int) -> list[Path_]:
-    """The complete set of rainbow x-y paths of length <= 2.
-
-    Direct edge first, then one 2-path per common neighbor whose two edge
-    colors differ; all of these are pairwise internally disjoint. x and y
-    must be distinct vertices of g, and col a coloring of g with at most
-    two colors in use (ValueError).
-    """
-    n = g.vertex_count
-    if not (0 <= x < n and 0 <= y < n and x != y):
-        raise ValueError(f"({x},{y}) is not a pair of distinct vertices in 0..{n - 1}")
-    if col.graph is not g and col.graph.adj != g.adj:
-        raise ValueError("coloring belongs to a different graph")
-    paths: list[Path_] = [(x, y)] if g.adjacent(x, y) else []
-    paths.extend((x, w, y) for w in iter_bits(_bichromatic(g, col, x, slice(y, y + 1))[0]))
-    return paths
 
 
 def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
@@ -143,7 +125,7 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     per_pair: dict[tuple[int, int], tuple[Path_, ...]] = {}
     for x in range(g.vertex_count):
         row = g.adj[x]
-        for y, middles in enumerate(_bichromatic(g, col, x, slice(x + 1, None)), x + 1):
+        for y, middles in enumerate(_bichromatic(g, col, x), x + 1):
             direct = row >> y & 1
             found = direct + middles.bit_count()
             if found < k:

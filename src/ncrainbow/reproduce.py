@@ -35,8 +35,7 @@ from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
-                      certify_rc2, is_rainbow_k_connected, search_two_coloring,
-                      short_rainbow_paths)
+                      certify_rc2, is_rainbow_k_connected, search_two_coloring)
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def check_multipartite_structure() -> CriterionResult:
         if got != sorted(parts):
             bad.append(f"{grp.name}: {got}")
     return CriterionResult("multipartite-structure", not bad,
-                           "; ".join(bad) or "13 graphs match")
+                           "; ".join(bad) or f"{len(cases)} graphs match")
 
 
 def check_fiber_expansion() -> CriterionResult:
@@ -319,7 +318,7 @@ def check_inequality_chain(quick: bool) -> CriterionResult:
                            f"coarse exact on 114..{top}, mid <= coarse through n = {mid_top}")
 
 
-def check_rainbow3(quick: bool) -> CriterionResult:
+def check_rainbow3() -> CriterionResult:
     problems = []
     if failure_bound(dihedral(3), 3) != Fraction(55, 8):
         problems.append("failure_bound(D6, 3) moved")
@@ -355,17 +354,27 @@ def _random_test_graph(stream, max_vertices: int = 12) -> tuple[Graph, EdgeColor
 
 def check_oracle_equivalence(quick: bool) -> CriterionResult:
     stream = splitmix64(2024)
-    problems = []
+    refused, problems = [], []  # a certificate the validator refuses is named first
     rounds = 40 if quick else 200
     for _ in range(rounds):
         graph, coloring = _random_test_graph(stream)
-        for (x, y), slow in short_rainbow_counts(coloring):
-            if len(short_rainbow_paths(graph, coloring, x, y)) != slow:
-                problems.append(f"path count differs at ({x},{y})")
+        counts = list(short_rainbow_counts(coloring))
+        for k in range(1, max(count for _, count in counts) + 2):
+            short = next((FailureWitness(pair, k, count) for pair, count in counts
+                          if count < k), None)
+            try:  # a certificate comes back only once validate_certificate passes it
+                result = is_rainbow_k_connected(graph, coloring, k)
+            except ValueError as exc:
+                refused.append(f"certificate refused at k={k}: {exc}")
+                break
+            if not (result == short if short else isinstance(result, RainbowCertificate)):
+                problems.append(f"verifier gives {result} at k={k}")
+                break
     for _ in range(rounds // 8):
         graph, _ = _random_test_graph(stream, max_vertices=9)
         if vertex_connectivity(graph) != brute_force_vertex_connectivity(graph):
             problems.append("connectivity mismatch")
+    problems = refused + problems
     return CriterionResult("oracle-equivalence", not problems,
                            "; ".join(problems[:3]) or f"{rounds} colored graphs agree")
 
@@ -384,7 +393,7 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         ("johnson-fiber", check_johnson_fiber),
         ("constructive-search", lambda: check_constructive_search(suite)),
         ("inequality-chain", lambda: check_inequality_chain(quick)),
-        ("rainbow3-threshold", lambda: check_rainbow3(quick)),
+        ("rainbow3-threshold", check_rainbow3),
         ("oracle-equivalence", lambda: check_oracle_equivalence(quick)),
     ]
     results = []

@@ -22,7 +22,7 @@ from ncrainbow.groups import dicyclic, dihedral
 from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
                                is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
-                               short_rainbow_paths, validate_certificate)
+                               validate_certificate)
 from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, certify_by_structure,
                                  standard_suite)
 
@@ -166,7 +166,7 @@ def test_criterion_9_inequality_chain():
         assert coarse_bound_holds(n), n
     for n in range(3, 301):
         coarse = coarse_bound(n)
-        for z in range(2, n):
+        for z in range(1, n):
             if n % z == 0:
                 assert mid_bound(n, z).leq(coarse), (n, z)
     print("\nACCEPTANCE 9 inequality chain: PASS (coarse 114..2000, mid <= coarse to 300)")
@@ -200,8 +200,15 @@ def test_criterion_11_oracle_equivalence():
                  if rng.random() < 0.5]
         g = graph_from_edges(n, edges)
         coloring = EdgeColoring(g, 2, [rng.choice([1, 2]) for _ in edges])
-        for (x, y), slow in short_rainbow_counts(coloring):
-            assert len(short_rainbow_paths(g, coloring, x, y)) == slow, (trial, x, y)
+        counts = list(short_rainbow_counts(coloring))
+        for k in range(1, max(count for _, count in counts) + 2):
+            short = next((FailureWitness(pair, k, count) for pair, count in counts
+                          if count < k), None)
+            result = is_rainbow_k_connected(g, coloring, k)  # validates each certificate
+            if short is None:
+                assert isinstance(result, RainbowCertificate), (trial, k)
+            else:
+                assert result == short, (trial, k)
     checked = 0
     for trial in range(30):
         n = rng.randint(2, 12 if trial < 10 else 9)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -116,6 +117,21 @@ def test_coarse_bound():
     assert coarse_bound(114).prefactor == Fraction(114 ** 3, 4)
 
 
+def test_coarse_bound_holds_in_bounded_memory():
+    """A large n is decided without building q^6 * 2^n, an int n bits long:
+    n = 10^8 first, so a build of that int fails the peak check before
+    n = 10^12 could ask for 125 GB."""
+    for n in (10 ** 8, 10 ** 12):
+        tracemalloc.start()
+        try:
+            assert coarse_bound_holds(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (n, peak)
+    assert coarse_bound_holds(114) and not coarse_bound_holds(108)
+
+
 def test_mid_bound_values():
     b = mid_bound(114, 1)
     assert b.prefactor == Fraction(113 * 12878, 4)
@@ -126,7 +142,7 @@ def test_mid_bound_values():
 
 def test_mid_below_coarse():
     for n in range(4, 301):
-        for z in range(2, n):
+        for z in range(1, n):
             if n % z == 0:
                 assert mid_bound(n, z).leq(coarse_bound(n))
 

@@ -12,9 +12,10 @@ from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                                RainbowCertificate, certify_rc2, is_rainbow_k_connected,
-                               rc_lower_bound, search_two_coloring, short_rainbow_paths,
-                               validate_certificate, write_certificate)
-from util import brute_simple_paths, counting_validator, first_short_pair
+                               rc_lower_bound, search_two_coloring, validate_certificate,
+                               write_certificate)
+from util import (brute_simple_paths, counting_validator, first_short_pair,
+                  reference_two_color_paths)
 
 
 def colored(g, colors):
@@ -31,73 +32,67 @@ def random_colored_graph(rng, max_n=12):
 def test_enumerate_single_edge():
     g = complete_graph(2)
     col = colored(g, [1])
-    assert short_rainbow_paths(g, col, 0, 1) == [(0, 1)]
+    assert is_rainbow_k_connected(g, col, 1) == RainbowCertificate(1, {(0, 1): ((0, 1),)})
+    assert is_rainbow_k_connected(g, col, 2) == FailureWitness((0, 1), 2, 1)
 
 
 def test_enumerate_triangle():
+    """Pair (0, 1) has its edge and the bichromatic middle 2; pair (1, 2)
+    has only its edge, since both edges through 0 have color 1."""
     g = complete_graph(3)
     # edges (0,1), (0,2), (1,2): colors 1, 1, 2
     col = EdgeColoring(g, 2, [1, 1, 2])
-    assert short_rainbow_paths(g, col, 0, 1) == [(0, 1), (0, 2, 1)]
+    assert is_rainbow_k_connected(g, col, 3) == FailureWitness((0, 1), 3, 2)
+    assert is_rainbow_k_connected(g, col, 2) == FailureWitness((1, 2), 2, 1)
 
 
 def test_enumerate_monochromatic_two_path():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     col = EdgeColoring(g, 2, [1, 1])
-    assert short_rainbow_paths(g, col, 0, 2) == []
-
-
-@pytest.mark.parametrize("x, y", [(-1, 1), (0, 4), (4, 0), (2, 2), (0, -4)])
-def test_short_paths_refuse_endpoints_that_are_not_a_vertex_pair(x, y):
-    g = complete_graph(4)
-    col = EdgeColoring(g, 2, [1, 2, 1, 2, 1, 2])
-    with pytest.raises(ValueError, match=r"is not a pair of distinct vertices in 0\.\.3"):
-        short_rainbow_paths(g, col, x, y)
-
-
-@pytest.mark.parametrize("x, y", [(0, 1), (0, 4), (3, 4)])
-def test_short_paths_refuse_a_coloring_of_another_graph(x, y):
-    """A coloring of K3 read on K5 would miss middles 3 and 4, or index
-    past its rows."""
-    g3 = complete_graph(3)
-    with pytest.raises(ValueError, match="coloring belongs to a different graph"):
-        short_rainbow_paths(complete_graph(5), EdgeColoring(g3, 2, [1, 2, 1]), x, y)
-
-
-def test_short_paths_refuse_three_colors_in_use():
-    g = complete_graph(3)
-    with pytest.raises(ValueError, match="at most 2 colors in use, not 3"):
-        short_rainbow_paths(g, EdgeColoring(g, 3, [1, 2, 3]), 0, 1)
-    assert short_rainbow_paths(g, EdgeColoring(g, 9, [4, 9, 4]), 0, 1) == [(0, 1), (0, 2, 1)]
+    assert is_rainbow_k_connected(g, col, 1) == FailureWitness((0, 2), 1, 0)
 
 
 def test_enumerate_matches_brute_force():
-    """short_rainbow_paths lists every rainbow path of a 2-coloring: on
-    two colors no longer path is rainbow."""
+    """check.short_rainbow_counts counts every rainbow path of a 2-coloring:
+    on two colors no longer path is rainbow."""
     rng = random.Random(5)
     for _ in range(30):
         g, col = random_colored_graph(rng, max_n=8)
-        x, y = rng.sample(range(g.vertex_count), 2)
+        counts = dict(short_rainbow_counts(col))
+        x, y = sorted(rng.sample(range(g.vertex_count), 2))
         expected = []
         for p in brute_simple_paths(g, x, y, max_len=g.vertex_count - 1):
             cols = [col.color_of(a, b) for a, b in zip(p, p[1:])]
             if len(set(cols)) == len(cols):
                 expected.append(p)
-        assert sorted(short_rainbow_paths(g, col, x, y)) == sorted(expected)
+        assert counts[(x, y)] == len(expected)
+
+
+def test_short_paths_refuse_three_colors_in_use():
+    """The count the search decides by, rainbow._short_pair, reads the
+    verifier's masks and refuses three colors in use as it does; two of
+    nine declared colors are taken."""
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="at most 2 colors in use, not 3"):
+        rainbow._short_pair(g, EdgeColoring(g, 3, [1, 2, 3]), 2)
+    assert rainbow._short_pair(g, EdgeColoring(g, 9, [4, 9, 4]), 2) == FailureWitness((0, 2), 2, 1)
 
 
 def test_short_paths_are_disjoint_and_complete():
-    """short_rainbow_paths lists exactly the rainbow paths of at most two
-    edges, each once, and no two share an internal vertex."""
+    """On K5, where every pair has three rainbow paths of at most two edges,
+    the verifier's certificate at k = 3 lists exactly those paths for each
+    pair, each once, and no two share an internal vertex."""
     g, col = multipartite_two_coloring(PartitionSpec(1, 4, 1))
-    for x in range(5):
-        for y in range(x + 1, 5):
-            paths = short_rainbow_paths(g, col, x, y)
-            rainbow = [p for p in brute_simple_paths(g, x, y, max_len=2)
-                       if len({col.color_of(a, b) for a, b in zip(p, p[1:])}) == len(p) - 1]
-            assert len(paths) == len(set(paths)) and set(paths) == set(rainbow)
-            interiors = [v for p in paths for v in p[1:-1]]
-            assert len(interiors) == len(set(interiors))
+    assert {count for _, count in short_rainbow_counts(col)} == {3}
+    cert = is_rainbow_k_connected(g, col, 3)
+    assert sorted(cert.per_pair) == [(x, y) for x in range(5) for y in range(x + 1, 5)]
+    for (x, y), paths in cert.per_pair.items():
+        rainbow = [p for p in brute_simple_paths(g, x, y, max_len=2)
+                   if len({col.color_of(a, b) for a, b in zip(p, p[1:])}) == len(p) - 1]
+        assert len(paths) == len(set(paths)) and set(paths) == set(rainbow)
+        interiors = [v for p in paths for v in p[1:-1]]
+        assert len(interiors) == len(set(interiors))
+    assert is_rainbow_k_connected(g, col, 4) == FailureWitness((0, 1), 4, 3)
 
 
 def test_k4_coloring_certificate():
@@ -135,8 +130,9 @@ def test_fast_count_matches_backtracking():
     rng = random.Random(13)
     for _ in range(60):
         g, col = random_colored_graph(rng)
-        for (x, y), count in short_rainbow_counts(col):
-            assert len(short_rainbow_paths(g, col, x, y)) == count
+        every_path = reference_two_color_paths(g, col, g.vertex_count)
+        for pair, count in short_rainbow_counts(col):
+            assert len(every_path[pair]) == count
         witness = first_short_pair(col, 2)
         checked = is_rainbow_k_connected(g, col, 2)
         assert (witness is None) == isinstance(checked, RainbowCertificate)

@@ -3,13 +3,14 @@ and search followed by certification."""
 
 import random
 
-from ncrainbow import reproduce
+from ncrainbow import rainbow, reproduce
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
 from ncrainbow.groups import dihedral, direct_product, group_from_cayley_table
 from ncrainbow.ncgraph import noncommuting_graph
+from ncrainbow.rainbow import FailureWitness
 from ncrainbow.reproduce import (EXPECTED_FLAGGED, certify_by_structure, check_constructive_search,
-                                 check_rainbow3, standard_suite)
+                                 check_oracle_equivalence, check_rainbow3, standard_suite)
 from util import counting_validator
 
 
@@ -52,7 +53,7 @@ def test_every_reported_coloring_is_validated_once(monkeypatch):
     assert check_constructive_search(suite).passed
     assert calls == [2] * len(suite)  # 13 searched and 22 structural, one certificate each
     calls.clear()
-    assert check_rainbow3(quick=True).passed
+    assert check_rainbow3().passed
     assert calls == [3]  # the D14 winner
 
 
@@ -83,3 +84,35 @@ def test_inequality_chain_checks_every_center_size(monkeypatch):
     monkeypatch.setattr(reproduce, "mid_bound", spy)
     assert reproduce.check_inequality_chain(quick=True).passed
     assert seen == [(n, z) for n in range(3, 151) for z in range(1, n) if n % z == 0]
+
+
+def test_oracle_equivalence_checks_the_verifier(monkeypatch):
+    """Criterion 11 compares every witness of is_rainbow_k_connected with
+    the oracle counts: one path too many at the short pair fails it."""
+    verify = reproduce.is_rainbow_k_connected
+
+    def one_more(g, col, k):
+        result = verify(g, col, k)
+        if isinstance(result, FailureWitness):
+            return FailureWitness(result.pair, result.k, result.found + 1)
+        return result
+
+    assert check_oracle_equivalence(quick=True).passed
+    monkeypatch.setattr(reproduce, "is_rainbow_k_connected", one_more)
+    assert not check_oracle_equivalence(quick=True).passed
+
+
+def test_oracle_equivalence_reports_a_refused_certificate(monkeypatch):
+    """Middles read from A[x] & A[y] instead of A[x] ^ A[y] give 2-paths of
+    one color; the validator's ValueError on such a certificate is a
+    problem line of a failed criterion, not an exception."""
+    def same_color_middles(g, col, x):
+        rows = next(iter(col.masks.values()), g.adj)
+        ax, rx = g.adj[x], rows[x]
+        return [ax & a & (rx & r) for a, r in zip(g.adj[x + 1:], rows[x + 1:])]
+
+    monkeypatch.setattr(rainbow, "_bichromatic", same_color_middles)
+    result = check_oracle_equivalence(quick=True)
+    assert not result.passed
+    assert result.detail.startswith("certificate refused at k=")
+    assert "repeats a color" in result.detail

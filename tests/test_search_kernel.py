@@ -1,12 +1,13 @@
-"""The search kernel against the coloring it stands for.
+"""The coloring search against the colorings it draws.
 
 Attempt s of the search must pass exactly when the coloring
 random_two_coloring(g, s) passes the pair count of ncrainbow.check,
-which reads the color list and not the masks. The kernel is the
-lane-parallel prefilter of a block plus the verifier's count
-(rainbow._short_pair), which decides every attempt the search draws:
-the head of SEARCH_HEAD attempts, then each prefilter survivor, redrawn.
-The count is asked for the verdict of every attempt in a range. Whole
+which reads the color list and not the masks. The search has no decider
+of its own: every attempt it draws, the head of SEARCH_HEAD attempts and
+then each survivor of a block's lane-parallel prefilter, is redrawn and
+decided by the verifier's count (rainbow._short_pair). The tests named
+for the kernel ask that count for the verdict of every attempt in a
+range and compare it with the oracle's. Whole
 searches through `search_two_coloring` are restarted after each success,
 so every verdict in a range is compared, not only the first success. A
 search that finds k above the vertex connectivity, where no attempt can

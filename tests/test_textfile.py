@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, graph_from_edges, read_graph_file, write_graph_file
-from ncrainbow.groups import (cyclic, dicyclic, dihedral, direct_product, group_from_cayley_table,
-                              load_cayley_table, metacyclic, write_cayley_table)
+from ncrainbow.groups import (NotLatinSquare, cyclic, dicyclic, dihedral, direct_product,
+                              group_from_cayley_table, load_cayley_table, metacyclic,
+                              write_cayley_table)
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -177,6 +178,20 @@ def test_undecodable_file_names_the_file(tmp_path):
     path = tmp_path / "bad.cay"
     path.write_bytes(b"cayley 1\n\xff\xfe\n")
     _assert_refused_naming(path, ["bounds", "--group", str(path)])
+
+
+def test_table_errors_of_same_stem_files_name_their_paths(tmp_path):
+    """Two tables named bad.cay in two directories, neither a Latin square:
+    each error keeps its class, the stem stays the group name, and the
+    message starts with the file's own path, in the loader and the CLI."""
+    for sub, rows in (("a", "0 1 2\n1 2 0\n2 0 -1\n"), ("b", "0 1 2\n1 1 0\n2 0 1\n")):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "bad.cay"
+        path.write_text("cayley 3\n" + rows)
+        with pytest.raises(NotLatinSquare, match=rf"^{re.escape(str(path))}: bad: row "):
+            load_cayley_table(path)
+        _assert_refused_naming(path, ["bounds", "--group", str(path)])
+        assert json.loads(_cli(["bounds", "--group", str(path)])[2])["error"] == "NotLatinSquare"
 
 
 KINDS = {".cay": "names", ".graph": "labels", ".col": None}

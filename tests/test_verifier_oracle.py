@@ -1,12 +1,12 @@
-"""The 2-color verifier against the full list of short rainbow paths.
+"""The 2-color verifier against the short rainbow paths of the oracles.
 
 For one and two colors, `is_rainbow_k_connected` counts each pair's
 rainbow paths by a popcount and builds only the k paths it keeps. Its
-certificate must list, for every pair, the first k entries of
-`short_rainbow_paths`, and a failing coloring must be reported at the
-first pair the count of ncrainbow.check finds short, with the number of
-short rainbow paths that pair has. A coloring may declare up to five
-colors and use any one or two of them.
+certificate must list, for every pair, the first k paths of
+util.reference_two_color_paths, and a failing coloring must be reported
+at the first pair the count of ncrainbow.check finds short, with that
+count. A coloring may declare up to five colors and use any one or two
+of them.
 """
 
 import random
@@ -16,11 +16,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import EdgeColoring, random_two_coloring
 from ncrainbow.graphs import complete_graph, graph_from_edges
 from ncrainbow import rainbow
-from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, is_rainbow_k_connected,
-                               short_rainbow_paths)
+from ncrainbow.rainbow import FailureWitness, RainbowCertificate, is_rainbow_k_connected
 from util import first_short_pair, reference_two_color_paths
 
 
@@ -50,10 +50,11 @@ def test_verifier_matches_short_paths(graph_and_coloring, k):
     if pair is None:
         n = g.vertex_count
         assert sorted(result.per_pair) == [(x, y) for x in range(n) for y in range(x + 1, n)]
-        for (x, y), paths in result.per_pair.items():
-            assert list(paths) == short_rainbow_paths(g, col, x, y)[:k]
+        reference = reference_two_color_paths(g, col, k)
+        for pair, paths in result.per_pair.items():
+            assert paths == reference[pair]
     else:
-        assert result == FailureWitness(pair, k, len(short_rainbow_paths(g, col, *pair)))
+        assert result == FailureWitness(pair, k, dict(short_rainbow_counts(col))[pair])
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,7 +88,7 @@ def two_colorings(draw, max_n=16):
 
 
 def test_k4_example_is_lifted_by_direct_edges_only():
-    assert [m.bit_count() for m in rainbow._bichromatic(K4, K4_LIFTED, 0, slice(1, None))] \
+    assert [m.bit_count() for m in rainbow._bichromatic(K4, K4_LIFTED, 0)] \
         == [2, 1, 1]
     assert rainbow._short_pair(K4, K4_LIFTED, 2) is None
 
@@ -100,15 +101,15 @@ def test_k4_example_is_lifted_by_direct_edges_only():
 def test_short_pair_witness_is_the_oracle_pair(graph_and_coloring, k):
     """The search's count, which skips a row whose every pair has k
     middles and counts the direct edge only in the rows it scans, fails
-    at the first pair the count of ncrainbow.check finds short, with the
-    number of short rainbow paths that pair has."""
+    at the first pair the count of ncrainbow.check finds short, with that
+    count."""
     g, col = graph_and_coloring
     witness = rainbow._short_pair(g, col, k)
     pair = first_short_pair(col, k)
     if pair is None:
         assert witness is None
     else:
-        assert witness == FailureWitness(pair, k, len(short_rainbow_paths(g, col, *pair)))
+        assert witness == FailureWitness(pair, k, dict(short_rainbow_counts(col))[pair])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
