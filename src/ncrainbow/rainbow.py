@@ -30,12 +30,22 @@ attempts without the ones before it. It drops only failing attempts,
 and the count decides the ones it keeps in ascending order. The search
 returns, without a certificate, a coloring the count accepts, and its
 caller certifies it.
+
+derandomized_two_coloring needs no search and no seed. It colors the
+edges in order by the method of conditional expectations over the
+expectation failure_bound computes: each edge takes the color whose
+bichromatic closures carry the larger Erdős–Selfridge weight
+C(t-1, r-1) / 2^t, t a pair's open middles and r its remaining need. The
+expectation never rises, so a start below 1 ends at a passing coloring.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .check import validate_certificate
@@ -252,6 +262,64 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
         if _short_pair(g, col, k) is None:
             return col
     return None
+
+
+def derandomized_two_coloring(g: Graph, k: int) -> tuple[EdgeColoring, Fraction]:
+    """A 2-coloring by the method of conditional expectations (Erdős and
+    Selfridge, JCTA 14, 1973; Raghavan, JCSS 37, 1988), with its start: the
+    expected number of pairs short of k rainbow paths under a uniform
+    random 2-coloring, which is failure_bound on a non-commuting graph.
+
+    A pair with t open middles (common neighbours whose two legs are not
+    both colored) and remaining need r (k - adjacency, less its closed
+    bichromatic middles) fails with probability f(t, r) = P(Bin(t, 1/2) < r).
+    Edges are colored in g.edges order. An edge closes one middle of each
+    pair whose other leg is colored, and closing it bichromatic (good) or
+    not moves f by -w or +w, w = C(t-1, r-1) / 2^t; the edge takes the
+    color whose good side weighs more, so the expectation never rises and
+    ends at the number of pairs short of k. Weights are integers scaled by
+    2^(max degree). A pair of weight 0 (r <= 0 or r > t) keeps it and is
+    dropped from the rows of live pairs. A start below 1 must end at a
+    coloring with no short pair; anything else raises AssertionError.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    n, adj = g.vertex_count, g.adj
+    top = max(map(int.bit_count, adj), default=0)  # no pair has more middles
+    base = min(k, top + 1) + 1  # a pair's state is t * base + r; any r > top fails alike
+    state = [[(adj[a] & adj[b]).bit_count() * base + min(k - (adj[a] >> b & 1), base - 1)
+              for b in range(n)] for a in range(n)]
+    weight = [comb(t - 1, r - 1) << top - t if 0 < r <= t else 0
+              for t in range(top + 1) for r in range(base)]
+    live = [sum(1 << b for b, s in enumerate(row) if b != a and weight[s])
+            for a, row in enumerate(state)]
+    tails = 0  # the start scaled by 2^top: P(Bin(t, 1/2) < r) summed over the pairs
+    for s, count in Counter(state[a][b] for a in range(n) for b in range(a)).items():
+        t, r = divmod(s, base)
+        tails += count * sum(comb(t, i) for i in range(r)) << top - t
+    rows = ([0] * n, [0] * n)  # colored legs: rows[c][v] are v's neighbours by color c + 1
+    colors = []
+    for u, v in g.edges:
+        # the pairs this edge closes, by the color of their other leg
+        closing = [[(a, x) for a, b in ((u, v), (v, u)) for x in iter_bits(side[b] & live[a])]
+                   for side in rows]
+        heavy = [sum(weight[state[a][x]] for a, x in pairs) for pairs in closing]
+        c = int(heavy[0] > heavy[1])  # color c + 1 is good where the other leg is not
+        for pairs, step in ((closing[c], base), (closing[1 - c], base + 1)):
+            for a, x in pairs:
+                s = state[a][x] = state[x][a] = state[a][x] - step
+                if not weight[s]:
+                    live[a] ^= 1 << x
+                    live[x] ^= 1 << a
+        rows[c][u] |= 1 << v
+        rows[c][v] |= 1 << u
+        colors.append(c + 1)
+    col = EdgeColoring(g, 2, colors)
+    start = Fraction(tails, 1 << top)
+    if start < 1 and (short := _short_pair(g, col, k)) is not None:
+        raise AssertionError(f"conditional expectations from {start} < 1 left pair"
+                             f" {short.pair} with {short.found} rainbow paths at k={k}")
+    return col, start
 
 
 def rc_lower_bound(g: Graph, k: int) -> int:

@@ -13,8 +13,11 @@ search, which returns a coloring the verifier's count accepts; it is
 then certified with certify_rc2. The flagged ones are certified by
 structure: their graph is matched by are_isomorphic onto a model graph
 with a known coloring, K_{m[l],ln} or the J(6,2) fiber graph, and the
-coloring is pulled back along that isomorphism. Each coloring is
-verified once.
+coloring is pulled back along that isomorphism. The rainbow-3 coloring
+of D14 comes from derandomized_two_coloring, the method of conditional
+expectations: each edge takes the color whose bichromatic closures
+carry the larger Erdős–Selfridge weight C(t-1, r-1) / 2^t, with no
+search and no seed. Each coloring is verified once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
 from .ncgraph import (NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
-                      certify_rc2, is_rainbow_k_connected, search_two_coloring)
+                      certify_rc2, derandomized_two_coloring, is_rainbow_k_connected,
+                      search_two_coloring)
 
 
 @dataclass(frozen=True)
@@ -326,11 +330,10 @@ def check_rainbow3() -> CriterionResult:
     kappa = vertex_connectivity(g14)
     if kappa < 3:
         problems.append(f"kappa of the D14 graph is {kappa}")
-    # a returned coloring passes the verifier's count; certify it here
-    coloring = search_two_coloring(g14, 3, 10 ** 5, seed=1)
-    if coloring is None:
-        problems.append("no rainbow-3 coloring found for D14")
-    elif isinstance(is_rainbow_k_connected(g14, coloring, 3), FailureWitness):
+    # the greedy starts above 1 here (failure_bound(D14, 3) > 8), so only
+    # the verifier decides its coloring
+    coloring, _ = derandomized_two_coloring(g14, 3)
+    if isinstance(is_rainbow_k_connected(g14, coloring, 3), FailureWitness):
         problems.append("the D14 rainbow-3 coloring fails verification")
     thresholds = [threshold_for_k(k) for k in range(2, 7)]
     if thresholds[0] != 126 or thresholds[1] != 180:

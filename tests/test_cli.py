@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ncrainbow import graphs, rainbow, reproduce
+from ncrainbow import graphs, ncgraph, rainbow, reproduce
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
@@ -206,6 +206,21 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     assert code == 4 and manifest is None
     error = one_error_line(captured)
     assert error["error"] == "AssertionError" and "accepted a failing coloring" in error["message"]
+
+
+def test_reproduce_exits_four_on_a_tau_below_the_floor(capsys, monkeypatch):
+    """A least tau under |G|/6 contradicts a theorem: an internal failure."""
+    real = ncgraph._class_pairs
+
+    def faulty(ncg):
+        yield from real(ncg)
+        yield ncg.group.order // 6 - 1, False, 1, (0, 1)
+
+    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
+    code, manifest, captured = run(capsys, "reproduce")
+    assert code == 4 and manifest is None
+    error = one_error_line(captured)
+    assert error["error"] == "BoundViolated" and "6*tau" in error["message"]
 
 
 def test_search_certifies_its_winner_before_writing_it(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from ncrainbow import ncgraph
 from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
                               write_graph_file)
 from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direct_product,
@@ -132,6 +133,29 @@ def test_floor_reports():
     assert rep.min_tau == 2 and rep.min_ratio == 2
     rep = common_neighbor_floor_check(dicyclic(2))
     assert 6 * rep.min_tau >= 8
+
+
+def inject_min_tau(monkeypatch, tau_of_order):
+    """Make _class_pairs also yield a class pair of the given least tau."""
+    real = ncgraph._class_pairs
+
+    def faulty(ncg):
+        yield from real(ncg)
+        yield tau_of_order(ncg.group.order), False, 1, (0, 1)
+
+    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
+
+
+@pytest.mark.parametrize("group", [dihedral(3), dihedral(24)], ids=lambda g: g.name)
+def test_floor_guard_passes_at_a_sixth_and_raises_below(monkeypatch, group):
+    """6 * tau >= |G| is a theorem, so only an injected tau reaches the guard:
+    tau = |G|/6 exactly passes, one less raises."""
+    inject_min_tau(monkeypatch, lambda order: order // 6)
+    rep = common_neighbor_floor_check(group)
+    assert (rep.min_tau, rep.min_ratio) == (group.order // 6, 1)
+    inject_min_tau(monkeypatch, lambda order: order // 6 - 1)
+    with pytest.raises(BoundViolated, match=f"= {group.order - 6} < {group.order}"):
+        common_neighbor_floor_check(group)
 
 
 def test_fiber_expansion_checks():

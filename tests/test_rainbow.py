@@ -1,19 +1,26 @@
 import json
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from ncrainbow.bounds import failure_bound
 from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
 from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
-from ncrainbow.groups import dihedral
+from ncrainbow.groups import dicyclic, dihedral
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
-                               RainbowCertificate, certify_rc2, is_rainbow_k_connected,
-                               rc_lower_bound, search_two_coloring, validate_certificate,
-                               write_certificate)
+                               RainbowCertificate, certify_rc2, derandomized_two_coloring,
+                               is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
+                               validate_certificate, write_certificate)
+from ncrainbow.reproduce import standard_suite
 from util import (brute_simple_paths, counting_validator, first_short_pair,
                   reference_two_color_paths)
 
@@ -325,6 +332,20 @@ def test_certify_rc2():
         certify_rc2(k4, EdgeColoring(k4, 2, [1] * 6))
 
 
+def test_certify_rc2_gives_rc_one_on_complete_graphs():
+    """On a complete graph one color already joins every pair by its edge,
+    so rc = 1 while rc2 = 2: K4 with edge-order bits 13, and K7 with its
+    seed-1 search winner at attempt 2."""
+    k4 = complete_graph(4)
+    k7 = complete_graph(7)
+    winner = search_two_coloring(k7, 2, 100, seed=1)
+    assert winner.seed == 3
+    for g, col in ((k4, EdgeColoring(k4, 2, [1 + (13 >> i & 1) for i in range(6)])),
+                   (k7, winner)):
+        bundle = certify_rc2(g, col)
+        assert (bundle.rc, bundle.rc2, bundle.lower_bound) == (1, 2, 2)
+
+
 def test_certify_rc2_rejects_three_color_colorings():
     # Rainbow 3-connected with three colors, but rc2 certification is about
     # two colors; a 3-color coloring that uses only two is refused as well.
@@ -437,3 +458,94 @@ def test_search_builds_one_plan_when_the_head_fails(monkeypatch):
     col = search_two_coloring(g14, 3, 10 ** 5, seed=1)
     assert col.seed - 1 == 45_483
     assert plans == [g14]
+
+
+def test_greedy_starts_at_the_failure_bound_on_the_suite():
+    for group in standard_suite():
+        _, start = derandomized_two_coloring(noncommuting_graph(group).graph, 2)
+        assert start == failure_bound(group, 2), group.name
+
+
+def test_greedy_certifies_every_dihedral_and_dicyclic_cell_below_one():
+    """Orders 12-60 at k = 3-6: a start below 1 never rises, so it ends at a
+    coloring the verifier passes."""
+    groups = [dihedral(n) for n in range(6, 31)] + [dicyclic(m) for m in range(3, 16)]
+    cells = 0
+    for group in groups:
+        g = noncommuting_graph(group).graph
+        for k in range(3, 7):
+            bound = failure_bound(group, k)
+            if bound < 1:
+                col, start = derandomized_two_coloring(g, k)
+                assert start == bound
+                assert col.seed is None
+                assert isinstance(is_rainbow_k_connected(g, col, k), RainbowCertificate), \
+                    (group.name, k)
+                cells += 1
+    assert cells == 66
+
+
+def prefix_expectations(g, colors, k):
+    """For p = 0..m, the expected number of pairs short of k rainbow paths
+    when the first p edges have the given colors and the rest are uniform,
+    from the adjacency rows alone."""
+    n = g.vertex_count
+    index = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g.adj[u] >> v & 1:
+                index[u, v] = index[v, u] = len(index) // 2
+    out = []
+    for p in range(len(colors) + 1):
+        total = Fraction(0)
+        for a in range(n):
+            for b in range(a + 1, n):
+                need, free = k - (g.adj[a] >> b & 1), 0
+                for w in range(n):
+                    if g.adj[a] >> w & g.adj[b] >> w & 1:
+                        legs = index[a, w], index[w, b]
+                        if max(legs) >= p:
+                            free += 1
+                        elif colors[legs[0]] != colors[legs[1]]:
+                            need -= 1
+                total += Fraction(sum(comb(free, i) for i in range(need)), 2 ** free)
+        out.append(total)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.sampled_from([0.5, 0.8, 1.0]), st.integers(1, 5),
+       st.integers(0, 2 ** 32))
+def test_greedy_never_raises_the_conditional_expectation(n, p, k, seed):
+    rng = random.Random(seed)
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p])
+    col, start = derandomized_two_coloring(g, k)
+    assert set(col.edge_colors) <= {1, 2}
+    expectations = prefix_expectations(g, col.edge_colors, k)
+    assert expectations[0] == start
+    assert all(later <= earlier for earlier, later in zip(expectations, expectations[1:]))
+    assert expectations[-1] == sum(count < k for _, count in short_rainbow_counts(col))
+    if start < 1:
+        assert isinstance(is_rainbow_k_connected(g, col, k), RainbowCertificate)
+
+
+def test_greedy_guard_catches_a_short_pair_below_one(monkeypatch):
+    """Conditional expectations from a start below 1 cannot leave a short
+    pair, so one reported there is an internal failure."""
+    g60 = noncommuting_graph(dihedral(30)).graph
+    col, start = derandomized_two_coloring(g60, 6)
+    assert start < 1 and rainbow._short_pair(g60, col, 6) is None
+    monkeypatch.setattr(rainbow, "_short_pair", lambda g, col, k: FailureWitness((0, 1), k, 0))
+    with pytest.raises(AssertionError, match="left pair"):
+        derandomized_two_coloring(g60, 6)
+    # from a start above 1 a short pair is an outcome, not a failure: with the
+    # same fault D18 at k = 4, which starts at 17.6, returns its coloring
+    g18 = noncommuting_graph(dihedral(9)).graph
+    col, start = derandomized_two_coloring(g18, 4)
+    assert start > 1 and col.graph is g18
+
+
+def test_greedy_refuses_k_below_one():
+    with pytest.raises(ValueError, match="k must be positive"):
+        derandomized_two_coloring(complete_graph(3), 0)

@@ -54,7 +54,7 @@ def test_every_reported_coloring_is_validated_once(monkeypatch):
     assert calls == [2] * len(suite)  # 13 searched and 22 structural, one certificate each
     calls.clear()
     assert check_rainbow3().passed
-    assert calls == [3]  # the D14 winner
+    assert calls == [3]  # the greedy D14 coloring
 
 
 def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
@@ -69,6 +69,26 @@ def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
     problems = result.detail.split("; ")
     assert len(problems) == 13
     assert all(p.startswith("searched coloring rejected for ") for p in problems)
+
+
+def test_rainbow3_fails_on_a_corrupted_greedy_coloring(monkeypatch):
+    """Criterion 10 certifies the greedy D14 coloring only through the
+    verifier: one flipped edge the verifier rejects fails the criterion."""
+    g14 = noncommuting_graph(dihedral(7)).graph
+    good, start = rainbow.derandomized_two_coloring(g14, 3)
+    assert isinstance(rainbow.is_rainbow_k_connected(g14, good, 3), rainbow.RainbowCertificate)
+    for j in range(g14.edge_count):
+        colors = list(good.edge_colors)
+        colors[j] = 3 - colors[j]
+        bad = EdgeColoring(g14, 2, colors)
+        if isinstance(rainbow.is_rainbow_k_connected(g14, bad, 3), FailureWitness):
+            break
+    else:
+        raise AssertionError("no single flip fails verification")
+    monkeypatch.setattr(reproduce, "derandomized_two_coloring", lambda g, k: (bad, start))
+    result = check_rainbow3()
+    assert not result.passed
+    assert result.detail == "the D14 rainbow-3 coloring fails verification"
 
 
 def test_inequality_chain_checks_every_center_size(monkeypatch):

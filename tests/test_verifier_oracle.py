@@ -44,17 +44,22 @@ K16 = complete_graph(16)
 @example((K16, random_two_coloring(K16, 1)), 4)  # passes at k = 4
 @example((K16, random_two_coloring(K16, 2)), 4)  # fails at k = 4
 def test_verifier_matches_short_paths(graph_and_coloring, k):
+    """Deciding and building in one pass per row gives the search's witness,
+    the first pair the count of ncrainbow.check finds short, with that
+    count, or the certificate of util.reference_two_color_paths: every
+    pair, each with the direct edge and then the lowest middles, read from
+    the color list."""
     g, col = graph_and_coloring
     result = is_rainbow_k_connected(g, col, k)
     pair = first_short_pair(col, k)
     if pair is None:
         n = g.vertex_count
         assert sorted(result.per_pair) == [(x, y) for x in range(n) for y in range(x + 1, n)]
-        reference = reference_two_color_paths(g, col, k)
-        for pair, paths in result.per_pair.items():
-            assert paths == reference[pair]
+        assert result == RainbowCertificate(k, reference_two_color_paths(g, col, k))
+        assert rainbow._short_pair(g, col, k) is None
     else:
         assert result == FailureWitness(pair, k, dict(short_rainbow_counts(col))[pair])
+        assert result == rainbow._short_pair(g, col, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,19 +116,3 @@ def test_short_pair_witness_is_the_oracle_pair(graph_and_coloring, k):
     else:
         assert witness == FailureWitness(pair, k, dict(short_rainbow_counts(col))[pair])
 
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(colored_graphs(), st.integers(1, 4))
-@example((K16, random_two_coloring(K16, 1)), 4)
-def test_one_pass_verifier_returns_the_guard_witness_or_the_reference_build(
-        graph_and_coloring, k):
-    """Deciding and building in one pass per row gives the search's witness,
-    or the certificate of util.reference_two_color_paths: the direct edge,
-    then the lowest middles, read from the color list."""
-    g, col = graph_and_coloring
-    result = is_rainbow_k_connected(g, col, k)
-    if isinstance(result, FailureWitness):
-        assert result == rainbow._short_pair(g, col, k)
-    else:
-        assert rainbow._short_pair(g, col, k) is None
-        assert result == RainbowCertificate(k, reference_two_color_paths(g, col, k))
