@@ -17,19 +17,13 @@ every certificate it returns is re-checked by check.validate_certificate,
 which reads only the color list and shares no code with this module.
 
 The search runs in the calling process and returns the lowest passing
-attempt index. Each attempt it decides is drawn as a coloring and
-decided by the verifier's count. The head, the first SEARCH_HEAD
-attempts, is decided in full: a uniform random 2-coloring passes with
-probability at least 1 - the failure bound, so most searches end there
-and set up nothing more. A budget past the head builds one search plan
-per search, from ``g.adj`` and ``g.edges``; splitmix64 output j of seed
-s is a direct function of s + (j+1) * gamma (Steele, Lea and Flood,
-OOPSLA 2014), so a lane-parallel prefilter (SWAR: L. Lamport, CACM
-18(8), 1975) draws any edge's color for a whole block of SEARCH_BLOCK
-attempts without the ones before it. It drops only failing attempts,
-and the count decides the ones it keeps in ascending order. The search
-returns, without a certificate, a coloring the count accepts, and its
-caller certifies it.
+attempt index. Attempt i is drawn as random_two_coloring(g, seed + i)
+and decided by the verifier's count. A uniform random 2-coloring passes
+with probability at least 1 - the failure bound, so when that bound is
+below 1 most searches end within a few attempts; where it is not,
+derandomized_two_coloring is the better route. The search returns,
+without a certificate, a coloring the count accepts, and its caller
+certifies it.
 
 derandomized_two_coloring needs no search and no seed. It colors the
 edges in order by the method of conditional expectations over the
@@ -49,8 +43,7 @@ from math import comb
 from pathlib import Path
 
 from .check import validate_certificate
-from .colorings import (MASK64, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2, EdgeColoring,
-                        random_two_coloring)
+from .colorings import EdgeColoring, random_two_coloring
 from .graphs import Graph, connectivity_at_least, iter_bits
 
 
@@ -151,96 +144,18 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int
     return cert
 
 
-SEARCH_HEAD = 64  # attempts decided by the verifier's count before any plan is built
-SEARCH_BLOCK = 1024  # attempts per lane-parallel prefilter pass
-
-
-def _search_plan(g: Graph) -> tuple[dict[tuple[int, int], int], list]:
-    """What the prefilter reads of g, built once per search past the head.
-
-    The first part maps each edge, either way round, to the splitmix64
-    offset (j+1) * gamma of its index j. The second lists the non-adjacent
-    pairs (a, u), a < u, as (common count, u, a, common mask), fewest
-    common neighbours first: the pairs most likely to fail.
-    """
-    offsets = {}
-    for j, (u, v) in enumerate(g.edges):
-        offsets[u, v] = offsets[v, u] = (j + 1) * SPLITMIX_GAMMA & MASK64
-    adj = g.adj
-    pairs = sorted(((adj[a] & au).bit_count(), u, a, adj[a] & au)
-                   for u, au in enumerate(adj) for a in range(u) if not au >> a & 1)
-    return offsets, pairs
-
-
-def _survivors(plan, k: int, s: int, width: int) -> list[int]:
-    """Lanes t < width whose attempt s + t passes the prefilter, ascending.
-
-    It covers the plan's non-adjacent pairs in the plan's order.
-
-    Attempt t lives in bits 128t.. of one int. An edge is drawn for every
-    lane at once: its offset times the int with 1 in every lane is added
-    to the seeds, and the splitmix64 mix runs lane-wise. Lanes are cut
-    back to 64 bits before each multiply, so a product never reaches the
-    next lane, and the second multiply uses only the low 32 bits of its
-    constant because output bits 0 and 31 are all that is read. The low
-    byte of every lane moves to a byte lane, and its bit 0 is the edge's
-    color bit. Each pair sums c(a,w) ^ c(u,w) over its common neighbours:
-    bit 7 of count + 128 - k is set exactly when count >= k, so a lane is
-    dropped only for a pair that really has fewer than k rainbow paths. A
-    pair whose count could overflow a byte lane (more than 127 + k common
-    neighbours, or k > 128) is left out, which only weakens the
-    prefilter. Edges are drawn as the pairs first need them, and the pass
-    stops once every lane is dropped.
-    """
-    offsets, pairs = plan
-    lanes = int.from_bytes((b"\x01" + bytes(15)) * width, "little")  # 1 in every lane
-    low64 = lanes * MASK64
-    ramp = bytearray(16 * width)  # t in lane t; width <= 2^16
-    ramp[0::16] = (bytes(range(256)) * (width // 256 + 1))[:width]
-    ramp[1::16] = b"".join(bytes([high]) * 256 for high in range(width // 256 + 1))[:width]
-    seeds = int.from_bytes(ramp, "little") + (s & MASK64) * lanes
-    del ramp
-    bytes_one = int.from_bytes(b"\x01" * width, "little")
-    colors = {}  # color bits of an edge in every byte lane, by its offset, once drawn
-
-    def color(offset: int) -> int:
-        if offset not in colors:
-            z = (seeds + offset * lanes) & low64
-            z = ((z ^ (z >> 30)) & low64) * SPLITMIX_MUL1 & low64
-            z = ((z ^ (z >> 27)) & low64) * (SPLITMIX_MUL2 & 0xFFFFFFFF)
-            low_bytes = (z ^ (z >> 31)).to_bytes(16 * width, "little")[::16]
-            colors[offset] = int.from_bytes(low_bytes, "little") & bytes_one
-        return colors[offset]
-
-    bias = (128 - k) * bytes_one
-    alive = bytes_one << 7
-    for size, u, a, common in pairs:
-        if k > 128 or size > 127 + k:  # this count, and every later one, could overflow
-            break
-        count = bias
-        for w in iter_bits(common):
-            count += color(offsets[a, w]) ^ color(offsets[u, w])
-        alive &= count
-        if not alive:
-            return []
-    return [bit >> 3 for bit in iter_bits(alive)]
-
-
 def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColoring | None:
     """Seeded random search for a rainbow-k-connecting 2-coloring.
 
-    Attempt i draws random_two_coloring(g, seed + i) and the lowest-index
-    success is returned. None after the budget is exhausted. Every
-    attempt it decides is drawn so and decided by the verifier's count
-    (_short_pair), so the returned coloring is one that count accepts; no
-    certificate is built or validated here, so certify it with
-    certify_rc2 or is_rainbow_k_connected.
+    Attempt i draws random_two_coloring(g, seed + i) and is decided by the
+    verifier's count (_short_pair); the lowest-index success is returned,
+    None after the budget is exhausted. No certificate is built or
+    validated here, so certify the coloring with certify_rc2 or
+    is_rainbow_k_connected.
 
-    The first SEARCH_HEAD attempts (the head) are all decided. Only a
-    budget past the head builds the search plan, once; each later block
-    of SEARCH_BLOCK attempts goes through _survivors, which drops only
-    failing attempts, and the attempts it keeps are decided in ascending
-    order.
+    Each attempt costs one draw and one count. On a graph whose failure
+    bound is 1 or more, where attempts pass rarely, try
+    derandomized_two_coloring first.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -248,16 +163,7 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
         raise ValueError(f"attempts must be at least 0, not {attempts}")
     if not connectivity_at_least(g, k):
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
-
-    def undropped():  # the head, then each block's prefilter survivors
-        yield from range(min(SEARCH_HEAD, attempts))
-        if attempts > SEARCH_HEAD:
-            plan = _search_plan(g)
-            for lo in range(SEARCH_HEAD, attempts, SEARCH_BLOCK):
-                for t in _survivors(plan, k, seed + lo, min(SEARCH_BLOCK, attempts - lo)):
-                    yield lo + t
-
-    for i in undropped():
+    for i in range(attempts):
         col = random_two_coloring(g, seed + i)
         if _short_pair(g, col, k) is None:
             return col

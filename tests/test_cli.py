@@ -202,7 +202,7 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
     graph.write_text("graph 3 3\n0 1\n0 2\n1 2\n")  # no 2-coloring of K3 is rainbow-2
     monkeypatch.setattr(rainbow, "_short_pair", lambda g, col, k: None)  # a broken decider
     code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "2",
-                                   "--attempts", str(rainbow.SEARCH_HEAD + 10), "--seed", "0")
+                                   "--attempts", "74", "--seed", "0")
     assert code == 4 and manifest is None
     error = one_error_line(captured)
     assert error["error"] == "AssertionError" and "accepted a failing coloring" in error["message"]

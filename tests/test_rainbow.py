@@ -298,7 +298,8 @@ def test_search_immediate_and_exhausted():
     found = search_two_coloring(k2, 1, 1, seed=0)
     assert found is not None
     k3 = complete_graph(3)
-    assert search_two_coloring(k3, 2, 300, seed=0) is None
+    for budget in (1, 2, 64, 300):
+        assert search_two_coloring(k3, 2, budget, seed=0) is None
 
 
 def test_search_refuses_a_negative_budget():
@@ -404,14 +405,14 @@ def test_validator_reads_edge_colors_not_masks():
 def test_search_winner_in_the_head():
     g = complete_multipartite([2, 2, 2])
     col = search_two_coloring(g, 2, 800, seed=1799)
-    assert col.seed - 1799 == 44 < rainbow.SEARCH_HEAD
+    assert col.seed - 1799 == 44
     assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
 
 
 def test_search_winner_past_the_head():
     g = noncommuting_graph(dihedral(9)).graph
     col = search_two_coloring(g, 3, 5000, seed=0)
-    assert col.seed == 420 > rainbow.SEARCH_HEAD  # decided in a prefiltered block
+    assert col.seed == 420
 
 
 def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
@@ -420,44 +421,12 @@ def test_search_builds_no_certificate_and_certify_validates_once(monkeypatch):
     g = noncommuting_graph(dihedral(10)).graph
     calls = counting_validator(monkeypatch)
     col = search_two_coloring(g, 2, 1000, 11)
+    first = search_two_coloring(g, 2, 1000, 14)
     assert calls == []
     assert col.seed == 13  # two rejected attempts, the same winner as before
+    assert first.seed == 14 and first.edge_colors == random_two_coloring(g, 14).edge_colors
     certify_rc2(g, col)
     assert calls == [2]
-
-
-def test_search_within_the_head_builds_no_plan(monkeypatch):
-    """Every head attempt is drawn and decided by the verifier's count, so a
-    search the head ends, by a winner or by a budget of at most SEARCH_HEAD
-    attempts that all fail (no 2-coloring of K3 is rainbow-2-connected),
-    builds no search plan; a winner is that attempt's coloring."""
-    def no_plan(g):
-        raise AssertionError("search plan built")
-
-    monkeypatch.setattr(rainbow, "_search_plan", no_plan)
-    g = noncommuting_graph(dihedral(10)).graph
-    col = search_two_coloring(g, 2, 1000, 14)
-    assert col.seed == 14
-    assert col.edge_colors == random_two_coloring(g, 14).edge_colors
-    assert isinstance(is_rainbow_k_connected(g, col, 2), RainbowCertificate)
-    assert search_two_coloring(g, 2, 1000, 11).seed == 13
-    assert search_two_coloring(complete_multipartite([2, 2, 2]), 2, 800, 1799).seed == 1799 + 44
-    for budget in (1, 2, rainbow.SEARCH_HEAD):
-        assert search_two_coloring(complete_graph(3), 2, budget, 0) is None
-
-
-def test_search_builds_one_plan_when_the_head_fails(monkeypatch):
-    """D14 at k = 3 from seed 1: every head attempt fails, and the blocks,
-    read from one search plan, find the winner at attempt 45,483."""
-    g14 = noncommuting_graph(dihedral(7)).graph
-    assert all(rainbow._short_pair(g14, random_two_coloring(g14, 1 + i), 3) is not None
-               for i in range(rainbow.SEARCH_HEAD))
-    plans = []
-    build = rainbow._search_plan
-    monkeypatch.setattr(rainbow, "_search_plan", lambda g: plans.append(g) or build(g))
-    col = search_two_coloring(g14, 3, 10 ** 5, seed=1)
-    assert col.seed - 1 == 45_483
-    assert plans == [g14]
 
 
 def test_greedy_starts_at_the_failure_bound_on_the_suite():
