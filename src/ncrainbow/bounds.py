@@ -92,6 +92,14 @@ THRESHOLD_SCAN_LIMIT = 100_000
 THRESHOLD_MAX_K = 100  # the scan's cost grows steeply with k
 
 
+def _check_threshold_k(k: int) -> None:
+    """The guard both threshold scans run before any work."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if k > THRESHOLD_MAX_K:
+        raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
+
+
 def threshold_for_k(k: int) -> int:
     """Smallest n with sum(n^i for i in 2..k+1) < 2^(n/6) from n onward.
 
@@ -102,10 +110,7 @@ def threshold_for_k(k: int) -> int:
     stops there. The scan gives up at n = THRESHOLD_SCAN_LIMIT. A k above
     THRESHOLD_MAX_K is refused with SearchBudgetExceeded before the scan.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if k > THRESHOLD_MAX_K:
-        raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
+    _check_threshold_k(k)
     power = 6 * (k + 1)
     run_start: int | None = None
     for n in range(1, THRESHOLD_SCAN_LIMIT):
@@ -118,6 +123,56 @@ def threshold_for_k(k: int) -> int:
         else:
             run_start = None
     raise RuntimeError(f"no stable threshold below {THRESHOLD_SCAN_LIMIT}")
+
+
+def lemma_bound(n: int, k: int = 2) -> Fraction:
+    """B_k(n) = C(n-1, 2) * P(Bin(ceil(n/4), 1/2) <= k-1), a cap on
+    failure_bound(G, k) for every non-abelian G of order n.
+
+    Non-central x and y have |C(x)|, |C(y)| <= n/2, and the product
+    formula gives |C(x) ∩ C(y)| >= |C(x)||C(y)|/n, so
+    |C(x) ∪ C(y)| <= 3n/4 and tau(x, y) >= ceil(n/4). Each of the at most
+    C(n-1, 2) pairs then fails with probability at most the tail at
+    t = ceil(n/4), which falls as t grows.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    t = (n + 3) // 4
+    return Fraction(comb(n - 1, 2) * sum(comb(t, i) for i in range(k)), 1 << t)
+
+
+def lemma_threshold(k: int) -> int:
+    """Smallest n with lemma_bound(m, k) < 1 for every m >= n.
+
+    The scan runs t = ceil(n/4) block by block, n = 4t-3 .. 4t, checking
+    every n, and stops after the first block with t >= max(3k, 8) and
+    lemma_bound(4t, k) < 1. Past that block the bound stays below 1:
+    - within a block t is fixed and C(n-1, 2) rises, so 4t is the block
+      maximum;
+    - from block t to t+1 the tail S_t / 2^t, S_t = sum_{i<k} C(t, i),
+      changes by 1 - C(t, k-1) / (2 S_t), because S_{t+1} = 2 S_t -
+      C(t, k-1). For t >= 3k, C(t, i-1) / C(t, i) = i / (t-i+1) < 1/2
+      for i < k, so S_t < 2 C(t, k-1) and the ratio is below 3/4;
+    - C(4t+3, 2) / C(4t-1, 2) < 4/3 once 16t^2 - 108t - 10 > 0, so for
+      t >= 8.
+    So the block maxima fall by a factor below 1 from the stop on. The
+    scan gives up at n = THRESHOLD_SCAN_LIMIT; k above THRESHOLD_MAX_K is
+    refused with SearchBudgetExceeded before the scan.
+    """
+    _check_threshold_k(k)
+    t0 = max(3 * k, 8)
+    run_start: int | None = None
+    for t in range(1, THRESHOLD_SCAN_LIMIT // 4):
+        for n in range(4 * t - 3, 4 * t + 1):
+            if lemma_bound(n, k) < 1:
+                run_start = run_start or n
+            else:
+                run_start = None
+        if t >= t0 and run_start is not None:  # then lemma_bound(4t, k) < 1
+            return run_start
+    raise RuntimeError(f"no stable lemma threshold below {THRESHOLD_SCAN_LIMIT}")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, mid_bound,
-                     scan_exception_report, threshold_for_k)
+from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, lemma_bound,
+                     lemma_threshold, mid_bound, scan_exception_report, threshold_for_k)
 from .check import brute_force_vertex_connectivity, short_rainbow_counts, validate_certificate
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
@@ -35,7 +35,7 @@ from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complete_graph
                      detect_complete_multipartite, graph_from_edges, vertex_connectivity)
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral,
                      direct_product, load_cayley_table, metacyclic, semidirect_product)
-from .ncgraph import (NonCommutingGraph, abelian_extension_check,
+from .ncgraph import (BoundViolated, NonCommutingGraph, abelian_extension_check,
                       common_neighbor_floor_check, noncommuting_graph)
 from .rainbow import (ColoringRejected, FailureWitness, RainbowCertificate, Rc2Certificate,
                       certify_rc2, derandomized_two_coloring, is_rainbow_k_connected,
@@ -158,9 +158,13 @@ def certify_by_structure(ncg: NonCommutingGraph) -> Rc2Certificate | None:
 # --- the individual criteria -------------------------------------------------
 
 def check_tau_floor(suite: list[Group]) -> CriterionResult:
+    """6*tau >= |G| on every suite group (raised inside the floor check),
+    and 4*tau >= |G|, the hypothesis of lemma_bound, raised here."""
     worst = None
     for grp in suite:
         report = common_neighbor_floor_check(grp)  # pair_profile cross-asserts every tau
+        if 4 * report.min_tau < grp.order:
+            raise BoundViolated(f"{grp.name}: 4*tau = {4 * report.min_tau} < {grp.order}")
         ratio = report.min_ratio
         if worst is None or ratio < worst[0]:
             worst = (ratio, grp.name)
@@ -231,7 +235,15 @@ def check_triangle_exclusion() -> CriterionResult:
                            "all 8 two-colorings fail, a 3-coloring passes")
 
 
-def check_exception_scan(suite: list[Group], quick: bool) -> CriterionResult:
+def check_exception_scan(suite: list[Group]) -> CriterionResult:
+    """The suite's flagged set and the D/Q sweep below lemma_threshold(2).
+
+    Every group from that order on has failure_bound < 1 by the tau >=
+    |G|/4 lemma, so only the orders below it are computed. Each computed
+    value must lie at or under lemma_bound; one above it contradicts the
+    lemma and raises BoundViolated.
+    """
+    first_proved = lemma_threshold(2)
     reports = scan_exception_report(suite)
     flagged = {r.group_name for r in reports if r.flagged}
     problems = []
@@ -240,17 +252,23 @@ def check_exception_scan(suite: list[Group], quick: bool) -> CriterionResult:
     pinned = {r.group_name: r.value for r in reports}
     if pinned["D6"] != Fraction(19, 8) or pinned["D8"] != Fraction(63, 16):
         problems.append("pinned values for D6/D8 moved")
-    top = 32 if quick else 56
-    for n in range(3, top + 1):
-        if (failure_bound(dihedral(n)) >= 1) != (n <= 8):
-            problems.append(f"D{2 * n} on the wrong side of 1")
-    for m in range(2, top // 2 + 1):
-        if (failure_bound(dicyclic(m)) >= 1) != (m <= 4):
-            problems.append(f"Q{4 * m} on the wrong side of 1")
+    top = first_proved - 1
+    sweep = ([dihedral(n) for n in range(3, top // 2 + 1)]
+             + [dicyclic(m) for m in range(2, top // 4 + 1)])
+    computed = [(r.group_name, r.order, r.value) for r in reports]
+    for grp in sweep:
+        value = failure_bound(grp)
+        computed.append((grp.name, grp.order, value))
+        if (value >= 1) != (grp.order <= 16):  # flagged exactly through D16 and Q16
+            problems.append(f"{grp.name} on the wrong side of 1")
+    for name, order, value in computed:
+        if value > lemma_bound(order):
+            raise BoundViolated(f"{name}: failure_bound {value} > lemma_bound({order})")
     return CriterionResult(
         "exception-scan", not problems,
         "; ".join(problems) or
-        f"{len(flagged)} flagged, dihedral/dicyclic clean through order {2 * top}",
+        f"{len(flagged)} flagged, dihedral/dicyclic clean through order {top},"
+        f" every group from order {first_proved} by tau >= |G|/4",
     )
 
 
@@ -392,7 +410,7 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         ("fiber-expansion", check_fiber_expansion),
         ("coloring-grid", check_coloring_grid),
         ("triangle-exclusion", check_triangle_exclusion),
-        ("exception-scan", lambda: check_exception_scan(suite, quick)),
+        ("exception-scan", lambda: check_exception_scan(suite)),
         ("johnson-fiber", check_johnson_fiber),
         ("constructive-search", lambda: check_constructive_search(suite)),
         ("inequality-chain", lambda: check_inequality_chain(quick)),

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ncrainbow.bounds import (coarse_bound, coarse_bound_holds, failure_bound,
-                              mid_bound, threshold_for_k)
+                              lemma_bound, mid_bound, threshold_for_k)
 from ncrainbow.check import (brute_force_vertex_connectivity as brute_vertex_connectivity,
                              short_rainbow_counts)
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
@@ -19,7 +19,7 @@ from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_colo
 from ncrainbow.graphs import (are_isomorphic, complete_graph, detect_complete_multipartite,
                               graph_from_edges, vertex_connectivity)
 from ncrainbow.groups import dicyclic, dihedral
-from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph
+from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph, pair_profile
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
                                is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
                                validate_certificate)
@@ -107,8 +107,22 @@ def test_criterion_5_triangle_exclusion():
     print("\nACCEPTANCE 5 K3 exclusion: PASS (8 colorings refuted, 3-coloring passes)")
 
 
+def assert_lemma_links(group, ks):
+    """Every pair has tau >= |G|/4, and failure_bound(G, k) <= lemma_bound(|G|, k)
+    for each k in ks. Returns the k = 2 value."""
+    taus = {t for t, _ in pair_profile(noncommuting_graph(group))}
+    assert 4 * min(taus) >= group.order, group.name
+    values = [failure_bound(group, k) for k in ks]
+    for k, value in zip(ks, values):
+        assert value <= lemma_bound(group.order, k), (group.name, k)
+    return values[0]
+
+
 def test_criterion_6_exception_scan(suite):
-    values = {g.name: failure_bound(g, 2) for g in suite}
+    """The computed side of the exception scan, through order 112: the
+    flagged set, and every swept and suite group under lemma_bound (the
+    suite at k = 2..6), with each pair's tau at least |G|/4."""
+    values = {g.name: assert_lemma_links(g, range(2, 7)) for g in suite}
     flagged = {name for name, value in values.items() if value >= 1}
     assert flagged == set(EXPECTED_FLAGGED)
     assert values["D6"] == Fraction(19, 8)
@@ -116,11 +130,11 @@ def test_criterion_6_exception_scan(suite):
     for name in ("D18", "D20", "D22", "Q20", "Q24"):
         assert values[name] < 1, name
     for n in range(3, 57):
-        assert (failure_bound(dihedral(n), 2) >= 1) == (n <= 8), n
+        assert (assert_lemma_links(dihedral(n), [2]) >= 1) == (n <= 8), n
     for m in range(2, 29):
-        assert (failure_bound(dicyclic(m), 2) >= 1) == (m <= 4), m
+        assert (assert_lemma_links(dicyclic(m), [2]) >= 1) == (m <= 4), m
     print(f"\nACCEPTANCE 6 exception scan: PASS ({len(flagged)} flagged, "
-          "dihedral/dicyclic clean through order 112)")
+          "dihedral/dicyclic clean through order 112, each under lemma_bound)")
 
 
 def test_criterion_7_johnson_fiber():

@@ -7,8 +7,8 @@ import pytest
 
 from ncrainbow import bounds
 from ncrainbow.bounds import (DyadicBound, coarse_bound, coarse_bound_holds,
-                              failure_bound, mid_bound, scan_exception_report,
-                              threshold_for_k, write_bound_reports)
+                              failure_bound, lemma_bound, lemma_threshold, mid_bound,
+                              scan_exception_report, threshold_for_k, write_bound_reports)
 from ncrainbow.graphs import SearchBudgetExceeded
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
 from ncrainbow.ncgraph import AbelianGroup, noncommuting_graph, pair_profile
@@ -173,6 +173,64 @@ def test_threshold_refuses_k_over_the_limit_before_the_scan(monkeypatch):
         threshold_for_k(bounds.THRESHOLD_MAX_K + 1)
     with pytest.raises(TypeError):  # the largest allowed k does start its scan
         threshold_for_k(bounds.THRESHOLD_MAX_K)
+
+
+LEMMA_THRESHOLDS = {2: 57, 3: 77, 4: 89, 5: 105, 6: 121}
+
+
+def test_lemma_thresholds():
+    for k, threshold in LEMMA_THRESHOLDS.items():
+        assert lemma_threshold(k) == threshold
+        assert lemma_bound(threshold - 1, k) >= 1, k
+    assert lemma_bound(56, 2) == Fraction(comb(55, 2) * 15, 2 ** 14)
+    assert lemma_bound(57, 2) == Fraction(comb(56, 2) * 16, 2 ** 15)
+
+
+def test_lemma_bound_stays_below_one_through_5000():
+    for k, threshold in LEMMA_THRESHOLDS.items():
+        for n in range(threshold, 5001):
+            assert lemma_bound(n, k) < 1, (k, n)
+
+
+def test_lemma_tail_ratio_identity():
+    """P(Bin(t+1) <= k-1) / P(Bin(t) <= k-1) = 1 - C(t, k-1) / (2 S_t), with
+    S_t = sum_{i<k} C(t, i): Pascal's rule gives S_{t+1} = 2 S_t - C(t, k-1)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t", positive=True, integer=True)
+    for k in range(2, 9):
+        s_t = sum(sympy.binomial(t, i) for i in range(k))
+        s_next = sum(sympy.binomial(t + 1, i) for i in range(k))
+        ratio = (s_next / 2 ** (t + 1)) / (s_t / 2 ** t)
+        claimed = 1 - sympy.binomial(t, k - 1) / (2 * s_t)
+        num, _ = sympy.fraction(sympy.together(sympy.expand_func(ratio - claimed)))
+        assert sympy.expand(sympy.powsimp(num)) == 0, k
+
+
+def test_lemma_ratio_inequalities():
+    """The two factors of lemma_threshold's proof, exactly: the tail ratio is
+    below 3/4 from t = 3k, the pair ratio below 4/3 from t = 8."""
+    for k in range(2, 13):
+        for t in range(3 * k, 3 * k + 400):
+            s_t = sum(comb(t, i) for i in range(k))
+            ratio = Fraction(sum(comb(t + 1, i) for i in range(k)), 2 * s_t)
+            assert ratio == 1 - Fraction(comb(t, k - 1), 2 * s_t), (k, t)
+            assert ratio < Fraction(3, 4), (k, t)
+    for t in range(8, 2000):
+        assert Fraction(comb(4 * t + 3, 2), comb(4 * t - 1, 2)) < Fraction(4, 3), t
+    # 4 C(4t-1, 2) - 3 C(4t+3, 2) = (16t^2 - 108t - 10) / 2, positive from t = 7 on
+    for t in range(1, 50):
+        assert 2 * (4 * comb(4 * t - 1, 2) - 3 * comb(4 * t + 3, 2)) == 16 * t * t - 108 * t - 10
+    assert 16 * 7 ** 2 - 108 * 7 - 10 > 0 > 16 * 6 ** 2 - 108 * 6 - 10
+
+
+def test_lemma_threshold_refuses_k_over_the_limit_before_the_scan(monkeypatch):
+    """As for threshold_for_k: with the scan's bound unusable, a scan that
+    starts raises TypeError at once."""
+    monkeypatch.setattr(bounds, "THRESHOLD_SCAN_LIMIT", None)
+    with pytest.raises(SearchBudgetExceeded):
+        lemma_threshold(bounds.THRESHOLD_MAX_K + 1)
+    with pytest.raises(TypeError):  # the largest allowed k does start its scan
+        lemma_threshold(bounds.THRESHOLD_MAX_K)
 
 
 def test_scan_reports():

@@ -1,15 +1,17 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from ncrainbow import graphs, ncgraph, rainbow, reproduce
+from ncrainbow import graphs, rainbow, reproduce
+from ncrainbow.bounds import lemma_bound
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
 from ncrainbow.groups import dihedral, load_cayley_table
 from ncrainbow.ncgraph import noncommuting_graph
-from util import counting_validator
+from util import counting_validator, inject_min_tau
 
 
 def run(capsys, *argv):
@@ -210,17 +212,54 @@ def test_internal_failure_exits_four(tmp_path, capsys, monkeypatch):
 
 def test_reproduce_exits_four_on_a_tau_below_the_floor(capsys, monkeypatch):
     """A least tau under |G|/6 contradicts a theorem: an internal failure."""
-    real = ncgraph._class_pairs
-
-    def faulty(ncg):
-        yield from real(ncg)
-        yield ncg.group.order // 6 - 1, False, 1, (0, 1)
-
-    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
+    inject_min_tau(monkeypatch, lambda order: order // 6 - 1)
     code, manifest, captured = run(capsys, "reproduce")
     assert code == 4 and manifest is None
     error = one_error_line(captured)
     assert error["error"] == "BoundViolated" and "6*tau" in error["message"]
+
+
+def test_reproduce_exits_four_on_a_tau_below_a_quarter(capsys, monkeypatch):
+    """tau >= |G|/4 is the hypothesis of lemma_bound: a least tau of
+    ceil(|G|/4) passes tau-floor, one less exits 4. On D6, the first suite
+    group, one less is still |G|/6, so only the quarter guard trips."""
+    inject_min_tau(monkeypatch, lambda order: -(-order // 4))
+    assert reproduce.check_tau_floor(reproduce.standard_suite()).passed
+    inject_min_tau(monkeypatch, lambda order: -(-order // 4) - 1)
+    code, manifest, captured = run(capsys, "reproduce")
+    assert code == 4 and manifest is None
+    assert one_error_line(captured) == {"error": "BoundViolated", "message": "D6: 4*tau = 4 < 6"}
+
+
+def test_reproduce_exits_four_on_a_value_above_the_lemma_bound(capsys, monkeypatch):
+    """Every computed failure bound must lie at or under lemma_bound. The
+    sweep's values come through reproduce.failure_bound: passed through,
+    the stdout is the pinned one; one value set 1/2^t above the lemma for
+    D40 (t = ceil(40/4)) exits 4."""
+    real = reproduce.failure_bound
+    swept = []
+
+    def spy(group, k=2):
+        swept.append(group.name)
+        return real(group, k)
+
+    monkeypatch.setattr(reproduce, "failure_bound", spy)
+    assert main(["reproduce"]) == 0
+    assert capsys.readouterr().out == FULL_STDOUT
+    assert {f"D{2 * n}" for n in range(3, 29)} | {f"Q{4 * m}" for m in range(2, 15)} <= set(swept)
+    assert not {"D58", "Q60"} & set(swept)
+
+    def faulty(group, k=2):
+        if group.name == "D40":
+            return lemma_bound(40, 2) + Fraction(1, 2 ** 10)
+        return real(group, k)
+
+    monkeypatch.setattr(reproduce, "failure_bound", faulty)
+    code, manifest, captured = run(capsys, "reproduce")
+    assert code == 4 and manifest is None
+    error = one_error_line(captured)
+    assert error["error"] == "BoundViolated"
+    assert error["message"].startswith("D40: failure_bound ")
 
 
 def test_search_certifies_its_winner_before_writing_it(tmp_path, capsys, monkeypatch):
@@ -289,7 +328,8 @@ QUICK_PASS_LINES = [
     "PASS  fiber-expansion         4 natural maps verified",
     "PASS  coloring-grid           24 grid points certified",
     "PASS  triangle-exclusion      all 8 two-colorings fail, a 3-coloring passes",
-    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 64",
+    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 56,"
+    " every group from order 57 by tau >= |G|/4",
     "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
     "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
     "PASS  inequality-chain        coarse exact on 114..400, mid <= coarse through n = 150",
@@ -305,7 +345,8 @@ FULL_STDOUT = "".join(line + "\n" for line in [
     "PASS  fiber-expansion         4 natural maps verified",
     "PASS  coloring-grid           24 grid points certified",
     "PASS  triangle-exclusion      all 8 two-colorings fail, a 3-coloring passes",
-    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 112",
+    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 56,"
+    " every group from order 57 by tau >= |G|/4",
     "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
     "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
     "PASS  inequality-chain        coarse exact on 114..2000, mid <= coarse through n = 300",

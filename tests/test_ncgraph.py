@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from ncrainbow import ncgraph
 from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
                               write_graph_file)
 from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direct_product,
@@ -10,6 +9,7 @@ from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direc
 from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                                abelian_extension_check, common_neighbor_floor_check,
                                noncommuting_graph, pair_profile)
+from util import inject_min_tau
 
 
 def both_taus(ncg, x, y):
@@ -133,17 +133,6 @@ def test_floor_reports():
     assert rep.min_tau == 2 and rep.min_ratio == 2
     rep = common_neighbor_floor_check(dicyclic(2))
     assert 6 * rep.min_tau >= 8
-
-
-def inject_min_tau(monkeypatch, tau_of_order):
-    """Make _class_pairs also yield a class pair of the given least tau."""
-    real = ncgraph._class_pairs
-
-    def faulty(ncg):
-        yield from real(ncg)
-        yield tau_of_order(ncg.group.order), False, 1, (0, 1)
-
-    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(24)], ids=lambda g: g.name)

@@ -1,12 +1,13 @@
-"""Brute-force reference implementations used as independent oracles, and
-a call counter for the certificate validator. The oracles that the
-package itself runs live in ncrainbow.check."""
+"""Brute-force reference implementations used as independent oracles, a
+call counter for the certificate validator, and a least-tau fault
+injector. The oracles that the package itself runs live in
+ncrainbow.check."""
 
 from collections import Counter
 from itertools import permutations
 from typing import Sequence
 
-from ncrainbow import rainbow
+from ncrainbow import ncgraph, rainbow
 from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
@@ -27,6 +28,17 @@ def counting_validator(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(rainbow, "validate_certificate", counted)
     return calls
+
+
+def inject_min_tau(monkeypatch, tau_of_order):
+    """Make ncgraph._class_pairs also yield a class pair of the given least tau."""
+    real = ncgraph._class_pairs
+
+    def faulty(ncg):
+        yield from real(ncg)
+        yield tau_of_order(ncg.group.order), False, 1, (0, 1)
+
+    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
 
 
 def brute_center(table):
