@@ -59,6 +59,12 @@ class DyadicBound:
             return True
         return p ** 6 < q ** 6 << self.sixth_log2
 
+    def covers(self, value: Fraction) -> bool:
+        """Whether a value > 0 is at most this bound: P > 0 and v^6 * 2^L <= P^6."""
+        p, q = self.prefactor.numerator, self.prefactor.denominator
+        v, w = value.numerator, value.denominator
+        return p > 0 and (v * q) ** 6 << self.sixth_log2 <= (p * w) ** 6
+
     def leq(self, other: "DyadicBound") -> bool:
         if self.sixth_log2 != other.sixth_log2:
             raise ValueError("comparison requires a common exponent")

@@ -44,7 +44,10 @@ from pathlib import Path
 
 from .check import validate_certificate
 from .colorings import EdgeColoring, random_two_coloring
-from .graphs import Graph, connectivity_at_least, iter_bits
+from .graphs import Graph, SearchBudgetExceeded, connectivity_at_least, iter_bits
+
+# attempts x (edges + vertex pairs); 10^5 attempts on the D14 graph at k = 3 are 1.41 * 10^7
+SEARCH_WORK_LIMIT = 10 ** 8
 
 
 class PreconditionKappa(Exception):
@@ -155,12 +158,18 @@ def search_two_coloring(g: Graph, k: int, attempts: int, seed: int) -> EdgeColor
 
     Each attempt costs one draw and one count. On a graph whose failure
     bound is 1 or more, where attempts pass rarely, try
-    derandomized_two_coloring first.
+    derandomized_two_coloring first. A budget whose attempts x (edges +
+    vertex pairs) exceeds SEARCH_WORK_LIMIT is refused with
+    SearchBudgetExceeded before any draw.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if attempts < 0:
         raise ValueError(f"attempts must be at least 0, not {attempts}")
+    n = g.vertex_count
+    if attempts * (g.edge_count + n * (n - 1) // 2) > SEARCH_WORK_LIMIT:
+        raise SearchBudgetExceeded(f"search work is limited to {SEARCH_WORK_LIMIT}"
+                                   " attempts x (edges + vertex pairs)")
     if not connectivity_at_least(g, k):
         raise PreconditionKappa(f"k={k} exceeds the vertex connectivity")
     for i in range(attempts):

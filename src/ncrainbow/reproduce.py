@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .bounds import (coarse_bound, coarse_bound_holds, failure_bound, lemma_bound,
-                     lemma_threshold, mid_bound, scan_exception_report, threshold_for_k)
+from .bounds import (coarse_bound_holds, failure_bound, lemma_bound, lemma_threshold,
+                     mid_bound, scan_exception_report, threshold_for_k)
 from .check import brute_force_vertex_connectivity, short_rainbow_counts, validate_certificate
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
@@ -239,9 +239,10 @@ def check_exception_scan(suite: list[Group]) -> CriterionResult:
     """The suite's flagged set and the D/Q sweep below lemma_threshold(2).
 
     Every group from that order on has failure_bound < 1 by the tau >=
-    |G|/4 lemma, so only the orders below it are computed. Each computed
-    value must lie at or under lemma_bound; one above it contradicts the
-    lemma and raises BoundViolated.
+    |G|/4 lemma, so only the orders below it are computed, and the D/Q
+    groups the suite holds keep their suite values. Each computed value
+    must lie at or under lemma_bound and the paper's mid_bound(|G|, |Z|);
+    one above either contradicts a proof and raises BoundViolated.
     """
     first_proved = lemma_threshold(2)
     reports = scan_exception_report(suite)
@@ -249,21 +250,25 @@ def check_exception_scan(suite: list[Group]) -> CriterionResult:
     problems = []
     if flagged != EXPECTED_FLAGGED:
         problems.append(f"flagged set differs: {sorted(flagged ^ EXPECTED_FLAGGED)}")
-    pinned = {r.group_name: r.value for r in reports}
-    if pinned["D6"] != Fraction(19, 8) or pinned["D8"] != Fraction(63, 16):
+    values = {r.group_name: r.value for r in reports}
+    if values["D6"] != Fraction(19, 8) or values["D8"] != Fraction(63, 16):
         problems.append("pinned values for D6/D8 moved")
     top = first_proved - 1
-    sweep = ([dihedral(n) for n in range(3, top // 2 + 1)]
-             + [dicyclic(m) for m in range(2, top // 4 + 1)])
-    computed = [(r.group_name, r.order, r.value) for r in reports]
-    for grp in sweep:
-        value = failure_bound(grp)
-        computed.append((grp.name, grp.order, value))
-        if (value >= 1) != (grp.order <= 16):  # flagged exactly through D16 and Q16
-            problems.append(f"{grp.name} on the wrong side of 1")
-    for name, order, value in computed:
+    computed = [(r.group_name, r.order, r.center_size, r.value) for r in reports]
+    sweep = ([(f"D{2 * n}", 2 * n, dihedral, n) for n in range(3, top // 2 + 1)]
+             + [(f"Q{4 * m}", 4 * m, dicyclic, m) for m in range(2, top // 4 + 1)])
+    for name, order, family, param in sweep:
+        if name not in values:
+            grp = family(param)
+            values[name] = failure_bound(grp)
+            computed.append((name, order, grp.center_mask.bit_count(), values[name]))
+        if (values[name] >= 1) != (order <= 16):  # flagged exactly through D16 and Q16
+            problems.append(f"{name} on the wrong side of 1")
+    for name, order, z, value in computed:
         if value > lemma_bound(order):
             raise BoundViolated(f"{name}: failure_bound {value} > lemma_bound({order})")
+        if not mid_bound(order, z).covers(value):
+            raise BoundViolated(f"{name}: failure_bound {value} > mid_bound({order}, {z})")
     return CriterionResult(
         "exception-scan", not problems,
         "; ".join(problems) or
@@ -321,23 +326,29 @@ def check_constructive_search(suite: list[Group]) -> CriterionResult:
     )
 
 
-def check_inequality_chain(quick: bool) -> CriterionResult:
+def check_inequality_chain() -> CriterionResult:
+    """The paper's chain failure_bound <= mid_bound <= coarse_bound < 1, for
+    every order n >= 114.
+
+    coarse_bound(n) < 1 is n^18 < 2^(n+12). It fails at 108 and holds at
+    114, and 115^18 < 2 * 114^18 carries it from n to n + 1, because
+    (1 + 1/n)^18 falls with n. Over the common 2^(-n/6), mid <= coarse
+    termwise for every 1 <= z <= n: 0 <= n - z < n, and n^2 - 2z - zn - 2
+    < n^2 (where it is negative, the product is at most 0).
+    check_exception_scan checks failure_bound <= mid_bound on every group
+    it computes.
+    """
     problems = []
-    top = 400 if quick else 2000
     if coarse_bound_holds(108):
         problems.append("coarse bound wrongly holds at 108")
-    for n in range(114, top + 1):
-        if not coarse_bound_holds(n):
-            problems.append(f"coarse bound fails at {n}")
-            break
-    mid_top = 150 if quick else 300
-    for n in range(3, mid_top + 1):
-        for z in range(1, n):
-            if n % z == 0 and not mid_bound(n, z).leq(coarse_bound(n)):
-                problems.append(f"mid bound above coarse at (n={n}, z={z})")
+    if not coarse_bound_holds(114):
+        problems.append("coarse bound fails at 114")
+    if 115 ** 18 >= 2 * 114 ** 18:
+        problems.append("induction step 115^18 < 2*114^18 fails")
     return CriterionResult("inequality-chain", not problems,
                            "; ".join(problems) or
-                           f"coarse exact on 114..{top}, mid <= coarse through n = {mid_top}")
+                           "coarse fails at 108 and holds for every n >= 114"
+                           " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n")
 
 
 def check_rainbow3() -> CriterionResult:
@@ -413,7 +424,7 @@ def run_all(quick: bool = False) -> list[CriterionResult]:
         ("exception-scan", lambda: check_exception_scan(suite)),
         ("johnson-fiber", check_johnson_fiber),
         ("constructive-search", lambda: check_constructive_search(suite)),
-        ("inequality-chain", lambda: check_inequality_chain(quick)),
+        ("inequality-chain", check_inequality_chain),
         ("rainbow3-threshold", check_rainbow3),
         ("oracle-equivalence", lambda: check_oracle_equivalence(quick)),
     ]

@@ -7,6 +7,7 @@ Each test prints a single PASS line (visible with `pytest -s`); the
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -108,20 +109,22 @@ def test_criterion_5_triangle_exclusion():
 
 
 def assert_lemma_links(group, ks):
-    """Every pair has tau >= |G|/4, and failure_bound(G, k) <= lemma_bound(|G|, k)
-    for each k in ks. Returns the k = 2 value."""
+    """Every pair has tau >= |G|/4, failure_bound(G, k) <= lemma_bound(|G|, k)
+    for each k in ks, and failure_bound(G, 2) <= mid_bound(|G|, |Z|), the
+    paper's per-group link. Returns the k = 2 value."""
     taus = {t for t, _ in pair_profile(noncommuting_graph(group))}
     assert 4 * min(taus) >= group.order, group.name
     values = [failure_bound(group, k) for k in ks]
     for k, value in zip(ks, values):
         assert value <= lemma_bound(group.order, k), (group.name, k)
+    assert mid_bound(group.order, group.center_mask.bit_count()).covers(values[0]), group.name
     return values[0]
 
 
 def test_criterion_6_exception_scan(suite):
     """The computed side of the exception scan, through order 112: the
     flagged set, and every swept and suite group under lemma_bound (the
-    suite at k = 2..6), with each pair's tau at least |G|/4."""
+    suite at k = 2..6) and mid_bound, with each pair's tau at least |G|/4."""
     values = {g.name: assert_lemma_links(g, range(2, 7)) for g in suite}
     flagged = {name for name, value in values.items() if value >= 1}
     assert flagged == set(EXPECTED_FLAGGED)
@@ -178,11 +181,17 @@ def test_criterion_9_inequality_chain():
     assert not coarse_bound_holds(108)
     for n in range(114, 2001):
         assert coarse_bound_holds(n), n
+    seen = []
     for n in range(3, 301):
         coarse = coarse_bound(n)
         for z in range(1, n):
             if n % z == 0:
                 assert mid_bound(n, z).leq(coarse), (n, z)
+                seen.append((n, z))
+    # every proper divisor, z = 1 included: the trivial center of D6, D10, D14 and S3
+    assert {(n, 1) for n in range(3, 301)} <= set(seen)
+    assert set(seen) == {(n, z) for n in range(3, 301) for d in range(1, isqrt(n) + 1)
+                         if n % d == 0 for z in (d, n // d) if z < n}
     print("\nACCEPTANCE 9 inequality chain: PASS (coarse 114..2000, mid <= coarse to 300)")
 
 

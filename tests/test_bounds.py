@@ -145,6 +145,43 @@ def test_mid_below_coarse():
         for z in range(1, n):
             if n % z == 0:
                 assert mid_bound(n, z).leq(coarse_bound(n))
+    # for all n and 1 <= z <= n: the prefactors times 4 differ by
+    # n^3 - (n-z)(n^2-2z-zn-2) = zn(2n-z) + 2(z+1)(n-z) > 0, a cubic identity
+    # that agreeing on a 4 x 4 grid proves
+    for n in range(1, 5):
+        for z in range(1, 5):
+            gap = n ** 3 - (n - z) * (n * n - 2 * z - z * n - 2)
+            assert gap == z * n * (2 * n - z) + 2 * (z + 1) * (n - z), (n, z)
+
+
+def test_coarse_induction_step():
+    """(n+1)^18 < 2 n^18 exactly from n = 26 on, and (1 + 1/n)^18 falls with n,
+    so n^18 < 2^(n+12) at 114 carries to every larger n."""
+    assert [n for n in range(1, 2001) if (n + 1) ** 18 < 2 * n ** 18] == list(range(26, 2001))
+    assert all(Fraction(n + 2, n + 1) < Fraction(n + 1, n) for n in range(1, 2001))
+    assert 115 ** 18 < 2 * 114 ** 18
+
+
+def test_coarse_bound_holds_from_114_through_20000():
+    for n in range(114, 20001):
+        assert coarse_bound_holds(n), n
+
+
+def test_covers_matches_the_fraction_oracle():
+    """v <= P * 2^(-n/6) iff v^6 * 2^n <= P^6: at 6 | n the bound itself is
+    covered and a value 2^-40 above it is not; a zero cap covers nothing."""
+    for n, z in ((6, 1), (12, 2), (114, 1), (114, 2)):
+        b = mid_bound(n, z)
+        edge = b.prefactor / 2 ** (n // 6)
+        assert b.covers(edge) and not b.covers(edge + Fraction(1, 2 ** 40)), (n, z)
+    b = mid_bound(40, 2)  # about 141.6
+    verdicts = []
+    for num in range(1100, 1170):
+        value = Fraction(num, 8)
+        verdicts.append(b.covers(value))
+        assert verdicts[-1] == (value ** 6 * 2 ** 40 <= b.prefactor ** 6), num
+    assert True in verdicts and False in verdicts
+    assert not mid_bound(6, 6).covers(Fraction(1, 2 ** 10))
 
 
 def test_dyadic_exactness():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncrainbow import graphs, rainbow, reproduce
-from ncrainbow.bounds import lemma_bound
+from ncrainbow.bounds import DyadicBound, lemma_bound
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
@@ -262,6 +262,37 @@ def test_reproduce_exits_four_on_a_value_above_the_lemma_bound(capsys, monkeypat
     assert error["message"].startswith("D40: failure_bound ")
 
 
+def test_reproduce_exits_four_on_a_value_above_the_mid_bound(capsys, monkeypatch):
+    """Every computed failure bound must lie at or under the paper's
+    mid_bound(|G|, |Z|). With the cap cut to an eighth, D6's 19/8 lies
+    above it (the cap is 6.8 times the value there), so reproduce exits 4."""
+    real = reproduce.mid_bound
+
+    def smaller(n, z):
+        bound = real(n, z)
+        return DyadicBound(bound.prefactor / 8, bound.sixth_log2)
+
+    monkeypatch.setattr(reproduce, "mid_bound", smaller)
+    code, manifest, captured = run(capsys, "reproduce")
+    assert code == 4 and manifest is None
+    assert one_error_line(captured) == {"error": "BoundViolated",
+                                        "message": "D6: failure_bound 19/8 > mid_bound(6, 1)"}
+
+
+def test_search_over_the_work_limit_exits_three_before_any_draw(tmp_path, capsys, monkeypatch):
+    """D14 at k = 3 costs 63 edges + 78 pairs per attempt: 10^5 attempts fit
+    the limit, 10^6 are refused with one JSON line and nothing drawn."""
+    graph = tmp_path / "d14.graph"
+    write_graph_file(noncommuting_graph(dihedral(7)).graph, graph)
+    draws = []
+    monkeypatch.setattr(rainbow, "random_two_coloring", lambda g, s: draws.append(s))
+    code, manifest, captured = run(capsys, "search", "--graph", str(graph), "--k", "3",
+                                   "--attempts", str(10 ** 6), "--seed", "1")
+    assert code == 3 and manifest is None and draws == []
+    assert one_error_line(captured)["error"] == "SearchBudgetExceeded"
+    assert 10 ** 5 * (63 + 78) <= rainbow.SEARCH_WORK_LIMIT < 10 ** 6 * (63 + 78)
+
+
 def test_search_certifies_its_winner_before_writing_it(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "d18.graph"
     col = tmp_path / "d18.col"
@@ -332,7 +363,8 @@ QUICK_PASS_LINES = [
     " every group from order 57 by tau >= |G|/4",
     "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
     "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
-    "PASS  inequality-chain        coarse exact on 114..400, mid <= coarse through n = 150",
+    "PASS  inequality-chain        coarse fails at 108 and holds for every n >= 114"
+    " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n",
     "PASS  rainbow3-threshold      kappa = 7, rc3 = 2 for D14, thresholds"
     " [126, 180, 237, 296, 357]",
     "PASS  oracle-equivalence      40 colored graphs agree",
@@ -349,7 +381,8 @@ FULL_STDOUT = "".join(line + "\n" for line in [
     " every group from order 57 by tau >= |G|/4",
     "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
     "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
-    "PASS  inequality-chain        coarse exact on 114..2000, mid <= coarse through n = 300",
+    "PASS  inequality-chain        coarse fails at 108 and holds for every n >= 114"
+    " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n",
     "PASS  rainbow3-threshold      kappa = 7, rc3 = 2 for D14, thresholds"
     " [126, 180, 237, 296, 357]",
     "PASS  oracle-equivalence      200 colored graphs agree",

@@ -12,7 +12,8 @@ from ncrainbow.bounds import failure_bound
 from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring)
-from ncrainbow.graphs import complete_graph, complete_multipartite, graph_from_edges
+from ncrainbow.graphs import (SearchBudgetExceeded, complete_graph, complete_multipartite,
+                              graph_from_edges)
 from ncrainbow.groups import dicyclic, dihedral
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
@@ -306,6 +307,26 @@ def test_search_refuses_a_negative_budget():
     with pytest.raises(ValueError, match="attempts must be at least 0, not -5"):
         search_two_coloring(complete_graph(2), 1, -5, seed=0)
     assert search_two_coloring(complete_graph(2), 1, 0, seed=0) is None
+
+
+def test_search_refuses_work_over_the_limit_before_any_draw(monkeypatch):
+    """attempts x (edges + vertex pairs) above SEARCH_WORK_LIMIT is refused
+    before the first draw; at the limit the search runs. K3 costs 3 + 3 per
+    attempt and no 2-coloring of it passes at k = 2."""
+    drawn = []
+    draw = rainbow.random_two_coloring
+
+    def spy(g, seed):
+        drawn.append(seed)
+        return draw(g, seed)
+
+    monkeypatch.setattr(rainbow, "random_two_coloring", spy)
+    monkeypatch.setattr(rainbow, "SEARCH_WORK_LIMIT", 60)
+    with pytest.raises(SearchBudgetExceeded):
+        search_two_coloring(complete_graph(3), 2, 11, seed=0)
+    assert drawn == []
+    assert search_two_coloring(complete_graph(3), 2, 10, seed=0) is None
+    assert drawn == list(range(10))
 
 
 def test_search_precondition():

@@ -3,6 +3,8 @@ and search followed by certification."""
 
 import random
 
+import pytest
+
 from ncrainbow import rainbow, reproduce
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
@@ -91,19 +93,30 @@ def test_rainbow3_fails_on_a_corrupted_greedy_coloring(monkeypatch):
     assert result.detail == "the D14 rainbow-3 coloring fails verification"
 
 
-def test_inequality_chain_checks_every_center_size(monkeypatch):
-    """Center size 1 is the trivial center of D6, D10, D14 and S3; the mid
-    bound is compared with the coarse one at every proper divisor z of n."""
+@pytest.mark.parametrize("n", [108, 114])
+def test_inequality_chain_fails_on_a_flipped_coarse_verdict(monkeypatch, n):
+    """The criterion rests on coarse failing at 108 and holding at 114:
+    flipping either verdict fails it and names the order."""
+    real = reproduce.coarse_bound_holds
+    assert reproduce.check_inequality_chain().passed
+    monkeypatch.setattr(reproduce, "coarse_bound_holds", lambda m: real(m) != (m == n))
+    result = reproduce.check_inequality_chain()
+    assert not result.passed and str(n) in result.detail
+
+
+def test_exception_scan_computes_only_the_dq_groups_the_suite_lacks(monkeypatch):
+    """failure_bound runs once for each of D34..D56 and Q36..Q56 and never
+    for a D/Q group the suite holds, whose suite value serves."""
+    real = reproduce.failure_bound
     seen = []
-    real = reproduce.mid_bound
 
-    def spy(n, z):
-        seen.append((n, z))
-        return real(n, z)
+    def spy(group, k=2):
+        seen.append(group.name)
+        return real(group, k)
 
-    monkeypatch.setattr(reproduce, "mid_bound", spy)
-    assert reproduce.check_inequality_chain(quick=True).passed
-    assert seen == [(n, z) for n in range(3, 151) for z in range(1, n) if n % z == 0]
+    monkeypatch.setattr(reproduce, "failure_bound", spy)
+    assert reproduce.check_exception_scan(standard_suite()).passed
+    assert seen == [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
 
 
 def test_oracle_equivalence_checks_the_verifier(monkeypatch):
