@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ncrainbow import rainbow, reproduce
+from ncrainbow.bounds import coarse_bound, mid_bound
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
 from ncrainbow.groups import dihedral, direct_product, group_from_cayley_table
@@ -91,6 +92,24 @@ def test_rainbow3_fails_on_a_corrupted_greedy_coloring(monkeypatch):
     result = check_rainbow3()
     assert not result.passed
     assert result.detail == "the D14 rainbow-3 coloring fails verification"
+
+
+def test_inequality_chain_checks_every_center_size():
+    """Center size 1 is the trivial center of D6, D10, D14 and S3. The
+    criterion states mid <= coarse for every 1 <= z <= n; its termwise
+    argument holds at every such z, and mid_bound(n, z) <= coarse_bound(n)
+    at every proper divisor z of n."""
+    result = reproduce.check_inequality_chain()
+    assert result.passed and "mid <= coarse for every 1 <= z <= n" in result.detail
+    for n in range(3, 151):
+        for z in range(1, n + 1):
+            # over the common 2^(-n/6): 0 <= n - z < n and n^2 - 2z - zn - 2 < n^2
+            assert 0 <= n - z < n and n * n - 2 * z - z * n - 2 < n * n, (n, z)
+            assert (n - z) * (n * n - 2 * z - z * n - 2) <= n ** 3, (n, z)
+        coarse = coarse_bound(n)
+        for z in range(1, n):
+            if n % z == 0:
+                assert mid_bound(n, z).leq(coarse), (n, z)
 
 
 @pytest.mark.parametrize("n", [108, 114])
