@@ -18,10 +18,10 @@ from typing import Sequence
 
 from .graphs import SearchBudgetExceeded
 from .groups import Group
-from .ncgraph import AbelianGroup, noncommuting_graph, pair_profile
+from .ncgraph import AbelianGroup, NonCommutingGraph, noncommuting_graph, pair_profile
 
 
-def failure_bound(group: Group, k: int = 2) -> Fraction:
+def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
     """Union bound on the probability that a uniform random 2-coloring fails
     to make the non-commuting graph rainbow-k-connected.
 
@@ -32,16 +32,23 @@ def failure_bound(group: Group, k: int = 2) -> Fraction:
     tails at 1/2. A pair's term depends only on its tau and adjacency, so
     the sum runs over the keys of `pair_profile`, each term times its
     count. Exact rational output; every denominator is a power of 2.
-    Raises AbelianGroup for an abelian group, whose graph has no vertices.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     total = Fraction(0)
-    for (t, adjacent), count in pair_profile(noncommuting_graph(group)).items():
+    for (t, adjacent), count in pair_profile(ncg).items():
         misses = k - 2 if adjacent else k - 1
         head = sum(comb(t, i) for i in range(min(misses, t) + 1))  # comb(t, i) = 0 for i > t
         total += Fraction(count * head, 1 << t)
     return total
+
+
+def failure_bound(group: Group, k: int = 2) -> Fraction:
+    """graph_failure_bound on the group's graph, built after k is checked
+    (AbelianGroup for an abelian group)."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    return graph_failure_bound(noncommuting_graph(group), k)
 
 
 @dataclass(frozen=True)

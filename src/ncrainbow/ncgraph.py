@@ -2,11 +2,10 @@
 
 The non-commuting graph of a non-abelian group has the non-central
 elements as vertices and an edge between x and y exactly when xy != yx.
-Common-neighbor counts can be computed two independent ways (adjacency
-intersection on the graph side, centralizer unions on the group side);
-`pair_profile` is the one place that cross-asserts them, once per pair
-of twin classes (vertices with equal centralizers, so equal rows),
-because that identity is the backbone of everything downstream.
+One row check ties the graph to the group: each row must equal the
+vertices outside C(x), so tau(x, y) = |G| - |C(x) ∪ C(y)|. The pairs are
+taken once per pair of twin classes (vertices with equal centralizers,
+so equal rows) and kept on the graph, for `pair_profile` and the floor.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .graphs import Graph, lexicographic_product, edgeless_graph
-from .groups import Group, cyclic, direct_product
+from .groups import Group
 
 
 class AbelianGroup(Exception):
@@ -41,6 +40,11 @@ class NonCommutingGraph:
         for v, e in enumerate(self.vertex_to_element):
             members.setdefault(self.group.centralizer_mask(e), []).append(v)
         return tuple((c, sum(1 << v for v in vs), tuple(vs)) for c, vs in members.items())
+
+    @cached_property
+    def _checked_pairs(self) -> tuple[tuple[int, bool, int, tuple[int, int]], ...]:
+        """The class pairs of `_class_pairs`, made and checked once per graph."""
+        return tuple(_class_pairs(self))
 
 
 def noncommuting_graph(group: Group) -> NonCommutingGraph:
@@ -67,9 +71,10 @@ def _class_pairs(ncg: NonCommutingGraph) -> Iterator[tuple[int, bool, int, tuple
     """(tau, adjacent, pair count, first pair) per pair of twin classes and
     within each class of two or more, in order of first pair.
 
-    Each adjacency row must equal V less C(x), a union of twin classes;
-    then tau is checked once per class pair against |G| - |C(x) ∪ C(y)|.
-    Any disagreement raises BoundViolated.
+    Each adjacency row must equal V less C(x), a union of twin classes, or
+    BoundViolated is raised. With vertex_to_element exactly the non-central
+    elements, as `noncommuting_graph` makes it, adj[x] & adj[y] is then
+    V less (C(x) ∪ C(y)), so tau = |G| - |C(x) ∪ C(y)|, as Z lies in C(x).
     """
     adj = ncg.graph.adj
     classes = ncg._twin_classes
@@ -81,29 +86,26 @@ def _class_pairs(ncg: NonCommutingGraph) -> Iterator[tuple[int, bool, int, tuple
                 y = (adj[v] ^ expected).bit_length() - 1
                 raise BoundViolated(f"tau mismatch at ({v},{y}): graph edge"
                                     f" {adj[v] >> y & 1}, group {expected >> y & 1}")
-    for i, (cx, _, xs) in enumerate(classes):
-        for cy, _, ys in classes[i:]:
+    for i, (_, _, xs) in enumerate(classes):
+        for _, _, ys in classes[i:]:
             if ys is xs and len(xs) < 2:
                 continue  # a class of one has no pair within it
             y, count = ((xs[1], len(xs) * (len(xs) - 1) // 2) if ys is xs
                         else (ys[0], len(xs) * len(ys)))
             t = (adj[xs[0]] & adj[y]).bit_count()
-            group_side = ncg.group.order - (cx | cy).bit_count()
-            if t != group_side:
-                raise BoundViolated(f"tau mismatch at ({xs[0]},{y}): graph {t}, group {group_side}")
             yield t, (adj[xs[0]] >> y & 1) == 1, count, (xs[0], y)
 
 
 def pair_profile(ncg: NonCommutingGraph) -> dict[tuple[int, bool], int]:
     """Histogram of (tau, adjacent) over unordered pairs of distinct vertices.
 
-    One term per pair of twin classes, each checked against the group
-    side; a mismatch raises BoundViolated. Every group-side pair quantity
-    (the failure bound for any k, the 6*tau >= |G| floor) is a function
-    of this histogram.
+    One term per pair of twin classes, read from the graph's checked
+    pairs; a row that disagrees with the group raises BoundViolated.
+    Every group-side pair quantity (the failure bound for any k, the
+    6*tau >= |G| floor) is a function of this histogram.
     """
     hist: dict[tuple[int, bool], int] = {}
-    for t, adjacent, count, _ in _class_pairs(ncg):
+    for t, adjacent, count, _ in ncg._checked_pairs:
         hist[t, adjacent] = hist.get((t, adjacent), 0) + count
     return hist
 
@@ -117,16 +119,16 @@ class CommonNeighborReport:
     witness: tuple[str, str]
 
 
-def common_neighbor_floor_check(group: Group) -> CommonNeighborReport:
+def common_neighbor_floor_check(ncg: NonCommutingGraph) -> CommonNeighborReport:
     """Verify 6*tau(x,y) >= |G| over all vertex pairs; report the minimum.
 
     The floor holds for every non-commuting graph, so a violation is
     raised as BoundViolated (it would indicate a bug) rather than reported.
     """
-    ncg = noncommuting_graph(group)
+    group = ncg.group
     # The witness is the first pair in index order with the least tau:
     # the least first pair over the class pairs at that tau.
-    t, (x, y) = min((t, first) for t, _, _, first in _class_pairs(ncg))
+    t, (x, y) = min((t, first) for t, _, _, first in ncg._checked_pairs)
     if 6 * t < group.order:
         raise BoundViolated(
             f"{group.name}: 6*tau({ncg.graph.labels[x]},{ncg.graph.labels[y]})"
@@ -148,18 +150,15 @@ class FiberExpansionReport:
     vertex_count: int
 
 
-def abelian_extension_check(group: Group, n: int) -> FiberExpansionReport:
+def abelian_extension_check(base: NonCommutingGraph,
+                            extended: NonCommutingGraph) -> FiberExpansionReport:
     """Extending by the cyclic group of order n blows each vertex into an
-    edgeless n-fiber: the graph of G x Z_n equals the lexicographic product
-    of the graph of G with n isolated vertices, under the natural
-    (element, fiber) correspondence. Checked positionally, no search."""
-    if n < 1:
-        raise ValueError("fiber size must be positive")
-    big = noncommuting_graph(direct_product(group, cyclic(n)))
-    base = noncommuting_graph(group)
+    edgeless n-fiber: `extended`, the graph of direct_product(G, cyclic(n))
+    for G the group of `base`, n = |extended| / |base|, equals the
+    lexicographic product of `base` with n isolated vertices, under the
+    natural (element, fiber) correspondence. Checked positionally, no search."""
+    n = extended.group.order // base.group.order
     product = lexicographic_product(base.graph, edgeless_graph(n))
-    if big.graph.adj != product.adj:
-        raise BoundViolated(
-            f"{group.name} x Z{n}: graph differs from the fiber expansion"
-        )
-    return FiberExpansionReport(group.name, n, product.vertex_count)
+    if extended.graph.adj != product.adj:
+        raise BoundViolated(f"{extended.group.name}: not a fiber expansion of {base.group.name}")
+    return FiberExpansionReport(base.group.name, n, product.vertex_count)

@@ -1,12 +1,13 @@
 """End-to-end certification pipeline behind the `reproduce` CLI command.
 
-Each step re-derives one of the package's headline claims from scratch:
-structural identities of non-commuting graphs, the explicit coloring
-grid, exact failure-bound values with the exception scan, the threshold
-inequalities, and rainbow-2-connectivity certificates for every group in
-the standard suite. Steps are independent; a failure in one does not
-stop the others, and a step that exhausts a work budget fails on its own
-line.
+Each step re-derives one of the package's headline claims from the
+Cayley tables: structural identities of non-commuting graphs, the explicit
+coloring grid, exact failure-bound values with the exception scan, the
+threshold inequalities, and rainbow-2-connectivity certificates for every
+group in the standard suite. Each suite graph and its bound at k = 2 are
+made once and shared by every step that reads a suite group. Otherwise
+steps are independent; a failure in one does not stop the others, and a
+step that exhausts a work budget fails on its own line.
 
 Groups whose failure bound is below 1 get their coloring from the random
 search, which returns a coloring the verifier's count accepts; it is
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .bounds import (coarse_bound_holds, failure_bound, lemma_bound, lemma_threshold,
-                     mid_bound, scan_exception_report, threshold_for_k)
+from .bounds import (coarse_bound_holds, graph_failure_bound, lemma_bound, lemma_threshold,
+                     mid_bound, threshold_for_k)
 from .check import brute_force_vertex_connectivity, short_rainbow_counts, validate_certificate
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, splitmix64, transfer_coloring)
@@ -49,59 +50,50 @@ class CriterionResult:
     detail: str
 
 
-def fixture_groups() -> list[Group]:
-    """The bundled imported Cayley tables (an S3 copy and A4)."""
-    out = []
-    data = resources.files("ncrainbow").joinpath("data")
-    for entry in sorted(data.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".cay"):
-            with resources.as_file(entry) as path:
-                out.append(load_cayley_table(path))
-    return out
-
-
-def order16_family() -> list[Group]:
-    """All nine non-abelian groups of order 16, by explicit construction."""
+def standard_suite() -> list[Group]:
+    """Dihedral and dicyclic runs (D16 and Q16 among them), the seven other
+    non-abelian groups of order 16, the three Z3 extensions, both order-32
+    central products, and the bundled Cayley tables (an S3 copy and A4)."""
     z2, z4 = cyclic(2), cyclic(4)
     v4 = direct_product(z2, z2)
     ident4 = list(range(4))
     invert = [0, 3, 2, 1]  # x -> -x on Z4
     swap = [0, 2, 1, 3]    # (a,b) -> (b,a) on Z2 x Z2
-    return [
-        dihedral(8),
+    suite = [dihedral(n) for n in range(3, 17)]
+    suite += [dicyclic(m) for m in range(2, 9)]
+    suite += [
         metacyclic(8, 3),
-        dicyclic(4),
         metacyclic(8, 5),
         direct_product(dihedral(4), z2),
         direct_product(dicyclic(2), z2),
         central_product(z4, dihedral(4), 2, 2),
         semidirect_product(z4, z4, [ident4, invert, ident4, invert]),
         semidirect_product(v4, z4, [ident4, swap, ident4, swap]),
-    ]
-
-
-def central_products_32() -> list[Group]:
-    return [
-        central_product(dihedral(4), dihedral(4), 2, 2),
-        central_product(dihedral(4), dicyclic(2), 2, 2),
-    ]
-
-
-def standard_suite() -> list[Group]:
-    """Dihedral and dicyclic runs, the order-16 family, the three Z3
-    extensions, both order-32 central products, and the bundled fixtures."""
-    suite = [dihedral(n) for n in range(3, 17)]
-    suite += [dicyclic(m) for m in range(2, 9)]
-    have = {g.name for g in suite}
-    suite += [g for g in order16_family() if g.name not in have]
-    suite += [
         direct_product(dihedral(3), cyclic(3)),
         direct_product(dihedral(4), cyclic(3)),
         direct_product(dicyclic(2), cyclic(3)),
+        central_product(dihedral(4), dihedral(4), 2, 2),
+        central_product(dihedral(4), dicyclic(2), 2, 2),
     ]
-    suite += central_products_32()
-    suite += fixture_groups()
+    data = resources.files("ncrainbow").joinpath("data")
+    for entry in sorted(data.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".cay"):
+            with resources.as_file(entry) as path:
+                suite.append(load_cayley_table(path))
     return suite
+
+
+def order16_family() -> list[Group]:
+    """All nine non-abelian groups of order 16, D16 and Q16 first."""
+    return [g for g in standard_suite() if g.order == 16]
+
+
+Suite = dict[str, NonCommutingGraph]
+
+
+def suite_graphs() -> Suite:
+    """The non-commuting graph of each standard_suite group, by name, in order."""
+    return {g.name: noncommuting_graph(g) for g in standard_suite()}
 
 
 EXPECTED_FLAGGED = frozenset({
@@ -157,40 +149,40 @@ def certify_by_structure(ncg: NonCommutingGraph) -> Rc2Certificate | None:
 
 # --- the individual criteria -------------------------------------------------
 
-def check_tau_floor(suite: list[Group]) -> CriterionResult:
+def check_tau_floor(suite: Suite) -> CriterionResult:
     """6*tau >= |G| on every suite group (raised inside the floor check),
     and 4*tau >= |G|, the hypothesis of lemma_bound, raised here."""
     worst = None
-    for grp in suite:
-        report = common_neighbor_floor_check(grp)  # pair_profile cross-asserts every tau
-        if 4 * report.min_tau < grp.order:
-            raise BoundViolated(f"{grp.name}: 4*tau = {4 * report.min_tau} < {grp.order}")
-        ratio = report.min_ratio
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, grp.name)
+    for name, ncg in suite.items():
+        report = common_neighbor_floor_check(ncg)  # the row check guards every tau
+        if 4 * report.min_tau < report.order:
+            raise BoundViolated(f"{name}: 4*tau = {4 * report.min_tau} < {report.order}")
+        if worst is None or report.min_ratio < worst[0]:
+            worst = (report.min_ratio, name)
     return CriterionResult(
         "tau-floor", True,
         f"{len(suite)} groups, min 6*tau/|G| = {worst[0]} at {worst[1]}",
     )
 
 
-def check_multipartite_structure() -> CriterionResult:
-    cases = ([(dihedral(n), [1] * n + [n - 1]) for n in (3, 5, 7, 9)]
-             + [(dihedral(n), [2] * (n // 2) + [n - 2]) for n in (4, 6, 8, 10)]
-             + [(dicyclic(m), [2] * m + [2 * m - 2]) for m in range(2, 7)])
+def check_multipartite_structure(suite: Suite) -> CriterionResult:
+    cases = ([(f"D{2 * n}", [1] * n + [n - 1]) for n in (3, 5, 7, 9)]
+             + [(f"D{2 * n}", [2] * (n // 2) + [n - 2]) for n in (4, 6, 8, 10)]
+             + [(f"Q{4 * m}", [2] * m + [2 * m - 2]) for m in range(2, 7)])
     bad = []
-    for grp, parts in cases:
-        got = detect_complete_multipartite(noncommuting_graph(grp).graph)
+    for name, parts in cases:
+        got = detect_complete_multipartite(suite[name].graph)
         if got != sorted(parts):
-            bad.append(f"{grp.name}: {got}")
+            bad.append(f"{name}: {got}")
     return CriterionResult("multipartite-structure", not bad,
                            "; ".join(bad) or f"{len(cases)} graphs match")
 
 
-def check_fiber_expansion() -> CriterionResult:
-    cases = [(dihedral(3), 2), (dihedral(3), 3), (dihedral(4), 3), (dicyclic(2), 3)]
-    for grp, n in cases:
-        abelian_extension_check(grp, n)  # raises on mismatch
+def check_fiber_expansion(suite: Suite) -> CriterionResult:
+    cases = [(suite["D6"], noncommuting_graph(direct_product(suite["D6"].group, cyclic(2))))]
+    cases += [(suite[name], suite[f"{name}xZ3"]) for name in ("D6", "D8", "Q8")]
+    for base, extended in cases:
+        abelian_extension_check(base, extended)  # raises on mismatch
     return CriterionResult("fiber-expansion", True, f"{len(cases)} natural maps verified")
 
 
@@ -235,7 +227,7 @@ def check_triangle_exclusion() -> CriterionResult:
                            "all 8 two-colorings fail, a 3-coloring passes")
 
 
-def check_exception_scan(suite: list[Group]) -> CriterionResult:
+def check_exception_scan(suite: Suite, values: dict[str, Fraction]) -> CriterionResult:
     """The suite's flagged set and the D/Q sweep below lemma_threshold(2).
 
     Every group from that order on has failure_bound < 1 by the tau >=
@@ -245,24 +237,24 @@ def check_exception_scan(suite: list[Group]) -> CriterionResult:
     one above either contradicts a proof and raises BoundViolated.
     """
     first_proved = lemma_threshold(2)
-    reports = scan_exception_report(suite)
-    flagged = {r.group_name for r in reports if r.flagged}
+    flagged = {name for name, value in values.items() if value >= 1}
     problems = []
     if flagged != EXPECTED_FLAGGED:
         problems.append(f"flagged set differs: {sorted(flagged ^ EXPECTED_FLAGGED)}")
-    values = {r.group_name: r.value for r in reports}
     if values["D6"] != Fraction(19, 8) or values["D8"] != Fraction(63, 16):
         problems.append("pinned values for D6/D8 moved")
     top = first_proved - 1
-    computed = [(r.group_name, r.order, r.center_size, r.value) for r in reports]
+    computed = [(n, g.group.order, g.group.center_mask.bit_count(), values[n])
+                for n, g in suite.items()]
     sweep = ([(f"D{2 * n}", 2 * n, dihedral, n) for n in range(3, top // 2 + 1)]
              + [(f"Q{4 * m}", 4 * m, dicyclic, m) for m in range(2, top // 4 + 1)])
     for name, order, family, param in sweep:
-        if name not in values:
+        value = values.get(name)
+        if value is None:
             grp = family(param)
-            values[name] = failure_bound(grp)
-            computed.append((name, order, grp.center_mask.bit_count(), values[name]))
-        if (values[name] >= 1) != (order <= 16):  # flagged exactly through D16 and Q16
+            value = graph_failure_bound(noncommuting_graph(grp))
+            computed.append((name, order, grp.center_mask.bit_count(), value))
+        if (value >= 1) != (order <= 16):  # flagged exactly through D16 and Q16
             problems.append(f"{name} on the wrong side of 1")
     for name, order, z, value in computed:
         if value > lemma_bound(order):
@@ -277,45 +269,44 @@ def check_exception_scan(suite: list[Group]) -> CriterionResult:
     )
 
 
-def check_johnson_fiber() -> CriterionResult:
+def check_johnson_fiber(suite: Suite) -> CriterionResult:
     graph, coloring = j62_graph_and_coloring()
     problems = []
     if (graph.vertex_count, graph.edge_count) != (30, 240):
         problems.append(f"graph is {graph.vertex_count}v/{graph.edge_count}e")
     if isinstance(is_rainbow_k_connected(graph, coloring, 2), FailureWitness):
         problems.append("coloring fails k=2")
-    for grp in central_products_32():
-        if are_isomorphic(noncommuting_graph(grp).graph, graph) is None:
-            problems.append(f"{grp.name} not isomorphic")
+    for name in ("(D8)o(D8)", "(D8)o(Q8)"):
+        if are_isomorphic(suite[name].graph, graph) is None:
+            problems.append(f"{name} not isomorphic")
     return CriterionResult("johnson-fiber", not problems,
                            "; ".join(problems) or "verified, both order-32 graphs isomorphic")
 
 
-def check_constructive_search(suite: list[Group]) -> CriterionResult:
+def check_constructive_search(suite: Suite, values: dict[str, Fraction]) -> CriterionResult:
     searched = certified = 0
     problems = []
-    for grp in suite:
-        ncg = noncommuting_graph(grp)
-        if failure_bound(grp) < 1:
+    for name, ncg in suite.items():
+        if values[name] < 1:
             # a returned coloring passes the verifier's count; certify it here
             coloring = search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1)
             if coloring is None:
-                problems.append(f"search failed for {grp.name}")
+                problems.append(f"search failed for {name}")
                 continue
             try:
                 certify_rc2(ncg.graph, coloring)
             except ColoringRejected as exc:
-                problems.append(f"searched coloring rejected for {grp.name}: {exc}")
+                problems.append(f"searched coloring rejected for {name}: {exc}")
                 continue
             searched += 1
         else:
             try:
                 cert = certify_by_structure(ncg)
             except ColoringRejected as exc:
-                problems.append(f"structural coloring rejected for {grp.name}: {exc}")
+                problems.append(f"structural coloring rejected for {name}: {exc}")
                 continue
             if cert is None:
-                problems.append(f"no structural certificate for {grp.name}")
+                problems.append(f"no structural certificate for {name}")
                 continue
             certified += 1
     return CriterionResult(
@@ -351,11 +342,11 @@ def check_inequality_chain() -> CriterionResult:
                            " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n")
 
 
-def check_rainbow3() -> CriterionResult:
+def check_rainbow3(suite: Suite) -> CriterionResult:
     problems = []
-    if failure_bound(dihedral(3), 3) != Fraction(55, 8):
+    if graph_failure_bound(suite["D6"], 3) != Fraction(55, 8):
         problems.append("failure_bound(D6, 3) moved")
-    g14 = noncommuting_graph(dihedral(7)).graph
+    g14 = suite["D14"].graph
     kappa = vertex_connectivity(g14)
     if kappa < 3:
         problems.append(f"kappa of the D14 graph is {kappa}")
@@ -414,18 +405,19 @@ def check_oracle_equivalence(quick: bool) -> CriterionResult:
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Every criterion, in order. One that exhausts a work budget fails
     with the exception as its detail, and the rest still run."""
-    suite = standard_suite()
+    suite = suite_graphs()
+    values = {name: graph_failure_bound(ncg) for name, ncg in suite.items()}
     criteria = [
         ("tau-floor", lambda: check_tau_floor(suite)),
-        ("multipartite-structure", check_multipartite_structure),
-        ("fiber-expansion", check_fiber_expansion),
+        ("multipartite-structure", lambda: check_multipartite_structure(suite)),
+        ("fiber-expansion", lambda: check_fiber_expansion(suite)),
         ("coloring-grid", check_coloring_grid),
         ("triangle-exclusion", check_triangle_exclusion),
-        ("exception-scan", lambda: check_exception_scan(suite)),
-        ("johnson-fiber", check_johnson_fiber),
-        ("constructive-search", lambda: check_constructive_search(suite)),
+        ("exception-scan", lambda: check_exception_scan(suite, values)),
+        ("johnson-fiber", lambda: check_johnson_fiber(suite)),
+        ("constructive-search", lambda: check_constructive_search(suite, values)),
         ("inequality-chain", check_inequality_chain),
-        ("rainbow3-threshold", check_rainbow3),
+        ("rainbow3-threshold", lambda: check_rainbow3(suite)),
         ("oracle-equivalence", lambda: check_oracle_equivalence(quick)),
     ]
     results = []

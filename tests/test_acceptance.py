@@ -19,7 +19,7 @@ from ncrainbow.colorings import (EdgeColoring, PartitionSpec, j62_graph_and_colo
                                  multipartite_two_coloring)
 from ncrainbow.graphs import (are_isomorphic, complete_graph, detect_complete_multipartite,
                               graph_from_edges, vertex_connectivity)
-from ncrainbow.groups import dicyclic, dihedral
+from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product
 from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph, pair_profile
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
                                is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
@@ -81,7 +81,8 @@ def test_criterion_2_multipartite_structure():
 def test_criterion_3_natural_fiber_isomorphism():
     for group, n in ((dihedral(3), 2), (dihedral(3), 3),
                      (dihedral(4), 3), (dicyclic(2), 3)):
-        abelian_extension_check(group, n)
+        abelian_extension_check(noncommuting_graph(group),
+                                noncommuting_graph(direct_product(group, cyclic(n))))
     print("\nACCEPTANCE 3 fiber expansion: PASS (4 cases)")
 
 

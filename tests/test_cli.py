@@ -224,7 +224,7 @@ def test_reproduce_exits_four_on_a_tau_below_a_quarter(capsys, monkeypatch):
     ceil(|G|/4) passes tau-floor, one less exits 4. On D6, the first suite
     group, one less is still |G|/6, so only the quarter guard trips."""
     inject_min_tau(monkeypatch, lambda order: -(-order // 4))
-    assert reproduce.check_tau_floor(reproduce.standard_suite()).passed
+    assert reproduce.check_tau_floor(reproduce.suite_graphs()).passed
     inject_min_tau(monkeypatch, lambda order: -(-order // 4) - 1)
     code, manifest, captured = run(capsys, "reproduce")
     assert code == 4 and manifest is None
@@ -232,29 +232,31 @@ def test_reproduce_exits_four_on_a_tau_below_a_quarter(capsys, monkeypatch):
 
 
 def test_reproduce_exits_four_on_a_value_above_the_lemma_bound(capsys, monkeypatch):
-    """Every computed failure bound must lie at or under lemma_bound. The
-    sweep's values come through reproduce.failure_bound: passed through,
-    the stdout is the pinned one; one value set 1/2^t above the lemma for
-    D40 (t = ceil(40/4)) exits 4."""
-    real = reproduce.failure_bound
-    swept = []
+    """Every computed failure bound must lie at or under lemma_bound. Every
+    value reproduce computes comes through reproduce.graph_failure_bound:
+    passed through, the calls are the suite's at k = 2, then D34..D56 and
+    Q36..Q56, then D6 at k = 3, and the stdout is the pinned one; one
+    value set 1/2^t above the lemma for D40 (t = ceil(40/4)) exits 4."""
+    real = reproduce.graph_failure_bound
+    calls = []
 
-    def spy(group, k=2):
-        swept.append(group.name)
-        return real(group, k)
+    def spy(ncg, k=2):
+        calls.append((ncg.group.name, k))
+        return real(ncg, k)
 
-    monkeypatch.setattr(reproduce, "failure_bound", spy)
+    monkeypatch.setattr(reproduce, "graph_failure_bound", spy)
     assert main(["reproduce"]) == 0
     assert capsys.readouterr().out == FULL_STDOUT
-    assert {f"D{2 * n}" for n in range(3, 29)} | {f"Q{4 * m}" for m in range(2, 15)} <= set(swept)
-    assert not {"D58", "Q60"} & set(swept)
+    suite = [g.name for g in reproduce.standard_suite()]
+    sweep = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
+    assert calls == [(name, 2) for name in suite + sweep] + [("D6", 3)]
 
-    def faulty(group, k=2):
-        if group.name == "D40":
+    def faulty(ncg, k=2):
+        if ncg.group.name == "D40":
             return lemma_bound(40, 2) + Fraction(1, 2 ** 10)
-        return real(group, k)
+        return real(ncg, k)
 
-    monkeypatch.setattr(reproduce, "failure_bound", faulty)
+    monkeypatch.setattr(reproduce, "graph_failure_bound", faulty)
     code, manifest, captured = run(capsys, "reproduce")
     assert code == 4 and manifest is None
     error = one_error_line(captured)

@@ -33,7 +33,7 @@ def test_abelian_rejected():
     with pytest.raises(AbelianGroup):
         noncommuting_graph(cyclic(5))
     with pytest.raises(AbelianGroup):
-        common_neighbor_floor_check(cyclic(6))
+        common_neighbor_floor_check(noncommuting_graph(cyclic(6)))
 
 
 def test_labels_are_element_names():
@@ -123,35 +123,51 @@ def test_floor_witness_is_the_first_pair_with_least_tau(group):
     pairs = [(x, y) for x in range(g.vertex_count) for y in range(x + 1, g.vertex_count)]
     taus = [len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in pairs]
     x, y = pairs[taus.index(min(taus))]
-    rep = common_neighbor_floor_check(group)
+    rep = common_neighbor_floor_check(ncg)
     assert rep.min_tau == min(taus)
     assert rep.witness == (g.labels[x], g.labels[y])
 
 
 def test_floor_reports():
-    rep = common_neighbor_floor_check(dihedral(3))
+    rep = common_neighbor_floor_check(noncommuting_graph(dihedral(3)))
     assert rep.min_tau == 2 and rep.min_ratio == 2
-    rep = common_neighbor_floor_check(dicyclic(2))
+    rep = common_neighbor_floor_check(noncommuting_graph(dicyclic(2)))
     assert 6 * rep.min_tau >= 8
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(24)], ids=lambda g: g.name)
 def test_floor_guard_passes_at_a_sixth_and_raises_below(monkeypatch, group):
     """6 * tau >= |G| is a theorem, so only an injected tau reaches the guard:
-    tau = |G|/6 exactly passes, one less raises."""
+    tau = |G|/6 exactly passes, one less raises. A graph makes its pairs
+    once, so each injection gets a fresh graph."""
     inject_min_tau(monkeypatch, lambda order: order // 6)
-    rep = common_neighbor_floor_check(group)
+    rep = common_neighbor_floor_check(noncommuting_graph(group))
     assert (rep.min_tau, rep.min_ratio) == (group.order // 6, 1)
     inject_min_tau(monkeypatch, lambda order: order // 6 - 1)
     with pytest.raises(BoundViolated, match=f"= {group.order - 6} < {group.order}"):
-        common_neighbor_floor_check(group)
+        common_neighbor_floor_check(noncommuting_graph(group))
+
+
+def extension(group, n):
+    """The graphs of group and of group x Z_n, for abelian_extension_check."""
+    return noncommuting_graph(group), noncommuting_graph(direct_product(group, cyclic(n)))
 
 
 def test_fiber_expansion_checks():
-    assert abelian_extension_check(dihedral(3), 2).vertex_count == 10
-    assert abelian_extension_check(dihedral(3), 3).vertex_count == 15
-    assert abelian_extension_check(dihedral(3), 1).vertex_count == 5
-    assert abelian_extension_check(dicyclic(2), 3).vertex_count == 18
+    assert abelian_extension_check(*extension(dihedral(3), 2)).vertex_count == 10
+    assert abelian_extension_check(*extension(dihedral(3), 3)).vertex_count == 15
+    assert abelian_extension_check(*extension(dihedral(3), 1)).vertex_count == 5
+    report = abelian_extension_check(*extension(dicyclic(2), 3))
+    assert (report.group_name, report.fiber_size, report.vertex_count) == ("Q8", 3, 18)
+
+
+def test_fiber_expansion_refuses_a_graph_that_is_not_the_product():
+    """D12 and Q12 have the order and the graph, up to isomorphism, of
+    D6 x Z2, but not its positions."""
+    d6, _ = extension(dihedral(3), 2)
+    for other in (dihedral(6), dicyclic(3)):
+        with pytest.raises(BoundViolated, match=f"{other.name}: not a fiber expansion of D6"):
+            abelian_extension_check(d6, noncommuting_graph(other))
 
 
 @pytest.mark.parametrize("group", [dihedral(n) for n in range(3, 9)]

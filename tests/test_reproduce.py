@@ -2,19 +2,30 @@
 and search followed by certification."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from ncrainbow import rainbow, reproduce
-from ncrainbow.bounds import coarse_bound, mid_bound
+from ncrainbow import bounds, groups, ncgraph, rainbow, reproduce
+from ncrainbow.bounds import coarse_bound, graph_failure_bound, mid_bound
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
 from ncrainbow.groups import dihedral, direct_product, group_from_cayley_table
 from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow.rainbow import FailureWitness
 from ncrainbow.reproduce import (EXPECTED_FLAGGED, certify_by_structure, check_constructive_search,
-                                 check_oracle_equivalence, check_rainbow3, standard_suite)
+                                 check_oracle_equivalence, check_rainbow3, standard_suite,
+                                 suite_graphs)
 from util import counting_validator
+
+SWEEP = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
+
+
+def suite_and_values():
+    """The suite's graphs and their failure bounds at k = 2, as run_all makes them."""
+    suite = suite_graphs()
+    return suite, {name: graph_failure_bound(ncg) for name, ncg in suite.items()}
 
 
 def relabelled(group, seed):
@@ -51,12 +62,12 @@ def test_groups_outside_both_models_get_no_certificate():
 
 
 def test_every_reported_coloring_is_validated_once(monkeypatch):
+    suite, values = suite_and_values()
     calls = counting_validator(monkeypatch)
-    suite = standard_suite()
-    assert check_constructive_search(suite).passed
+    assert check_constructive_search(suite, values).passed
     assert calls == [2] * len(suite)  # 13 searched and 22 structural, one certificate each
     calls.clear()
-    assert check_rainbow3().passed
+    assert check_rainbow3(suite).passed
     assert calls == [3]  # the greedy D14 coloring
 
 
@@ -67,7 +78,7 @@ def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
         return EdgeColoring(g, 2, [1] * g.edge_count)
 
     monkeypatch.setattr(reproduce, "search_two_coloring", one_color)
-    result = check_constructive_search(standard_suite())
+    result = check_constructive_search(*suite_and_values())
     assert not result.passed
     problems = result.detail.split("; ")
     assert len(problems) == 13
@@ -89,7 +100,7 @@ def test_rainbow3_fails_on_a_corrupted_greedy_coloring(monkeypatch):
     else:
         raise AssertionError("no single flip fails verification")
     monkeypatch.setattr(reproduce, "derandomized_two_coloring", lambda g, k: (bad, start))
-    result = check_rainbow3()
+    result = check_rainbow3(suite_graphs())
     assert not result.passed
     assert result.detail == "the D14 rainbow-3 coloring fails verification"
 
@@ -124,18 +135,79 @@ def test_inequality_chain_fails_on_a_flipped_coarse_verdict(monkeypatch, n):
 
 
 def test_exception_scan_computes_only_the_dq_groups_the_suite_lacks(monkeypatch):
-    """failure_bound runs once for each of D34..D56 and Q36..Q56 and never
-    for a D/Q group the suite holds, whose suite value serves."""
-    real = reproduce.failure_bound
-    seen = []
+    """The bound runs once, at k = 2, for each of D34..D56 and Q36..Q56,
+    whose graphs are the only ones built, and never for a D/Q group the
+    suite holds, whose suite value serves."""
+    suite, values = suite_and_values()
+    real_bound, real_build = reproduce.graph_failure_bound, reproduce.noncommuting_graph
+    seen, built = [], []
 
-    def spy(group, k=2):
-        seen.append(group.name)
-        return real(group, k)
+    def spy(ncg, k=2):
+        seen.append((ncg.group.name, k))
+        return real_bound(ncg, k)
 
-    monkeypatch.setattr(reproduce, "failure_bound", spy)
-    assert reproduce.check_exception_scan(standard_suite()).passed
-    assert seen == [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
+    def build(group):
+        built.append(group.name)
+        return real_build(group)
+
+    monkeypatch.setattr(reproduce, "graph_failure_bound", spy)
+    monkeypatch.setattr(reproduce, "noncommuting_graph", build)
+    assert reproduce.check_exception_scan(suite, values).passed
+    assert seen == [(name, 2) for name in SWEEP]
+    assert built == SWEEP
+
+
+def _criterion_caller() -> tuple[bool, bool]:
+    """Whether the spied call runs under run_all, and under a criterion."""
+    names = set()
+    frame = sys._getframe(2)
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return "run_all" in names, any(name.startswith("check_") for name in names)
+
+
+def test_run_all_builds_and_pairs_each_graph_once(monkeypatch):
+    """One run_all builds each suite graph once, outside every criterion,
+    and no criterion builds a suite group; each graph makes its class pairs
+    once; beyond the suite, only D34..D56 and Q36..Q56 are bounded, each
+    once at k = 2, and D6 x Z2 is the one other graph built."""
+    suite = [g.name for g in standard_suite()]
+    built, made, paired, bounded = [], [], [], []
+    real_build, real_pairs = ncgraph.noncommuting_graph, ncgraph._class_pairs
+    real_finish, real_bound = groups._finish, bounds.graph_failure_bound
+
+    def build(group):
+        built.append((group.name, *_criterion_caller()))
+        return real_build(group)
+
+    def finish(table, names, name, *rest):
+        made.append((name, *_criterion_caller()))
+        return real_finish(table, names, name, *rest)
+
+    def pairs(ncg):
+        paired.append(ncg.group.name)
+        return real_pairs(ncg)
+
+    def bound(ncg, k=2):
+        bounded.append((ncg.group.name, k))
+        return real_bound(ncg, k)
+
+    for module in (ncgraph, bounds, reproduce):
+        monkeypatch.setattr(module, "noncommuting_graph", build)
+    for module in (bounds, reproduce):
+        monkeypatch.setattr(module, "graph_failure_bound", bound)
+    monkeypatch.setattr(ncgraph, "_class_pairs", pairs)
+    monkeypatch.setattr(groups, "_finish", finish)
+    assert all(r.passed for r in reproduce.run_all())
+
+    assert [name for name, _, _ in built if name in suite] == suite
+    assert all(under_run_all for _, under_run_all, _ in built)
+    assert not [name for name, _, in_criterion in built if in_criterion and name in suite]
+    assert not [name for name, _, in_criterion in made if in_criterion and name in suite]
+    assert Counter(name for name, _, _ in built) == Counter(suite + SWEEP + ["D6xZ2"])  # 54
+    assert Counter(paired) == Counter(suite + SWEEP)  # one pass per bounded graph, 53
+    assert bounded == [(name, 2) for name in suite + SWEEP] + [("D6", 3)]
 
 
 def test_oracle_equivalence_checks_the_verifier(monkeypatch):
