@@ -153,7 +153,8 @@ def lemma_bound(n: int, k: int = 2) -> Fraction:
     if k < 2:
         raise ValueError("k must be at least 2")
     t = (n + 3) // 4
-    return Fraction(comb(n - 1, 2) * sum(comb(t, i) for i in range(k)), 1 << t)
+    head = sum(comb(t, i) for i in range(min(k, t + 1)))  # comb(t, i) = 0 for i > t
+    return Fraction(comb(n - 1, 2) * head, 1 << t)
 
 
 def lemma_threshold(k: int) -> int:

@@ -5,9 +5,10 @@ Cayley tables: structural identities of non-commuting graphs, the explicit
 coloring grid, exact failure-bound values with the exception scan, the
 threshold inequalities, and rainbow-2-connectivity certificates for every
 group in the standard suite. Each suite graph and its bound at k = 2 are
-made once and shared by every step that reads a suite group. Otherwise
-steps are independent; a failure in one does not stop the others, and a
-step that exhausts a work budget fails on its own line.
+made once and shared by every step that reads a suite group. Each step
+names itself once, in its _criterion decorator, and returns its problems
+and a summary; the decorator gives the verdict, and a step that exhausts
+a work budget fails on its own line. A failing step does not stop the rest.
 
 Groups whose failure bound is below 1 get their coloring from the random
 search, which returns a coloring the verifier's count accepts; it is
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from importlib import resources
 
 from .bounds import (coarse_bound_holds, graph_failure_bound, lemma_bound, lemma_threshold,
@@ -149,7 +151,23 @@ def certify_by_structure(ncg: NonCommutingGraph) -> Rc2Certificate | None:
 
 # --- the individual criteria -------------------------------------------------
 
-def check_tau_floor(suite: Suite) -> CriterionResult:
+def _criterion(name: str):
+    """Report a check's (problems, summary) as criterion `name`, passing with the
+    summary if there are none; an exhausted work budget fails with its exception."""
+    def decorate(check):
+        @wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            try:
+                problems, summary = check(*args, **kwargs)
+            except SearchBudgetExceeded as exc:
+                return CriterionResult(name, False, f"{type(exc).__name__}: {exc}")
+            return CriterionResult(name, not problems, "; ".join(problems) or summary)
+        return run
+    return decorate
+
+
+@_criterion("tau-floor")
+def check_tau_floor(suite: Suite):
     """6*tau >= |G| on every suite group (raised inside the floor check),
     and 4*tau >= |G|, the hypothesis of lemma_bound, raised here."""
     worst = None
@@ -159,13 +177,11 @@ def check_tau_floor(suite: Suite) -> CriterionResult:
             raise BoundViolated(f"{name}: 4*tau = {4 * report.min_tau} < {report.order}")
         if worst is None or report.min_ratio < worst[0]:
             worst = (report.min_ratio, name)
-    return CriterionResult(
-        "tau-floor", True,
-        f"{len(suite)} groups, min 6*tau/|G| = {worst[0]} at {worst[1]}",
-    )
+    return [], f"{len(suite)} groups, min 6*tau/|G| = {worst[0]} at {worst[1]}"
 
 
-def check_multipartite_structure(suite: Suite) -> CriterionResult:
+@_criterion("multipartite-structure")
+def check_multipartite_structure(suite: Suite):
     cases = ([(f"D{2 * n}", [1] * n + [n - 1]) for n in (3, 5, 7, 9)]
              + [(f"D{2 * n}", [2] * (n // 2) + [n - 2]) for n in (4, 6, 8, 10)]
              + [(f"Q{4 * m}", [2] * m + [2 * m - 2]) for m in range(2, 7)])
@@ -174,16 +190,16 @@ def check_multipartite_structure(suite: Suite) -> CriterionResult:
         got = detect_complete_multipartite(suite[name].graph)
         if got != sorted(parts):
             bad.append(f"{name}: {got}")
-    return CriterionResult("multipartite-structure", not bad,
-                           "; ".join(bad) or f"{len(cases)} graphs match")
+    return bad, f"{len(cases)} graphs match"
 
 
-def check_fiber_expansion(suite: Suite) -> CriterionResult:
+@_criterion("fiber-expansion")
+def check_fiber_expansion(suite: Suite):
     cases = [(suite["D6"], noncommuting_graph(direct_product(suite["D6"].group, cyclic(2))))]
     cases += [(suite[name], suite[f"{name}xZ3"]) for name in ("D6", "D8", "Q8")]
     for base, extended in cases:
         abelian_extension_check(base, extended)  # raises on mismatch
-    return CriterionResult("fiber-expansion", True, f"{len(cases)} natural maps verified")
+    return [], f"{len(cases)} natural maps verified"
 
 
 COLORING_GRID = (
@@ -195,7 +211,8 @@ COLORING_GRID = (
 )
 
 
-def check_coloring_grid() -> CriterionResult:
+@_criterion("coloring-grid")
+def check_coloring_grid():
     bad = []
     for l, m, n in COLORING_GRID:
         graph, coloring = multipartite_two_coloring(PartitionSpec(l, m, n))
@@ -205,29 +222,28 @@ def check_coloring_grid() -> CriterionResult:
             certified = False
         if not certified:
             bad.append(f"({l},{m},{n})")
-    return CriterionResult("coloring-grid", not bad,
-                           "; ".join(bad) or f"{len(COLORING_GRID)} grid points certified")
+    return bad, f"{len(COLORING_GRID)} grid points certified"
 
 
-def check_triangle_exclusion() -> CriterionResult:
+@_criterion("triangle-exclusion")
+def check_triangle_exclusion():
     k3 = complete_graph(3)
     for bits in range(8):
         colors = [1 + (bits >> i & 1) for i in range(3)]
         result = is_rainbow_k_connected(k3, EdgeColoring(k3, 2, colors), 2)
         if not isinstance(result, FailureWitness):
-            return CriterionResult("triangle-exclusion", False,
-                                   f"2-coloring {colors} unexpectedly passed")
+            return [f"2-coloring {colors} unexpectedly passed"], ""
     # on colors 1, 2, 3 each pair has its edge and the path through the third vertex
     cert = RainbowCertificate(2, {(x, y): ((x, y), (x, 3 - x - y, y)) for x, y in k3.edges})
     try:
         validate_certificate(k3, EdgeColoring(k3, 3, [1, 2, 3]), cert)
     except ValueError as exc:
-        return CriterionResult("triangle-exclusion", False, f"3-coloring certificate: {exc}")
-    return CriterionResult("triangle-exclusion", True,
-                           "all 8 two-colorings fail, a 3-coloring passes")
+        return [f"3-coloring certificate: {exc}"], ""
+    return [], "all 8 two-colorings fail, a 3-coloring passes"
 
 
-def check_exception_scan(suite: Suite, values: dict[str, Fraction]) -> CriterionResult:
+@_criterion("exception-scan")
+def check_exception_scan(suite: Suite, values: dict[str, Fraction]):
     """The suite's flagged set and the D/Q sweep below lemma_threshold(2).
 
     Every group from that order on has failure_bound < 1 by the tau >=
@@ -261,15 +277,12 @@ def check_exception_scan(suite: Suite, values: dict[str, Fraction]) -> Criterion
             raise BoundViolated(f"{name}: failure_bound {value} > lemma_bound({order})")
         if not mid_bound(order, z).covers(value):
             raise BoundViolated(f"{name}: failure_bound {value} > mid_bound({order}, {z})")
-    return CriterionResult(
-        "exception-scan", not problems,
-        "; ".join(problems) or
-        f"{len(flagged)} flagged, dihedral/dicyclic clean through order {top},"
-        f" every group from order {first_proved} by tau >= |G|/4",
-    )
+    return problems, (f"{len(flagged)} flagged, dihedral/dicyclic clean through order {top},"
+                      f" every group from order {first_proved} by tau >= |G|/4")
 
 
-def check_johnson_fiber(suite: Suite) -> CriterionResult:
+@_criterion("johnson-fiber")
+def check_johnson_fiber(suite: Suite):
     graph, coloring = j62_graph_and_coloring()
     problems = []
     if (graph.vertex_count, graph.edge_count) != (30, 240):
@@ -279,11 +292,11 @@ def check_johnson_fiber(suite: Suite) -> CriterionResult:
     for name in ("(D8)o(D8)", "(D8)o(Q8)"):
         if are_isomorphic(suite[name].graph, graph) is None:
             problems.append(f"{name} not isomorphic")
-    return CriterionResult("johnson-fiber", not problems,
-                           "; ".join(problems) or "verified, both order-32 graphs isomorphic")
+    return problems, "verified, both order-32 graphs isomorphic"
 
 
-def check_constructive_search(suite: Suite, values: dict[str, Fraction]) -> CriterionResult:
+@_criterion("constructive-search")
+def check_constructive_search(suite: Suite, values: dict[str, Fraction]):
     searched = certified = 0
     problems = []
     for name, ncg in suite.items():
@@ -309,15 +322,12 @@ def check_constructive_search(suite: Suite, values: dict[str, Fraction]) -> Crit
                 problems.append(f"no structural certificate for {name}")
                 continue
             certified += 1
-    return CriterionResult(
-        "constructive-search", not problems,
-        "; ".join(problems) or
-        f"rc2 = 2 for all {searched + certified} graphs"
-        f" ({searched} searched, {certified} structural)",
-    )
+    return problems, (f"rc2 = 2 for all {searched + certified} graphs"
+                      f" ({searched} searched, {certified} structural)")
 
 
-def check_inequality_chain() -> CriterionResult:
+@_criterion("inequality-chain")
+def check_inequality_chain():
     """The paper's chain failure_bound <= mid_bound <= coarse_bound < 1, for
     every order n >= 114.
 
@@ -336,13 +346,12 @@ def check_inequality_chain() -> CriterionResult:
         problems.append("coarse bound fails at 114")
     if 115 ** 18 >= 2 * 114 ** 18:
         problems.append("induction step 115^18 < 2*114^18 fails")
-    return CriterionResult("inequality-chain", not problems,
-                           "; ".join(problems) or
-                           "coarse fails at 108 and holds for every n >= 114"
-                           " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n")
+    return problems, ("coarse fails at 108 and holds for every n >= 114"
+                      " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n")
 
 
-def check_rainbow3(suite: Suite) -> CriterionResult:
+@_criterion("rainbow3-threshold")
+def check_rainbow3(suite: Suite):
     problems = []
     if graph_failure_bound(suite["D6"], 3) != Fraction(55, 8):
         problems.append("failure_bound(D6, 3) moved")
@@ -362,9 +371,7 @@ def check_rainbow3(suite: Suite) -> CriterionResult:
         problems.append("thresholds not nondecreasing")
     if 120 ** 2 + 120 ** 3 < 2 ** 20 or 126 ** 2 + 126 ** 3 >= 2 ** 21:
         problems.append("hand check on 120/126 failed")
-    return CriterionResult("rainbow3-threshold", not problems,
-                           "; ".join(problems) or
-                           f"kappa = {kappa}, rc3 = 2 for D14, thresholds {thresholds}")
+    return problems, f"kappa = {kappa}, rc3 = 2 for D14, thresholds {thresholds}"
 
 
 def _random_test_graph(stream, max_vertices: int = 12) -> tuple[Graph, EdgeColoring]:
@@ -375,7 +382,8 @@ def _random_test_graph(stream, max_vertices: int = 12) -> tuple[Graph, EdgeColor
     return graph, EdgeColoring(graph, 2, colors)
 
 
-def check_oracle_equivalence(quick: bool) -> CriterionResult:
+@_criterion("oracle-equivalence")
+def check_oracle_equivalence(quick: bool):
     stream = splitmix64(2024)
     refused, problems = [], []  # a certificate the validator refuses is named first
     rounds = 40 if quick else 200
@@ -397,33 +405,23 @@ def check_oracle_equivalence(quick: bool) -> CriterionResult:
         graph, _ = _random_test_graph(stream, max_vertices=9)
         if vertex_connectivity(graph) != brute_force_vertex_connectivity(graph):
             problems.append("connectivity mismatch")
-    problems = refused + problems
-    return CriterionResult("oracle-equivalence", not problems,
-                           "; ".join(problems[:3]) or f"{rounds} colored graphs agree")
+    return (refused + problems)[:3], f"{rounds} colored graphs agree"
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    """Every criterion, in order. One that exhausts a work budget fails
-    with the exception as its detail, and the rest still run."""
+    """Every criterion, in order; one that fails does not stop the rest."""
     suite = suite_graphs()
     values = {name: graph_failure_bound(ncg) for name, ncg in suite.items()}
-    criteria = [
-        ("tau-floor", lambda: check_tau_floor(suite)),
-        ("multipartite-structure", lambda: check_multipartite_structure(suite)),
-        ("fiber-expansion", lambda: check_fiber_expansion(suite)),
-        ("coloring-grid", check_coloring_grid),
-        ("triangle-exclusion", check_triangle_exclusion),
-        ("exception-scan", lambda: check_exception_scan(suite, values)),
-        ("johnson-fiber", lambda: check_johnson_fiber(suite)),
-        ("constructive-search", lambda: check_constructive_search(suite, values)),
-        ("inequality-chain", check_inequality_chain),
-        ("rainbow3-threshold", lambda: check_rainbow3(suite)),
-        ("oracle-equivalence", lambda: check_oracle_equivalence(quick)),
+    return [
+        check_tau_floor(suite),
+        check_multipartite_structure(suite),
+        check_fiber_expansion(suite),
+        check_coloring_grid(),
+        check_triangle_exclusion(),
+        check_exception_scan(suite, values),
+        check_johnson_fiber(suite),
+        check_constructive_search(suite, values),
+        check_inequality_chain(),
+        check_rainbow3(suite),
+        check_oracle_equivalence(quick),
     ]
-    results = []
-    for name, check in criteria:
-        try:
-            results.append(check())
-        except SearchBudgetExceeded as exc:
-            results.append(CriterionResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return results

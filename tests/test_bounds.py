@@ -229,6 +229,12 @@ def test_lemma_bound_stays_below_one_through_5000():
             assert lemma_bound(n, k) < 1, (k, n)
 
 
+def test_lemma_bound_sums_at_most_t_plus_one_terms():
+    """comb(t, i) = 0 for i > t, so any k > t gives the whole row 2^t and
+    the bound C(n-1, 2), without a sum of k terms (t = 25 at n = 100)."""
+    assert lemma_bound(100, 10 ** 9) == lemma_bound(100, 26) == comb(99, 2) == 4851
+
+
 def test_lemma_tail_ratio_identity():
     """P(Bin(t+1) <= k-1) / P(Bin(t) <= k-1) = 1 - C(t, k-1) / (2 S_t), with
     S_t = sum_{i<k} C(t, i): Pascal's rule gives S_{t+1} = 2 S_t - C(t, k-1)."""

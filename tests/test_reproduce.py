@@ -7,17 +7,19 @@ from collections import Counter
 
 import pytest
 
-from ncrainbow import bounds, groups, ncgraph, rainbow, reproduce
+from ncrainbow import bounds, graphs, groups, ncgraph, rainbow, reproduce
 from ncrainbow.bounds import coarse_bound, graph_failure_bound, mid_bound
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
-from ncrainbow.groups import dihedral, direct_product, group_from_cayley_table
-from ncrainbow.ncgraph import noncommuting_graph
+from ncrainbow.groups import (cyclic, dihedral, direct_product, group_from_cayley_table,
+                              semidirect_product)
+from ncrainbow.ncgraph import BoundViolated, noncommuting_graph
 from ncrainbow.rainbow import FailureWitness
-from ncrainbow.reproduce import (EXPECTED_FLAGGED, certify_by_structure, check_constructive_search,
-                                 check_oracle_equivalence, check_rainbow3, standard_suite,
-                                 suite_graphs)
-from util import counting_validator
+from ncrainbow.reproduce import (EXPECTED_FLAGGED, CriterionResult, certify_by_structure,
+                                 check_constructive_search, check_johnson_fiber,
+                                 check_oracle_equivalence, check_rainbow3, check_tau_floor,
+                                 standard_suite, suite_graphs)
+from util import counting_validator, inject_min_tau
 
 SWEEP = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
 
@@ -83,6 +85,27 @@ def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
     problems = result.detail.split("; ")
     assert len(problems) == 13
     assert all(p.startswith("searched coloring rejected for ") for p in problems)
+
+
+def test_tau_floor_raises_on_a_tau_one_below_a_quarter_of_an_odd_order(monkeypatch):
+    """On Z7:Z3 (order 21, least tau 12), an injected tau of 5 keeps
+    6*tau >= |G| but gives 4*tau = 20 < 21, so the quarter guard raises;
+    a guard off by one, 4*tau < |G| - 1, would let it pass."""
+    inject_min_tau(monkeypatch, lambda order: 5)
+    action = [[pow(2, y, 7) * x % 7 for x in range(7)] for y in range(3)]
+    ncg = noncommuting_graph(semidirect_product(cyclic(7), cyclic(3), action))
+    with pytest.raises(BoundViolated) as info:
+        check_tau_floor({ncg.group.name: ncg})
+    assert str(info.value) == "(Z7):(Z3): 4*tau = 20 < 21"
+
+
+def test_a_direct_call_that_exhausts_a_budget_fails_its_criterion(monkeypatch):
+    """The budget rule belongs to each criterion, not to run_all: called on
+    its own, a check that exhausts the isomorphism budget reports a failed
+    result naming the exception."""
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 1)
+    assert check_johnson_fiber(suite_graphs()) == CriterionResult(
+        "johnson-fiber", False, "SearchBudgetExceeded: exceeded 1 nodes")
 
 
 def test_rainbow3_fails_on_a_corrupted_greedy_coloring(monkeypatch):

@@ -233,21 +233,21 @@ def test_mutated_file_is_refused_with_one_json_line(kind, mutation, group, col, 
     """Through `bounds --group`, `iso` and `verify`: exit non-zero, no
     manifest, and exactly one JSON line on stderr that starts with the path."""
     with tempfile.TemporaryDirectory() as tmp:
-        graph, path = Path(tmp) / "valid.graph", Path(tmp) / f"mutated{kind}"
+        graph, valid = Path(tmp) / "valid.graph", Path(tmp) / f"valid{kind}"
+        path = Path(tmp) / f"mutated{kind}"  # a second name: the valid file stays as written
         write_graph_file(col.graph, graph)
         if kind == ".cay":
-            write_cayley_table(group, path)
-            assert load_cayley_table(path).table == group.table
+            write_cayley_table(group, valid)
+            assert load_cayley_table(valid).table == group.table
             argv = ["bounds", "--group", str(path)]
         elif kind == ".graph":
-            write_graph_file(col.graph, path)
-            assert read_graph_file(path).adj == col.graph.adj
+            assert read_graph_file(valid).adj == col.graph.adj
             argv = ["iso", "--graph", str(graph), "--graph2", str(path)]
         else:
-            write_coloring_file(col, path)
-            assert read_coloring_file(path, col.graph).edge_colors == col.edge_colors
+            write_coloring_file(col, valid)
+            assert read_coloring_file(valid, col.graph).edge_colors == col.edge_colors
             argv = ["verify", "--graph", str(graph), "--coloring", str(path), "--k", "1"]
-        lines = path.read_text().splitlines()
+        lines = valid.read_text().splitlines()
         _mutate(lines, kind, mutation, data)
         path.write_text("\n".join(lines) + "\n")
         _assert_refused_naming(path, argv)
