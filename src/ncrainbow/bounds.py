@@ -9,16 +9,13 @@ boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from pathlib import Path
-from typing import Sequence
 
 from .graphs import SearchBudgetExceeded
 from .groups import Group
-from .ncgraph import AbelianGroup, NonCommutingGraph, noncommuting_graph, pair_profile
+from .ncgraph import NonCommutingGraph, noncommuting_graph, pair_profile
 
 
 def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
@@ -71,11 +68,6 @@ class DyadicBound:
         p, q = self.prefactor.numerator, self.prefactor.denominator
         v, w = value.numerator, value.denominator
         return p > 0 and (v * q) ** 6 << self.sixth_log2 <= (p * w) ** 6
-
-    def leq(self, other: "DyadicBound") -> bool:
-        if self.sixth_log2 != other.sixth_log2:
-            raise ValueError("comparison requires a common exponent")
-        return self.prefactor <= other.prefactor
 
 
 def coarse_bound(n: int) -> DyadicBound:
@@ -187,55 +179,3 @@ def lemma_threshold(k: int) -> int:
         if t >= t0 and run_start is not None:  # then lemma_bound(4t, k) < 1
             return run_start
     raise RuntimeError(f"no stable lemma threshold below {THRESHOLD_SCAN_LIMIT}")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    group_name: str
-    order: int
-    center_size: int
-    value: Fraction | None
-    error: str | None = None
-
-    @property
-    def flagged(self) -> bool:
-        return self.value is not None and self.value >= 1
-
-    @property
-    def passes(self) -> bool:
-        return self.value is not None and self.value < 1
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "id": self.group_name,
-            "order": self.order,
-            "center_size": self.center_size,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-            return out
-        out["p_num"] = str(self.value.numerator)
-        out["p_den"] = str(self.value.denominator)
-        out["flagged"] = self.flagged
-        return out
-
-
-def scan_exception_report(groups: Sequence[Group], k: int = 2) -> list[BoundReport]:
-    """failure_bound for each group, flagging values >= 1; input order kept."""
-    reports = []
-    for group in groups:
-        center_size = group.center_mask.bit_count()
-        try:
-            value = failure_bound(group, k)
-        except AbelianGroup as exc:
-            reports.append(BoundReport(group.name, group.order, center_size,
-                                       None, error=type(exc).__name__))
-            continue
-        reports.append(BoundReport(group.name, group.order, center_size, value))
-    return reports
-
-
-def write_bound_reports(reports: Sequence[BoundReport], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([r.to_json_dict() for r in reports], indent=1) + "\n"
-    )

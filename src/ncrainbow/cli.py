@@ -23,7 +23,7 @@ from .colorings import (PartitionSpec, j62_graph_and_coloring, multipartite_two_
 from .graphs import SearchBudgetExceeded, are_isomorphic, read_graph_file, write_graph_file
 from .groups import (Group, central_product, cyclic, dicyclic, dihedral, direct_product,
                      load_cayley_table, metacyclic, semidirect_product, write_cayley_table)
-from .ncgraph import BoundViolated, noncommuting_graph
+from .ncgraph import AbelianGroup, BoundViolated, noncommuting_graph
 from .rainbow import (FailureWitness, is_rainbow_k_connected, search_two_coloring,
                       write_certificate)
 
@@ -199,13 +199,24 @@ def cmd_scan(args) -> int:
     files = sorted(directory.glob("*.cay"))
     if not files:
         raise ValueError(f"no .cay files in {directory}")
-    groups = [load_cayley_table(p) for p in files]
-    reports = bounds_mod.scan_exception_report(groups, k=args.k)
-    bounds_mod.write_bound_reports(reports, args.out)
+    entries = []
+    for path in files:
+        group = load_cayley_table(path)
+        entry = {"id": group.name, "order": group.order,
+                 "center_size": group.center_mask.bit_count()}
+        try:
+            value = bounds_mod.failure_bound(group, args.k)
+        except AbelianGroup as exc:
+            entry["error"] = type(exc).__name__
+        else:
+            entry.update(p_num=str(value.numerator), p_den=str(value.denominator),
+                         flagged=value >= 1)
+        entries.append(entry)
+    Path(args.out).write_text(json.dumps(entries, indent=1) + "\n")
     _manifest("scan", {"groups": str(directory), "k": args.k},
               inputs=files, outputs=[args.out],
-              outcome={"scanned": len(reports),
-                       "flagged": [r.group_name for r in reports if r.flagged]})
+              outcome={"scanned": len(entries),
+                       "flagged": [e["id"] for e in entries if e.get("flagged")]})
     return 0
 
 

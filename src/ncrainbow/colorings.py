@@ -60,8 +60,8 @@ class EdgeColoring:
 
     @classmethod
     def from_function(cls, graph: Graph, color_count: int,
-                      fn: Callable[[int, int], int], seed: int | None = None) -> "EdgeColoring":
-        return cls(graph, color_count, [fn(u, v) for u, v in graph.edges], seed)
+                      fn: Callable[[int, int], int]) -> "EdgeColoring":
+        return cls(graph, color_count, [fn(u, v) for u, v in graph.edges])
 
     def color_of(self, u: int, v: int) -> int:
         if 0 <= u < self.graph.vertex_count and v >= 0:  # a negative u would wrap
@@ -253,6 +253,9 @@ def transfer_coloring(col: EdgeColoring, mapping: Sequence[int], target: Graph) 
     """Pull a coloring back along a vertex bijection target -> col.graph."""
     if sorted(mapping) != list(range(col.graph.vertex_count)):
         raise ValueError("mapping is not a bijection onto the source vertices")
+    if len(mapping) != target.vertex_count:
+        raise ValueError(f"mapping has {len(mapping)} entries for {target.vertex_count}"
+                         " target vertices")
 
     def color(u: int, v: int) -> int:
         a, b = mapping[u], mapping[v]

@@ -421,14 +421,14 @@ def central_product(g: Group, h: Group, zg: int, zh: int) -> Group:
     return _finish(table, names, f"({g.name})o({h.name})")
 
 
-def load_cayley_table(path: str | Path, name: str | None = None) -> Group:
+def load_cayley_table(path: str | Path) -> Group:
     """Read the `cayley` text format and return a validated Group."""
 
     def build(counts, names, rows):
         if len(rows) != counts[0]:
             raise ValueError(f"expected {counts[0]} table rows, found {len(rows)}")
         try:
-            return group_from_cayley_table(rows, names, name or Path(path).stem)
+            return group_from_cayley_table(rows, names, Path(path).stem)
         except GroupError as exc:  # textfile.read puts the path only before a ValueError
             raise type(exc)(f"{path}: {exc}") from None
 

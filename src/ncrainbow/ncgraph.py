@@ -11,7 +11,6 @@ so equal rows) and kept on the graph, for `pair_profile` and the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
@@ -110,17 +109,9 @@ def pair_profile(ncg: NonCommutingGraph) -> dict[tuple[int, bool], int]:
     return hist
 
 
-@dataclass(frozen=True)
-class CommonNeighborReport:
-    group_name: str
-    order: int
-    min_tau: int
-    min_ratio: Fraction
-    witness: tuple[str, str]
-
-
-def common_neighbor_floor_check(ncg: NonCommutingGraph) -> CommonNeighborReport:
-    """Verify 6*tau(x,y) >= |G| over all vertex pairs; report the minimum.
+def common_neighbor_floor_check(ncg: NonCommutingGraph) -> tuple[int, tuple[str, str]]:
+    """Verify 6*tau(x,y) >= |G| over all vertex pairs; return the least tau
+    with the labels of its witness pair.
 
     The floor holds for every non-commuting graph, so a violation is
     raised as BoundViolated (it would indicate a bug) rather than reported.
@@ -129,36 +120,21 @@ def common_neighbor_floor_check(ncg: NonCommutingGraph) -> CommonNeighborReport:
     # The witness is the first pair in index order with the least tau:
     # the least first pair over the class pairs at that tau.
     t, (x, y) = min((t, first) for t, _, _, first in ncg._checked_pairs)
+    witness = (ncg.graph.labels[x], ncg.graph.labels[y])
     if 6 * t < group.order:
-        raise BoundViolated(
-            f"{group.name}: 6*tau({ncg.graph.labels[x]},{ncg.graph.labels[y]})"
-            f" = {6 * t} < {group.order}"
-        )
-    return CommonNeighborReport(
-        group_name=group.name,
-        order=group.order,
-        min_tau=t,
-        min_ratio=Fraction(t * 6, group.order),
-        witness=(ncg.graph.labels[x], ncg.graph.labels[y]),
-    )
+        raise BoundViolated(f"{group.name}: 6*tau({witness[0]},{witness[1]})"
+                            f" = {6 * t} < {group.order}")
+    return t, witness
 
 
-@dataclass(frozen=True)
-class FiberExpansionReport:
-    group_name: str
-    fiber_size: int
-    vertex_count: int
-
-
-def abelian_extension_check(base: NonCommutingGraph,
-                            extended: NonCommutingGraph) -> FiberExpansionReport:
+def abelian_extension_check(base: NonCommutingGraph, extended: NonCommutingGraph) -> None:
     """Extending by the cyclic group of order n blows each vertex into an
     edgeless n-fiber: `extended`, the graph of direct_product(G, cyclic(n))
     for G the group of `base`, n = |extended| / |base|, equals the
     lexicographic product of `base` with n isolated vertices, under the
-    natural (element, fiber) correspondence. Checked positionally, no search."""
+    natural (element, fiber) correspondence. Checked positionally, no search;
+    a mismatch raises BoundViolated."""
     n = extended.group.order // base.group.order
     product = lexicographic_product(base.graph, edgeless_graph(n))
     if extended.graph.adj != product.adj:
         raise BoundViolated(f"{extended.group.name}: not a fiber expansion of {base.group.name}")
-    return FiberExpansionReport(base.group.name, n, product.vertex_count)

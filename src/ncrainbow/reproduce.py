@@ -85,11 +85,6 @@ def standard_suite() -> list[Group]:
     return suite
 
 
-def order16_family() -> list[Group]:
-    """All nine non-abelian groups of order 16, D16 and Q16 first."""
-    return [g for g in standard_suite() if g.order == 16]
-
-
 Suite = dict[str, NonCommutingGraph]
 
 
@@ -172,11 +167,13 @@ def check_tau_floor(suite: Suite):
     and 4*tau >= |G|, the hypothesis of lemma_bound, raised here."""
     worst = None
     for name, ncg in suite.items():
-        report = common_neighbor_floor_check(ncg)  # the row check guards every tau
-        if 4 * report.min_tau < report.order:
-            raise BoundViolated(f"{name}: 4*tau = {4 * report.min_tau} < {report.order}")
-        if worst is None or report.min_ratio < worst[0]:
-            worst = (report.min_ratio, name)
+        min_tau, _ = common_neighbor_floor_check(ncg)  # the row check guards every tau
+        order = ncg.group.order
+        if 4 * min_tau < order:
+            raise BoundViolated(f"{name}: 4*tau = {4 * min_tau} < {order}")
+        ratio = Fraction(6 * min_tau, order)
+        if worst is None or ratio < worst[0]:
+            worst = (ratio, name)
     return [], f"{len(suite)} groups, min 6*tau/|G| = {worst[0]} at {worst[1]}"
 
 

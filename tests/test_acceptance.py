@@ -187,7 +187,9 @@ def test_criterion_9_inequality_chain():
         coarse = coarse_bound(n)
         for z in range(1, n):
             if n % z == 0:
-                assert mid_bound(n, z).leq(coarse), (n, z)
+                mid = mid_bound(n, z)
+                assert mid.sixth_log2 == coarse.sixth_log2, (n, z)
+                assert mid.prefactor <= coarse.prefactor, (n, z)
                 seen.append((n, z))
     # every proper divisor, z = 1 included: the trivial center of D6, D10, D14 and S3
     assert {(n, 1) for n in range(3, 301)} <= set(seen)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -9,7 +10,7 @@ from ncrainbow.bounds import DyadicBound, lemma_bound
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
 from ncrainbow.graphs import complete_graph, read_graph_file, write_graph_file
-from ncrainbow.groups import dihedral, load_cayley_table
+from ncrainbow.groups import cyclic, dihedral, load_cayley_table, write_cayley_table
 from ncrainbow.ncgraph import noncommuting_graph
 from util import counting_validator, inject_min_tau
 
@@ -120,6 +121,48 @@ def test_scan_directory(tmp_path, capsys):
     assert manifest["outcome"]["flagged"] == ["a"]
     doc = json.loads(out.read_text())
     assert [entry["id"] for entry in doc] == ["a", "b"]
+
+
+SCAN_TEXT = """[
+ {
+  "id": "d60",
+  "order": 60,
+  "center_size": 2,
+  "p_num": "1011867453927",
+  "p_den": "72057594037927936",
+  "flagged": false
+ },
+ {
+  "id": "s3",
+  "order": 6,
+  "center_size": 1,
+  "p_num": "19",
+  "p_den": "8",
+  "flagged": true
+ },
+ {
+  "id": "z4",
+  "order": 4,
+  "center_size": 4,
+  "error": "AbelianGroup"
+ }
+]
+"""
+
+
+def test_scan_file_is_pinned(tmp_path, capsys):
+    """A clean, a flagged and an abelian group, written byte for byte."""
+    groups = tmp_path / "groups"
+    groups.mkdir()
+    s3 = resources.files("ncrainbow").joinpath("data", "s3.cay")
+    (groups / "s3.cay").write_bytes(s3.read_bytes())
+    write_cayley_table(dihedral(30), groups / "d60.cay")
+    write_cayley_table(cyclic(4), groups / "z4.cay")
+    out = tmp_path / "scan.json"
+    code, manifest, _ = run(capsys, "scan", "--groups", str(groups), "--out", str(out))
+    assert code == 0
+    assert out.read_text() == SCAN_TEXT
+    assert manifest["outcome"] == {"scanned": 3, "flagged": ["s3"]}
 
 
 def test_iso_command(tmp_path, capsys):

@@ -142,6 +142,15 @@ def test_transfer_along_permutation():
         transfer_coloring(col, [0, 0, 1, 2], g)
 
 
+@pytest.mark.parametrize("target_size", [3, 7])
+def test_transfer_refuses_a_target_of_another_size(target_size):
+    """A permutation of the source's 5 vertices is no bijection onto K3 or
+    K7: the smaller target would get a coloring, the larger an IndexError."""
+    col = EdgeColoring.from_function(complete_graph(5), 2, lambda u, v: 1 + (u + v) % 2)
+    with pytest.raises(ValueError, match=f"5 entries for {target_size} target vertices"):
+        transfer_coloring(col, [4, 3, 2, 1, 0], complete_graph(target_size))
+
+
 def test_color_range_is_checked_before_indexing():
     g = complete_graph(3)
     for bad in (0, -1, 3):

@@ -123,16 +123,17 @@ def test_floor_witness_is_the_first_pair_with_least_tau(group):
     pairs = [(x, y) for x in range(g.vertex_count) for y in range(x + 1, g.vertex_count)]
     taus = [len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in pairs]
     x, y = pairs[taus.index(min(taus))]
-    rep = common_neighbor_floor_check(ncg)
-    assert rep.min_tau == min(taus)
-    assert rep.witness == (g.labels[x], g.labels[y])
+    min_tau, witness = common_neighbor_floor_check(ncg)
+    assert min_tau == min(taus)
+    assert witness == (g.labels[x], g.labels[y])
 
 
 def test_floor_reports():
-    rep = common_neighbor_floor_check(noncommuting_graph(dihedral(3)))
-    assert rep.min_tau == 2 and rep.min_ratio == 2
-    rep = common_neighbor_floor_check(noncommuting_graph(dicyclic(2)))
-    assert 6 * rep.min_tau >= 8
+    min_tau, witness = common_neighbor_floor_check(noncommuting_graph(dihedral(3)))
+    assert min_tau == 2 and 6 * min_tau == 2 * 6  # 6*tau/|G| = 2
+    assert witness == ("r^1", "r^0*s")
+    min_tau, _ = common_neighbor_floor_check(noncommuting_graph(dicyclic(2)))
+    assert 6 * min_tau >= 8
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(24)], ids=lambda g: g.name)
@@ -141,8 +142,8 @@ def test_floor_guard_passes_at_a_sixth_and_raises_below(monkeypatch, group):
     tau = |G|/6 exactly passes, one less raises. A graph makes its pairs
     once, so each injection gets a fresh graph."""
     inject_min_tau(monkeypatch, lambda order: order // 6)
-    rep = common_neighbor_floor_check(noncommuting_graph(group))
-    assert (rep.min_tau, rep.min_ratio) == (group.order // 6, 1)
+    min_tau, _ = common_neighbor_floor_check(noncommuting_graph(group))
+    assert min_tau == group.order // 6 and 6 * min_tau == group.order
     inject_min_tau(monkeypatch, lambda order: order // 6 - 1)
     with pytest.raises(BoundViolated, match=f"= {group.order - 6} < {group.order}"):
         common_neighbor_floor_check(noncommuting_graph(group))
@@ -154,11 +155,12 @@ def extension(group, n):
 
 
 def test_fiber_expansion_checks():
-    assert abelian_extension_check(*extension(dihedral(3), 2)).vertex_count == 10
-    assert abelian_extension_check(*extension(dihedral(3), 3)).vertex_count == 15
-    assert abelian_extension_check(*extension(dihedral(3), 1)).vertex_count == 5
-    report = abelian_extension_check(*extension(dicyclic(2), 3))
-    assert (report.group_name, report.fiber_size, report.vertex_count) == ("Q8", 3, 18)
+    for group, n, vertices in ((dihedral(3), 2, 10), (dihedral(3), 3, 15),
+                               (dihedral(3), 1, 5), (dicyclic(2), 3, 18)):
+        base, extended = extension(group, n)
+        assert abelian_extension_check(base, extended) is None
+        assert extended.group.order // base.group.order == n
+        assert extended.graph.vertex_count == vertices
 
 
 def test_fiber_expansion_refuses_a_graph_that_is_not_the_product():

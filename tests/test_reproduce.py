@@ -143,7 +143,9 @@ def test_inequality_chain_checks_every_center_size():
         coarse = coarse_bound(n)
         for z in range(1, n):
             if n % z == 0:
-                assert mid_bound(n, z).leq(coarse), (n, z)
+                mid = mid_bound(n, z)
+                assert mid.sixth_log2 == coarse.sixth_log2, (n, z)
+                assert mid.prefactor <= coarse.prefactor, (n, z)
 
 
 @pytest.mark.parametrize("n", [108, 114])

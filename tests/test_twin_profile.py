@@ -49,6 +49,6 @@ def test_twin_profile_and_floor_witness_match_the_oracle(group):
     taus = [t for t, _ in brute_pairs(group)]
     least = min(taus)
     x, y = pairs[taus.index(least)]
-    report = common_neighbor_floor_check(noncommuting_graph(group))
-    assert report.min_tau == least
-    assert report.witness == (group.names[x], group.names[y])
+    min_tau, witness = common_neighbor_floor_check(noncommuting_graph(group))
+    assert min_tau == least
+    assert witness == (group.names[x], group.names[y])
