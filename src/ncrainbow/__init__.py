@@ -17,6 +17,6 @@ from .ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                       noncommuting_graph, pair_profile)
 from .rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                       RainbowCertificate, Rc2Certificate, certify_rc2, is_rainbow_k_connected,
-                      rc_lower_bound, search_two_coloring)
+                      search_two_coloring)
 
 __version__ = "0.1.0"

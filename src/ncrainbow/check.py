@@ -3,7 +3,8 @@
 Each check reads only a graph's adjacency rows and edges and a coloring's
 color list ``col.edge_colors``, never the per-color masks ``col.masks``
 that the verifier and the search read, so a fault in the masks cannot make
-both sides agree. The module imports nothing from ``rainbow``, ``bounds``
+both sides agree. Certificates hold paths of one or two edges, all that
+two colors allow. The module imports nothing from ``rainbow``, ``bounds``
 or ``ncgraph``, directly or through another module; a test holds it to that.
 """
 
@@ -21,12 +22,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert) -> None:
     raises ValueError on any defect, for any number of colors.
 
     Pair keys and path vertices must be ints in 0..n-1 (a bool is not one),
-    and a pair's paths and each path must be tuples. Each pair takes one
-    pass over its paths: the interiors go into one set, and they are
-    pairwise disjoint exactly when its size is the sum of their lengths.
-    A path of one or two edges, all a two-color certificate holds, is
-    checked straight-line, in the order and with the messages of the
-    per-edge loop that checks longer paths.
+    and a pair's paths and each path must be tuples. A path has one or two
+    edges, checked straight-line. Two distinct such paths for one pair
+    share no interior vertex, as the same endpoints and middle make the
+    same tuple, so the "lists a path twice" check decides disjointness.
     """
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
@@ -53,14 +52,11 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert) -> None:
             repeated = False
         if repeated:
             raise ValueError(f"pair ({x},{y}) lists a path twice")
-        inside: set[int] = set()
-        inside_count = 0
         for p in paths:
             if type(p) is not tuple:
                 raise ValueError(f"path {p} is not a tuple")
-            # the checks of the loop below, straight-line for one and two
-            # edges; an endpoint equal to x or y is in range, and with x < y
-            # one edge cannot repeat a vertex or a color
+            # an endpoint equal to x or y is in range, and with x < y one
+            # edge cannot repeat a vertex or a color
             if len(p) == 2:
                 a, b = p
                 if a != x or b != y:
@@ -84,26 +80,10 @@ def validate_certificate(g: Graph, col: EdgeColoring, cert) -> None:
                     raise ValueError(f"path {p} uses non-edge ({w},{b})")
                 if colors_at[a][w] == colors_at[w][b]:
                     raise ValueError(f"path {p} repeats a color")
-                inside.add(w)
-                inside_count += 1
                 continue
-            if len(p) < 2 or p[0] != x or p[-1] != y:
-                raise ValueError(f"path {p} does not join ({x},{y})")
-            if not all(type(v) is int and 0 <= v < n for v in p):
-                raise ValueError(f"path {p} has a vertex that is not an int in 0..{n - 1}")
-            if len(set(p)) != len(p):
-                raise ValueError(f"path {p} repeats a vertex")
-            colors = set()
-            for a, b in zip(p, p[1:]):
-                if not adj[a] >> b & 1:
-                    raise ValueError(f"path {p} uses non-edge ({a},{b})")
-                colors.add(colors_at[a][b])
-            if len(colors) != len(p) - 1:
-                raise ValueError(f"path {p} repeats a color")
-            inside.update(p[1:-1])
-            inside_count += len(p) - 2
-        if len(inside) != inside_count:
-            raise ValueError(f"paths for ({x},{y}) share internal vertices")
+            if len(p) > 3:
+                raise ValueError(f"path {p} has more than two edges")
+            raise ValueError(f"path {p} does not join ({x},{y})")  # no vertex or one
 
 
 def short_rainbow_counts(col: EdgeColoring) -> Iterator[tuple[tuple[int, int], int]]:

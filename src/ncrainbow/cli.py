@@ -54,7 +54,18 @@ def _manifest(command: str, parameters: dict, inputs: list[str | Path] = (),
 
 
 def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    tokens = text.split(",")
+    if "" in tokens:
+        raise ValueError(f"--params {text!r} has an empty entry")
+    return [int(tok) for tok in tokens]
+
+
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Raise ValueError when an output resolves to an input; call before writing."""
+    read = {Path(p).resolve() for p in inputs}
+    for out in outputs:
+        if out and Path(out).resolve() in read:
+            raise ValueError(f"output {out} is also an input")
 
 
 def _build_group(args) -> Group:
@@ -87,9 +98,10 @@ def _build_group(args) -> Group:
 
 
 def cmd_group_build(args) -> int:
+    inputs = [p for p in (args.left, args.right, args.action) if p]
+    _refuse_overwrite(inputs, [args.out])
     group = _build_group(args)
     write_cayley_table(group, args.out)
-    inputs = [p for p in (args.left, args.right, args.action) if p]
     _manifest("group build", {"family": args.family, "params": args.params,
                               "zg": args.zg, "zh": args.zh},
               inputs=inputs, outputs=[args.out],
@@ -99,6 +111,7 @@ def cmd_group_build(args) -> int:
 
 
 def cmd_ncgraph(args) -> int:
+    _refuse_overwrite([args.group], [args.out])
     group = load_cayley_table(args.group)
     ncg = noncommuting_graph(group)
     write_graph_file(ncg.graph, args.out)
@@ -131,6 +144,7 @@ def cmd_color_j62(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _refuse_overwrite([args.graph, args.coloring], [args.cert])
     graph = read_graph_file(args.graph)
     coloring = read_coloring_file(args.coloring, graph)
     result = is_rainbow_k_connected(graph, coloring, args.k)
@@ -151,6 +165,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _refuse_overwrite([args.graph], [args.out])
     graph = read_graph_file(args.graph)
     coloring = search_two_coloring(graph, args.k, args.attempts, args.seed)
     params = {"graph": str(args.graph), "k": args.k, "attempts": args.attempts,
@@ -199,6 +214,7 @@ def cmd_scan(args) -> int:
     files = sorted(directory.glob("*.cay"))
     if not files:
         raise ValueError(f"no .cay files in {directory}")
+    _refuse_overwrite(files, [args.out])
     entries = []
     for path in files:
         group = load_cayley_table(path)

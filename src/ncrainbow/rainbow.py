@@ -237,25 +237,11 @@ def derandomized_two_coloring(g: Graph, k: int) -> tuple[EdgeColoring, Fraction]
     return col, start
 
 
-def rc_lower_bound(g: Graph, k: int) -> int:
-    """Colors provably required for rainbow-k-connectivity.
-
-    One color admits only single-edge rainbow paths and a simple graph
-    has at most one edge per pair, so k >= 2 forces two colors; so does
-    k = 1 on a non-complete graph, where some pair needs a path of
-    length >= 2. Complete graphs with k = 1 need just one color.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k == 1 and g.is_complete():
-        return 1
-    return 2
-
-
 def certify_rc2(g: Graph, col: EdgeColoring) -> Rc2Certificate:
-    """Exact rainbow-2-connectivity 2: matching lower bound plus a verified
-    2-coloring certificate. Also settles plain rainbow connectivity via the
-    k=1 projection of the same certificate."""
+    """Exact rainbow-2-connectivity 2: the lower bound 2, as with one color a
+    pair's only rainbow path is its direct edge, plus a verified 2-coloring
+    certificate. Also settles plain rainbow connectivity via the k=1
+    projection of the same certificate."""
     if col.color_count > 2:  # the constructor keeps every color in 1..color_count
         raise ColoringRejected("certification needs a coloring on at most 2 colors")
     result = is_rainbow_k_connected(g, col, 2)
@@ -263,9 +249,8 @@ def certify_rc2(g: Graph, col: EdgeColoring) -> Rc2Certificate:
         raise ColoringRejected(
             f"pair {result.pair} has only {result.found} disjoint rainbow paths"
         )
-    lower = rc_lower_bound(g, 2)
     rc = 1 if g.is_complete() else 2
-    return Rc2Certificate(lower_bound=lower, certificate=result, rc2=2, rc=rc)
+    return Rc2Certificate(lower_bound=2, certificate=result, rc2=2, rc=rc)
 
 
 def certificate_to_dict(cert: RainbowCertificate, col: EdgeColoring) -> dict:

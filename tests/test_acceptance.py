@@ -22,7 +22,7 @@ from ncrainbow.graphs import (are_isomorphic, complete_graph, detect_complete_mu
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product
 from ncrainbow.ncgraph import abelian_extension_check, noncommuting_graph, pair_profile
 from ncrainbow.rainbow import (FailureWitness, RainbowCertificate, certify_rc2,
-                               is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
+                               is_rainbow_k_connected, search_two_coloring,
                                validate_certificate)
 from ncrainbow.reproduce import (COLORING_GRID, EXPECTED_FLAGGED, certify_by_structure,
                                  standard_suite)
@@ -91,8 +91,8 @@ def test_criterion_4_coloring_grid():
         graph, coloring = multipartite_two_coloring(PartitionSpec(l, m, n))
         result = is_rainbow_k_connected(graph, coloring, 2)
         assert isinstance(result, RainbowCertificate), (l, m, n)
-        assert rc_lower_bound(graph, 2) == 2
         bundle = certify_rc2(graph, coloring)
+        assert bundle.lower_bound == 2
         assert bundle.rc2 == 2
     print(f"\nACCEPTANCE 4 explicit colorings: PASS ({len(COLORING_GRID)} grid points)")
 

@@ -2,8 +2,10 @@
 validator in util.py, and on a defect the same message and the class
 ValueError, on valid certificates of 2- and 3-colorings damaged in five
 ways: the defects of test_rainbow, a middle vertex replaced, a path
-reversed, and 4-vertex paths put in, most of them valid under a color per
-edge."""
+reversed, and 4-vertex paths put in, which both refuse as having more than
+two edges. The reference keeps its own check that a pair's paths share no
+interior vertex, so agreeing with it shows by example that distinct paths
+of at most two edges are disjoint."""
 
 import random
 from itertools import combinations
@@ -17,24 +19,22 @@ from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import complete_multipartite
 from ncrainbow.rainbow import RainbowCertificate, validate_certificate
 from test_rainbow import DEFECTS, certificate_base, put_defect
-from util import (brute_simple_paths, recursive_select_disjoint_paths,
-                  reference_validate_certificate)
+from util import brute_simple_paths, reference_validate_certificate
 
 
 def three_coloring_base(parts, seed):
-    """A random 3-coloring of K_parts and a k = 2 certificate for it, which
-    holds paths of one, two and three edges: for each pair, the first two
-    disjoint ones among its rainbow paths of up to three edges, taken in
-    lexicographic order."""
+    """A random 3-coloring of K_parts and a k = 2 certificate for it: for
+    each pair, the first two of its rainbow paths of at most two edges, in
+    the order brute_simple_paths finds them. Distinct, they are disjoint."""
     g = complete_multipartite(parts)
     rng = random.Random(seed)
     col = EdgeColoring(g, 3, [rng.randint(1, 3) for _ in g.edges])
     colors = col.assignment()
     pairs = {}
     for x, y in combinations(range(g.vertex_count), 2):
-        rainbow = [p for p in brute_simple_paths(g, x, y, 3)
+        rainbow = [p for p in brute_simple_paths(g, x, y, 2)
                    if len({colors[min(a, b), max(a, b)] for a, b in zip(p, p[1:])}) == len(p) - 1]
-        pairs[(x, y)] = tuple(recursive_select_disjoint_paths(rainbow, 2))
+        pairs[(x, y)] = tuple(rainbow[:2])
     return g, col, pairs
 
 

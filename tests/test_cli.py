@@ -210,6 +210,35 @@ def test_search_refuses_a_negative_budget_as_a_usage_error(tmp_path, capsys):
                                         "message": "attempts must be at least 0, not -5"}
 
 
+@pytest.mark.parametrize("family, params", [("dihedral", ",4,"), ("metacyclic", "8,,3"),
+                                            ("cyclic", "5,")])
+def test_group_build_refuses_an_empty_params_entry(tmp_path, capsys, family, params):
+    out = tmp_path / "g.cay"
+    code, manifest, captured = run(capsys, "group", "build", "--family", family,
+                                   "--params", params, "--out", str(out))
+    assert code == 2 and manifest is None and not out.exists()
+    assert one_error_line(captured) == {"error": "ValueError",
+                                        "message": f"--params {params!r} has an empty entry"}
+
+
+@pytest.mark.parametrize("command", ["ncgraph", "search"])
+def test_an_output_that_is_an_input_is_refused(tmp_path, capsys, command):
+    """Refused before anything is written, also when spelled another way."""
+    cay = tmp_path / "d8.cay"
+    graph = tmp_path / "d8.graph"
+    write_cayley_table(dihedral(4), cay)
+    write_graph_file(noncommuting_graph(dihedral(4)).graph, graph)
+    same = f"{tmp_path}/./{graph.name}"
+    argv = {"ncgraph": ["ncgraph", "--group", str(cay), "--out", str(cay)],
+            "search": ["search", "--graph", str(graph), "--k", "2", "--attempts", "100",
+                       "--seed", "0", "--out", same]}[command]
+    before = {path: path.read_bytes() for path in (cay, graph)}
+    code, manifest, captured = run(capsys, *argv)
+    assert code == 2 and manifest is None
+    assert one_error_line(captured)["message"].endswith("is also an input")
+    assert {path: path.read_bytes() for path in (cay, graph)} == before
+
+
 def test_threshold_k_over_the_budget_exits_three(capsys):
     code, manifest, captured = run(capsys, "bounds", "threshold", "--k", "101")
     assert code == 3 and manifest is None

@@ -19,7 +19,7 @@ from ncrainbow.ncgraph import noncommuting_graph
 from ncrainbow import rainbow
 from ncrainbow.rainbow import (ColoringRejected, FailureWitness, PreconditionKappa,
                                RainbowCertificate, certify_rc2, derandomized_two_coloring,
-                               is_rainbow_k_connected, rc_lower_bound, search_two_coloring,
+                               is_rainbow_k_connected, search_two_coloring,
                                validate_certificate, write_certificate)
 from ncrainbow.reproduce import standard_suite
 from util import (brute_simple_paths, counting_validator, first_short_pair,
@@ -235,7 +235,7 @@ def put_defect(defect, g, col, pairs):
     elif defect == "empty path":
         pairs[(0, 1)] = ((),) + first[1:]
     elif defect == "repeated vertex":
-        pairs[(0, 1)] = ((0, 2, 0, 1),) + first[1:]
+        pairs[(0, 1)] = ((0, 0, 1),) + first[1:]
     elif defect == "non-edge":
         x, y = next(pair for pair in sorted(pairs) if not g.adjacent(*pair))
         pairs[(x, y)] = ((x, y),) + pairs[(x, y)][1:]
@@ -265,23 +265,27 @@ def test_validator_rejects_each_defect(base, defect):
 
 @pytest.mark.parametrize("base", ["multipartite", "J(6,2)"])
 def test_validator_rejects_paths_sharing_an_interior_vertex(base):
-    """Under two colors two valid paths never share an interior vertex, so
-    the certificate is checked against a coloring with a color per edge,
-    under which every path is rainbow."""
+    """Two paths of at most two edges for one pair share an interior vertex
+    only when they are the same path, so a pair's 2-edge path listed again
+    is refused as listed twice, and a path x-w-v-y beside its x-w-y as
+    having more than two edges. The certificate is checked against a
+    coloring with a color per edge, under which every path is rainbow."""
     g, _, pairs = certificate_base(base)
     distinct = EdgeColoring(g, g.edge_count, range(1, g.edge_count + 1))
     validate_certificate(g, distinct, RainbowCertificate(2, pairs))
     for (x, y), paths in sorted(pairs.items()):
-        through = [p[1] for p in paths if len(p) == 3]
-        longer = [(x, w, v, y) for w in through for v in range(g.vertex_count)
+        through = [p for p in paths if len(p) == 3]
+        longer = [(x, w, v, y) for _, w, _ in through for v in range(g.vertex_count)
                   if v not in (x, y, w) and g.adjacent(w, v) and g.adjacent(v, y)]
         if longer:
-            pairs[(x, y)] = paths + (longer[0],)
             break
     else:
         raise AssertionError("no path to add")
-    with pytest.raises(ValueError, match="share internal vertices"):
-        validate_certificate(g, distinct, RainbowCertificate(2, pairs))
+    for added, message in ((longer[0], "has more than two edges"),
+                           (through[0], "lists a path twice")):
+        with pytest.raises(ValueError, match=message):
+            validate_certificate(g, distinct,
+                                 RainbowCertificate(2, {**pairs, (x, y): paths + (added,)}))
 
 
 def test_search_deterministic_and_lowest_index():
@@ -335,12 +339,6 @@ def test_search_precondition():
         search_two_coloring(path3, 2, 10, seed=0)
 
 
-def test_rc_lower_bound():
-    assert rc_lower_bound(complete_graph(5), 1) == 1
-    assert rc_lower_bound(complete_graph(5), 2) == 2
-    assert rc_lower_bound(complete_multipartite([1, 1, 1, 2]), 1) == 2
-
-
 def test_certify_rc2():
     g, col = multipartite_two_coloring(PartitionSpec(1, 3, 2))
     bundle = certify_rc2(g, col)
@@ -348,6 +346,12 @@ def test_certify_rc2():
 
     gj, colj = j62_graph_and_coloring()
     assert certify_rc2(gj, colj).rc2 == 2
+
+    # rc is 1 on K5, where one color joins each pair by its edge, and 2 on
+    # K_{1,1,1,2}, whose part of size 2 is a pair with no edge
+    for g, rc in ((complete_graph(5), 1), (complete_multipartite([1, 1, 1, 2]), 2)):
+        bundle = certify_rc2(g, search_two_coloring(g, 2, 100, seed=0))
+        assert (bundle.rc, bundle.lower_bound) == (rc, 2)
 
     k4 = complete_graph(4)
     with pytest.raises(ColoringRejected):

@@ -1,9 +1,9 @@
-"""No package module imports a name it never uses.
+"""No package module and no test module imports a name it never uses.
 
 Read from the source with the standard `ast` module: a name bound by an
-import in any module but `__init__` (which re-exports) must appear as a
-name somewhere else in that module. Only `from __future__` imports are
-exempt.
+import in any module but the package's `__init__` (which re-exports) must
+appear as a name somewhere else in that module. Only `from __future__`
+imports are exempt.
 """
 
 import ast
@@ -15,6 +15,8 @@ import ncrainbow
 
 PACKAGE = Path(ncrainbow.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(p.stem for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +35,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_name_it_imports(module):
+    assert unused_imports((TESTS / f"{module}.py").read_text()) == []
 
 
 def test_an_unused_import_is_found():

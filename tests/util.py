@@ -5,15 +5,12 @@ ncrainbow.check."""
 
 from collections import Counter
 from itertools import permutations
-from typing import Sequence
 
 from ncrainbow import ncgraph, rainbow
 from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
 from ncrainbow.groups import AssociativityViolation, NoIdentity, NotLatinSquare, _generating_set
-
-Path_ = tuple[int, ...]
 
 
 def counting_validator(monkeypatch) -> list[int]:
@@ -173,8 +170,11 @@ def reference_validate_certificate(g: Graph, col: EdgeColoring,
     """The certificate validator as it was before its straight-line checks
     of one- and two-edge paths: one per-edge loop for every path, which
     refuses a pair key or path vertex that is not an int in 0..n-1 with
-    ValueError. The reference for the verdict, error class and message of
-    rainbow.validate_certificate."""
+    ValueError, and a set of interiors for disjointness. It refuses a path
+    of more than two edges first, and keeps its own disjointness check, so
+    agreeing with it shows by example that distinct paths of at most two
+    edges are disjoint. The reference for the verdict, error class and
+    message of rainbow.validate_certificate."""
     if col.graph is not g and col.graph.adj != g.adj:
         raise ValueError("coloring belongs to a different graph")
     adj = g.adj
@@ -197,6 +197,8 @@ def reference_validate_certificate(g: Graph, col: EdgeColoring,
         inside: set[int] = set()
         inside_count = 0
         for p in paths:
+            if len(p) > 3:
+                raise ValueError(f"path {p} has more than two edges")
             if len(p) < 2 or p[0] != x or p[-1] != y:
                 raise ValueError(f"path {p} does not join ({x},{y})")
             if not all(type(v) is int and 0 <= v < n for v in p):
@@ -281,53 +283,6 @@ def first_short_pair(col: EdgeColoring, k: int) -> tuple[int, int] | None:
     paths of at most two edges by check.short_rainbow_counts, which reads
     the color list and not the masks; None means the coloring passes."""
     return next((pair for pair, count in short_rainbow_counts(col) if count < k), None)
-
-
-def _internal_mask(path: Path_) -> int:
-    m = 0
-    for v in path[1:-1]:
-        m |= 1 << v
-    return m
-
-
-def recursive_select_disjoint_paths(paths: Sequence[Path_], k: int) -> list[Path_] | None:
-    """Pick k pairwise internally-disjoint paths, or None if impossible.
-
-    The recursive selector, one level per candidate, taking each path
-    before skipping it: on lexicographic paths, the first k disjoint ones
-    in that order. It builds the 3-coloring certificates of
-    test_certificate_validator."""
-    if k == 0:
-        return []
-    p = len(paths)
-    if p < k:
-        return None
-    internals = [_internal_mask(path) for path in paths]
-    conflict = [0] * p
-    for i in range(p):
-        for j in range(i + 1, p):
-            if internals[i] & internals[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-
-    chosen: list[int] = []
-
-    def bt(avail: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if avail.bit_count() < need:
-            return False
-        low = avail & -avail
-        i = low.bit_length() - 1
-        chosen.append(i)
-        if bt(avail & ~low & ~conflict[i], need - 1):
-            return True
-        chosen.pop()
-        return bt(avail & ~low, need)
-
-    if bt((1 << p) - 1, k):
-        return [paths[i] for i in chosen]
-    return None
 
 
 def recursive_are_isomorphic(g1: Graph, g2: Graph) -> tuple[list[int] | None, int]:
