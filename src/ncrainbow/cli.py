@@ -6,6 +6,13 @@ and written, and an outcome summary. Errors go to stderr as one JSON
 object. Exit codes: 0 success, 1 verification or search failure, 2
 usage or validation error, 3 a work budget exhausted (the answer is
 unknown), 4 internal failure (a self-check of the program failed).
+
+Each subcommand names its files once, as `files(args) -> (inputs,
+outputs)` beside its `func`. Commands return their manifest fields,
+`(exit code, command, parameters, outcome)`; `main` writes the manifest.
+Before the command runs, `main` refuses an output that resolves to an
+input or to another output, so nothing is written. The manifest lists
+outputs only on exit 0.
 """
 
 from __future__ import annotations
@@ -37,20 +44,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digests(paths) -> dict[str, str]:
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
-def _manifest(command: str, parameters: dict, inputs: list[str | Path] = (),
-              outputs: list[str | Path] = (), outcome: dict | None = None) -> None:
-    doc = {
-        "command": command,
-        "parameters": parameters,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        "outputs": {str(p): _digest(p) for p in outputs},
-        "outcome": outcome or {},
-    }
-    print(json.dumps(doc, sort_keys=True))
+def _refuse_collisions(inputs, outputs) -> None:
+    """Raise ValueError when an output resolves to an input or to another
+    output; called before the command runs, so nothing is written."""
+    if not outputs:
+        return  # a command that writes nothing resolves no path
+    claimed = dict.fromkeys((Path(p).resolve() for p in inputs), "also an input")
+    for out in outputs:
+        path = Path(out).resolve()
+        if path in claimed:
+            raise ValueError(f"output {out} is {claimed[path]}")
+        claimed[path] = "named twice"
 
 
 def _ints(text: str) -> list[int]:
@@ -60,12 +68,11 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _refuse_overwrite(inputs, outputs) -> None:
-    """Raise ValueError when an output resolves to an input; call before writing."""
-    read = {Path(p).resolve() for p in inputs}
-    for out in outputs:
-        if out and Path(out).resolve() in read:
-            raise ValueError(f"output {out} is also an input")
+def _cay_files(directory: str) -> list[Path]:
+    files = sorted(Path(directory).glob("*.cay"))
+    if not files:
+        raise ValueError(f"no .cay files in {Path(directory)}")
+    return files
 
 
 def _build_group(args) -> Group:
@@ -97,126 +104,85 @@ def _build_group(args) -> Group:
     return semidirect_product(left, right, action)
 
 
-def cmd_group_build(args) -> int:
-    inputs = [p for p in (args.left, args.right, args.action) if p]
-    _refuse_overwrite(inputs, [args.out])
+def cmd_group_build(args):
     group = _build_group(args)
     write_cayley_table(group, args.out)
-    _manifest("group build", {"family": args.family, "params": args.params,
-                              "zg": args.zg, "zh": args.zh},
-              inputs=inputs, outputs=[args.out],
-              outcome={"name": group.name, "order": group.order,
-                       "center_size": group.center_mask.bit_count()})
-    return 0
+    params = {"family": args.family, "params": args.params, "zg": args.zg, "zh": args.zh}
+    return 0, "group build", params, {"name": group.name, "order": group.order,
+                                      "center_size": group.center_mask.bit_count()}
 
 
-def cmd_ncgraph(args) -> int:
-    _refuse_overwrite([args.group], [args.out])
-    group = load_cayley_table(args.group)
-    ncg = noncommuting_graph(group)
-    write_graph_file(ncg.graph, args.out)
-    _manifest("ncgraph", {"group": str(args.group)},
-              inputs=[args.group], outputs=[args.out],
-              outcome={"vertices": ncg.graph.vertex_count,
-                       "edges": ncg.graph.edge_count})
-    return 0
+def cmd_ncgraph(args):
+    graph = noncommuting_graph(load_cayley_table(args.group)).graph
+    write_graph_file(graph, args.out)
+    return 0, "ncgraph", {"group": str(args.group)}, {
+        "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
-def cmd_color_multipartite(args) -> int:
-    spec = PartitionSpec(args.l, args.m, args.n)
-    graph, coloring = multipartite_two_coloring(spec)
+def cmd_color(args):
+    if args.subcmd == "multipartite":
+        params = {"l": args.l, "m": args.m, "n": args.n}
+        graph, coloring = multipartite_two_coloring(PartitionSpec(**params))
+    else:
+        params = {}
+        graph, coloring = j62_graph_and_coloring()
     write_graph_file(graph, args.out_graph)
     write_coloring_file(coloring, args.out_coloring)
-    _manifest("color multipartite", {"l": args.l, "m": args.m, "n": args.n},
-              outputs=[args.out_graph, args.out_coloring],
-              outcome={"vertices": graph.vertex_count, "edges": graph.edge_count})
-    return 0
+    return 0, f"color {args.subcmd}", params, {
+        "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
-def cmd_color_j62(args) -> int:
-    graph, coloring = j62_graph_and_coloring()
-    write_graph_file(graph, args.out_graph)
-    write_coloring_file(coloring, args.out_coloring)
-    _manifest("color j62", {},
-              outputs=[args.out_graph, args.out_coloring],
-              outcome={"vertices": graph.vertex_count, "edges": graph.edge_count})
-    return 0
-
-
-def cmd_verify(args) -> int:
-    _refuse_overwrite([args.graph, args.coloring], [args.cert])
+def cmd_verify(args):
     graph = read_graph_file(args.graph)
     coloring = read_coloring_file(args.coloring, graph)
     result = is_rainbow_k_connected(graph, coloring, args.k)
     params = {"graph": str(args.graph), "coloring": str(args.coloring), "k": args.k}
     if isinstance(result, FailureWitness):
-        _manifest("verify", params, inputs=[args.graph, args.coloring],
-                  outcome={"rainbow_k_connected": False,
-                           "witness_pair": list(result.pair),
-                           "disjoint_rainbow_paths_found": result.found})
-        return 1
-    outputs = []
+        return 1, "verify", params, {"rainbow_k_connected": False,
+                                     "witness_pair": list(result.pair),
+                                     "disjoint_rainbow_paths_found": result.found}
     if args.cert:
         write_certificate(result, coloring, args.cert)
-        outputs.append(args.cert)
-    _manifest("verify", params, inputs=[args.graph, args.coloring], outputs=outputs,
-              outcome={"rainbow_k_connected": True, "k": args.k})
-    return 0
+    return 0, "verify", params, {"rainbow_k_connected": True, "k": args.k}
 
 
-def cmd_search(args) -> int:
-    _refuse_overwrite([args.graph], [args.out])
+def cmd_search(args):
     graph = read_graph_file(args.graph)
     coloring = search_two_coloring(graph, args.k, args.attempts, args.seed)
     params = {"graph": str(args.graph), "k": args.k, "attempts": args.attempts,
               "seed": args.seed}
     if coloring is None:
-        _manifest("search", params, inputs=[args.graph],
-                  outcome={"found": False})
-        return 1
+        return 1, "search", params, {"found": False}
     result = is_rainbow_k_connected(graph, coloring, args.k)  # certify before writing
     if isinstance(result, FailureWitness):
         raise AssertionError(f"search accepted a failing coloring at {result.pair}")
-    outputs = []
     if args.out:
         write_coloring_file(coloring, args.out)
-        outputs.append(args.out)
-    _manifest("search", params, inputs=[args.graph], outputs=outputs,
-              outcome={"found": True, "winning_seed": coloring.seed,
-                       "attempt": coloring.seed - args.seed})
-    return 0
+    return 0, "search", params, {"found": True, "winning_seed": coloring.seed,
+                                 "attempt": coloring.seed - args.seed}
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     if args.mode == "coarse":
         if args.n is None:
             raise ValueError("bounds coarse needs --n")
-        holds = bounds_mod.coarse_bound_holds(args.n)
-        _manifest("bounds coarse", {"n": args.n}, outcome={"holds": holds})
-        return 0
+        return 0, "bounds coarse", {"n": args.n}, {
+            "holds": bounds_mod.coarse_bound_holds(args.n)}
     if args.mode == "threshold":
-        value = bounds_mod.threshold_for_k(args.k)
-        _manifest("bounds threshold", {"k": args.k}, outcome={"threshold": value})
-        return 0
+        return 0, "bounds threshold", {"k": args.k}, {
+            "threshold": bounds_mod.threshold_for_k(args.k)}
     if args.group is None:
         raise ValueError("bounds needs --group FILE (or the coarse/threshold mode)")
     group = load_cayley_table(args.group)
     value = bounds_mod.failure_bound(group, args.k)
-    _manifest("bounds", {"group": str(args.group), "k": args.k}, inputs=[args.group],
-              outcome={"id": group.name, "order": group.order,
-                       "p_num": str(value.numerator), "p_den": str(value.denominator),
-                       "flagged": value >= 1})
-    return 0
+    return 0, "bounds", {"group": str(args.group), "k": args.k}, {
+        "id": group.name, "order": group.order, "p_num": str(value.numerator),
+        "p_den": str(value.denominator), "flagged": value >= 1}
 
 
-def cmd_scan(args) -> int:
-    directory = Path(args.groups)
-    files = sorted(directory.glob("*.cay"))
-    if not files:
-        raise ValueError(f"no .cay files in {directory}")
-    _refuse_overwrite(files, [args.out])
+def cmd_scan(args):
     entries = []
-    for path in files:
+    for path in _cay_files(args.groups):
         group = load_cayley_table(path)
         entry = {"id": group.name, "order": group.order,
                  "center_size": group.center_mask.bit_count()}
@@ -229,37 +195,26 @@ def cmd_scan(args) -> int:
                          flagged=value >= 1)
         entries.append(entry)
     Path(args.out).write_text(json.dumps(entries, indent=1) + "\n")
-    _manifest("scan", {"groups": str(directory), "k": args.k},
-              inputs=files, outputs=[args.out],
-              outcome={"scanned": len(entries),
-                       "flagged": [e["id"] for e in entries if e.get("flagged")]})
-    return 0
+    return 0, "scan", {"groups": str(Path(args.groups)), "k": args.k}, {
+        "scanned": len(entries), "flagged": [e["id"] for e in entries if e.get("flagged")]}
 
 
-def cmd_iso(args) -> int:
-    g1 = read_graph_file(args.graph)
-    g2 = read_graph_file(args.graph2)
-    mapping = are_isomorphic(g1, g2)
+def cmd_iso(args):
+    mapping = are_isomorphic(read_graph_file(args.graph), read_graph_file(args.graph2))
     params = {"graph": str(args.graph), "graph2": str(args.graph2)}
     if mapping is None:
-        _manifest("iso", params, inputs=[args.graph, args.graph2],
-                  outcome={"isomorphic": False})
-        return 1
-    _manifest("iso", params, inputs=[args.graph, args.graph2],
-              outcome={"isomorphic": True, "mapping": mapping})
-    return 0
+        return 1, "iso", params, {"isomorphic": False}
+    return 0, "iso", params, {"isomorphic": True, "mapping": mapping}
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args):
     results = reproduce_mod.run_all(quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
-    all_passed = all(r.passed for r in results)
-    _manifest("reproduce", {"quick": args.quick},
-              outcome={"criteria": len(results), "passed": all_passed,
-                       "failed": [r.name for r in results if not r.passed]})
-    return 0 if all_passed else 1
+    failed = [r.name for r in results if not r.passed]
+    return 1 if failed else 0, "reproduce", {"quick": args.quick}, {
+        "criteria": len(results), "passed": not failed, "failed": failed}
 
 
 def build_parser() -> _Parser:
@@ -280,12 +235,13 @@ def build_parser() -> _Parser:
     p_build.add_argument("--action", help="JSON file with one permutation of the left "
                                           "factor per right-factor element")
     p_build.add_argument("--out", required=True)
-    p_build.set_defaults(func=cmd_group_build)
+    p_build.set_defaults(func=cmd_group_build,
+                         files=lambda a: ([a.left, a.right, a.action], [a.out]))
 
     p_ncg = sub.add_parser("ncgraph", help="non-commuting graph of a group file")
     p_ncg.add_argument("--group", required=True)
     p_ncg.add_argument("--out", required=True)
-    p_ncg.set_defaults(func=cmd_ncgraph)
+    p_ncg.set_defaults(func=cmd_ncgraph, files=lambda a: ([a.group], [a.out]))
 
     p_color = sub.add_parser("color", help="explicit 2-colorings")
     csub = p_color.add_subparsers(dest="subcmd", required=True, parser_class=_Parser)
@@ -294,20 +250,18 @@ def build_parser() -> _Parser:
     p_multi.add_argument("--l", type=int, required=True)
     p_multi.add_argument("--m", type=int, required=True)
     p_multi.add_argument("--n", type=int, required=True)
-    p_multi.add_argument("--out-graph", required=True)
-    p_multi.add_argument("--out-coloring", required=True)
-    p_multi.set_defaults(func=cmd_color_multipartite)
     p_j62 = csub.add_parser("j62", help="the J(6,2) 2-fiber graph and coloring")
-    p_j62.add_argument("--out-graph", required=True)
-    p_j62.add_argument("--out-coloring", required=True)
-    p_j62.set_defaults(func=cmd_color_j62)
+    for p_out in (p_multi, p_j62):
+        p_out.add_argument("--out-graph", required=True)
+        p_out.add_argument("--out-coloring", required=True)
+        p_out.set_defaults(func=cmd_color, files=lambda a: ([], [a.out_graph, a.out_coloring]))
 
     p_verify = sub.add_parser("verify", help="check rainbow-k-connectivity")
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--coloring", required=True)
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--cert", help="write the certificate JSON here")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, files=lambda a: ([a.graph, a.coloring], [a.cert]))
 
     p_search = sub.add_parser("search", help="random search for a good 2-coloring")
     p_search.add_argument("--graph", required=True)
@@ -315,7 +269,7 @@ def build_parser() -> _Parser:
     p_search.add_argument("--attempts", type=int, required=True)
     p_search.add_argument("--seed", type=int, required=True)
     p_search.add_argument("--out", help="write the found coloring here")
-    p_search.set_defaults(func=cmd_search)
+    p_search.set_defaults(func=cmd_search, files=lambda a: ([a.graph], [a.out]))
 
     p_bounds = sub.add_parser("bounds", help="exact failure bounds and inequalities")
     p_bounds.add_argument("mode", nargs="?", default="group",
@@ -323,22 +277,23 @@ def build_parser() -> _Parser:
     p_bounds.add_argument("--group")
     p_bounds.add_argument("--k", type=int, default=2)
     p_bounds.add_argument("--n", type=int)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=cmd_bounds,
+                          files=lambda a: ([a.group] if a.mode == "group" else [], []))
 
     p_scan = sub.add_parser("scan", help="failure bounds for every .cay file in a directory")
     p_scan.add_argument("--groups", required=True)
     p_scan.add_argument("--k", type=int, default=2)
     p_scan.add_argument("--out", required=True)
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func=cmd_scan, files=lambda a: (_cay_files(a.groups), [a.out]))
 
     p_iso = sub.add_parser("iso", help="explicit isomorphism between two graph files")
     p_iso.add_argument("--graph", required=True)
     p_iso.add_argument("--graph2", required=True)
-    p_iso.set_defaults(func=cmd_iso)
+    p_iso.set_defaults(func=cmd_iso, files=lambda a: ([a.graph, a.graph2], []))
 
     p_rep = sub.add_parser("reproduce", help="run the full certification pipeline")
     p_rep.add_argument("--quick", action="store_true")
-    p_rep.set_defaults(func=cmd_reproduce)
+    p_rep.set_defaults(func=cmd_reproduce, files=lambda a: ([], []))
 
     return parser
 
@@ -354,7 +309,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        inputs, outputs = ([p for p in paths if p] for paths in args.files(args))
+        _refuse_collisions(inputs, outputs)
+        code, command, parameters, outcome = args.func(args)
+        print(json.dumps({"command": command, "parameters": parameters,
+                          "inputs": _digests(inputs),
+                          "outputs": _digests(outputs if code == 0 else []),
+                          "outcome": outcome}, sort_keys=True))
+        return code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

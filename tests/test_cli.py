@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,21 @@ def test_an_output_that_is_an_input_is_refused(tmp_path, capsys, command):
     assert code == 2 and manifest is None
     assert one_error_line(captured)["message"].endswith("is also an input")
     assert {path: path.read_bytes() for path in (cay, graph)} == before
+
+
+@pytest.mark.parametrize("argv, named_twice", [
+    (["color", "multipartite", "--l", "1", "--m", "3", "--n", "2",
+      "--out-graph", "s.txt", "--out-coloring", "s.txt"], "s.txt"),
+    (["color", "j62", "--out-graph", "s2.txt", "--out-coloring", "./s2.txt"], "./s2.txt"),
+])
+def test_an_output_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv, named_twice):
+    """Two outputs that resolve to one file are refused before either is written."""
+    monkeypatch.chdir(tmp_path)
+    code, manifest, captured = run(capsys, *argv)
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == {"error": "ValueError",
+                                        "message": f"output {named_twice} is named twice"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threshold_k_over_the_budget_exits_three(capsys):
@@ -535,3 +552,140 @@ def test_exhausted_budget_fails_only_its_criteria(capsys, monkeypatch):
     manifest = json.loads(captured.out.strip().splitlines()[-1])
     assert manifest["outcome"]["failed"] == ["johnson-fiber", "constructive-search"]
     assert captured.err == ""
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    """The input files every pinned command reads, written by the library."""
+    d18 = dihedral(9)
+    graph = noncommuting_graph(d18).graph
+    write_cayley_table(d18, tmp_path / "d18.cay")
+    write_cayley_table(cyclic(3), tmp_path / "z3.cay")
+    write_cayley_table(dihedral(3), tmp_path / "d6.cay")
+    write_graph_file(graph, tmp_path / "d18.graph")
+    write_coloring_file(rainbow.search_two_coloring(graph, 2, 100, 1), tmp_path / "d18.col")
+    (tmp_path / "k3.graph").write_text("graph 3 3\nlabels v0 v1 v2\n0 1\n0 2\n1 2\n")
+    (tmp_path / "k3.col").write_text("coloring 2\n0 1 1\n0 2 1\n1 2 1\n")
+    (tmp_path / "k3b.graph").write_text("graph 3 3\n0 2\n1 2\n0 1\n")
+    (tmp_path / "p3.graph").write_text("graph 3 2\n0 1\n1 2\n")
+    (tmp_path / "groups").mkdir()
+    write_cayley_table(dihedral(3), tmp_path / "groups" / "a.cay")
+    write_cayley_table(dihedral(9), tmp_path / "groups" / "b.cay")
+    return tmp_path
+
+
+def files_under(root):
+    return {path for path in root.rglob("*") if path.is_file()}
+
+
+D18_BUILD = {"name": "D18", "order": 18, "center_size": 1}
+PINNED_MANIFESTS = {
+    "group build --params": (
+        "group build --family dihedral --params 9 --out {tmp}/out.cay", 0,
+        {"command": "group build",
+         "parameters": {"family": "dihedral", "params": "9", "zg": None, "zh": None},
+         "inputs": [], "outputs": ["{tmp}/out.cay"], "outcome": D18_BUILD}),
+    "group build --left/--right": (
+        "group build --family direct --left {tmp}/d6.cay --right {tmp}/z3.cay"
+        " --out {tmp}/out.cay", 0,
+        {"command": "group build",
+         "parameters": {"family": "direct", "params": None, "zg": None, "zh": None},
+         "inputs": ["{tmp}/d6.cay", "{tmp}/z3.cay"], "outputs": ["{tmp}/out.cay"],
+         "outcome": {"name": "d6xz3", "order": 18, "center_size": 3}}),
+    "ncgraph": (
+        "ncgraph --group {tmp}/d18.cay --out {tmp}/out.graph", 0,
+        {"command": "ncgraph", "parameters": {"group": "{tmp}/d18.cay"},
+         "inputs": ["{tmp}/d18.cay"], "outputs": ["{tmp}/out.graph"],
+         "outcome": {"vertices": 17, "edges": 108}}),
+    "search found": (
+        "search --graph {tmp}/d18.graph --k 2 --attempts 100 --seed 1 --out {tmp}/out.col", 0,
+        {"command": "search",
+         "parameters": {"graph": "{tmp}/d18.graph", "k": 2, "attempts": 100, "seed": 1},
+         "inputs": ["{tmp}/d18.graph"], "outputs": ["{tmp}/out.col"],
+         "outcome": {"found": True, "winning_seed": 2, "attempt": 1}}),
+    "search not found": (
+        "search --graph {tmp}/d18.graph --k 2 --attempts 0 --seed 1 --out {tmp}/out.col", 1,
+        {"command": "search",
+         "parameters": {"graph": "{tmp}/d18.graph", "k": 2, "attempts": 0, "seed": 1},
+         "inputs": ["{tmp}/d18.graph"], "outputs": [], "outcome": {"found": False}}),
+    "verify passes": (
+        "verify --graph {tmp}/d18.graph --coloring {tmp}/d18.col --k 2"
+        " --cert {tmp}/out.cert.json", 0,
+        {"command": "verify",
+         "parameters": {"graph": "{tmp}/d18.graph", "coloring": "{tmp}/d18.col", "k": 2},
+         "inputs": ["{tmp}/d18.col", "{tmp}/d18.graph"], "outputs": ["{tmp}/out.cert.json"],
+         "outcome": {"rainbow_k_connected": True, "k": 2}}),
+    "verify fails": (
+        "verify --graph {tmp}/k3.graph --coloring {tmp}/k3.col --k 2"
+        " --cert {tmp}/out.cert.json", 1,
+        {"command": "verify",
+         "parameters": {"graph": "{tmp}/k3.graph", "coloring": "{tmp}/k3.col", "k": 2},
+         "inputs": ["{tmp}/k3.col", "{tmp}/k3.graph"], "outputs": [],
+         "outcome": {"rainbow_k_connected": False, "witness_pair": [0, 1],
+                     "disjoint_rainbow_paths_found": 1}}),
+    "color multipartite": (
+        "color multipartite --l 2 --m 4 --n 3 --out-graph {tmp}/out.graph"
+        " --out-coloring {tmp}/out.col", 0,
+        {"command": "color multipartite", "parameters": {"l": 2, "m": 4, "n": 3},
+         "inputs": [], "outputs": ["{tmp}/out.col", "{tmp}/out.graph"],
+         "outcome": {"vertices": 14, "edges": 72}}),
+    "color j62": (
+        "color j62 --out-graph {tmp}/out.graph --out-coloring {tmp}/out.col", 0,
+        {"command": "color j62", "parameters": {},
+         "inputs": [], "outputs": ["{tmp}/out.col", "{tmp}/out.graph"],
+         "outcome": {"vertices": 30, "edges": 240}}),
+    "bounds group": (
+        "bounds --group {tmp}/d18.cay --k 2", 0,
+        {"command": "bounds", "parameters": {"group": "{tmp}/d18.cay", "k": 2},
+         "inputs": ["{tmp}/d18.cay"], "outputs": [],
+         "outcome": {"id": "d18", "order": 18, "p_num": "6793", "p_den": "8192",
+                     "flagged": False}}),
+    "bounds coarse": (
+        "bounds coarse --n 108", 0,
+        {"command": "bounds coarse", "parameters": {"n": 108},
+         "inputs": [], "outputs": [], "outcome": {"holds": False}}),
+    "bounds coarse --group": (
+        "bounds coarse --n 108 --group {tmp}/d18.cay", 0,
+        {"command": "bounds coarse", "parameters": {"n": 108},
+         "inputs": [], "outputs": [], "outcome": {"holds": False}}),
+    "bounds threshold": (
+        "bounds threshold --k 3", 0,
+        {"command": "bounds threshold", "parameters": {"k": 3},
+         "inputs": [], "outputs": [], "outcome": {"threshold": 180}}),
+    "scan": (
+        "scan --groups {tmp}/groups --out {tmp}/out.json", 0,
+        {"command": "scan", "parameters": {"groups": "{tmp}/groups", "k": 2},
+         "inputs": ["{tmp}/groups/a.cay", "{tmp}/groups/b.cay"], "outputs": ["{tmp}/out.json"],
+         "outcome": {"scanned": 2, "flagged": ["a"]}}),
+    "iso isomorphic": (
+        "iso --graph {tmp}/k3.graph --graph2 {tmp}/k3b.graph", 0,
+        {"command": "iso", "parameters": {"graph": "{tmp}/k3.graph", "graph2": "{tmp}/k3b.graph"},
+         "inputs": ["{tmp}/k3.graph", "{tmp}/k3b.graph"], "outputs": [],
+         "outcome": {"isomorphic": True, "mapping": [0, 1, 2]}}),
+    "iso not isomorphic": (
+        "iso --graph {tmp}/k3.graph --graph2 {tmp}/p3.graph", 1,
+        {"command": "iso", "parameters": {"graph": "{tmp}/k3.graph", "graph2": "{tmp}/p3.graph"},
+         "inputs": ["{tmp}/k3.graph", "{tmp}/p3.graph"], "outputs": [],
+         "outcome": {"isomorphic": False}}),
+    "reproduce --quick": (
+        "reproduce --quick", 0,
+        {"command": "reproduce", "parameters": {"quick": True}, "inputs": [], "outputs": [],
+         "outcome": {"criteria": 11, "passed": True, "failed": []}}),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_MANIFESTS)
+def test_every_manifest_is_pinned(workdir, capsys, case):
+    """The whole manifest of one run of each command and mode: the digest
+    beside each file is that file's SHA-256, and the files the run leaves
+    behind are exactly the outputs its manifest lists."""
+    argv, want_code, want = PINNED_MANIFESTS[case]
+    before = files_under(workdir)
+    code, manifest, _ = run(capsys, *argv.format(tmp=workdir).split())
+    assert code == want_code
+    for role in ("inputs", "outputs"):
+        for path, digest in manifest[role].items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        manifest[role] = sorted(manifest[role])
+    assert files_under(workdir) - before == {Path(p) for p in manifest["outputs"]}
+    assert json.loads(json.dumps(manifest).replace(str(workdir), "{tmp}")) == want
