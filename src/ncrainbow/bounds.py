@@ -18,6 +18,11 @@ from .groups import Group
 from .ncgraph import NonCommutingGraph, noncommuting_graph, pair_profile
 
 
+def _tail_count(t: int, r: int) -> int:
+    """2^t * P(Bin(t, 1/2) < r): C(t, i) summed over i < r, stopping at i = t."""
+    return sum(comb(t, i) for i in range(min(r, t + 1)))
+
+
 def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
     """Union bound on the probability that a uniform random 2-coloring fails
     to make the non-commuting graph rainbow-k-connected.
@@ -34,9 +39,7 @@ def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
         raise ValueError("k must be at least 2")
     total = Fraction(0)
     for (t, adjacent), count in pair_profile(ncg).items():
-        misses = k - 2 if adjacent else k - 1
-        head = sum(comb(t, i) for i in range(min(misses, t) + 1))  # comb(t, i) = 0 for i > t
-        total += Fraction(count * head, 1 << t)
+        total += Fraction(count * _tail_count(t, k - adjacent), 1 << t)
     return total
 
 
@@ -105,29 +108,31 @@ def _check_threshold_k(k: int) -> None:
         raise SearchBudgetExceeded(f"bounds threshold is limited to k <= {THRESHOLD_MAX_K}")
 
 
+def _stable_run_start(holds, proves_rest) -> int:
+    """The least n of the run of holds(n) that reaches the first n where
+    proves_rest(n). Raises RuntimeError at n = THRESHOLD_SCAN_LIMIT."""
+    run_start: int | None = None
+    for n in range(1, THRESHOLD_SCAN_LIMIT):
+        run_start = (run_start or n) if holds(n) else None
+        if run_start and proves_rest(n):
+            return run_start
+    raise RuntimeError(f"no stable threshold below {THRESHOLD_SCAN_LIMIT}")
+
+
 def threshold_for_k(k: int) -> int:
     """Smallest n with sum(n^i for i in 2..k+1) < 2^(n/6) from n onward.
 
     The inequality is decided exactly via S^6 < 2^n. Once it holds at
     some n where additionally (n+1)^(6(k+1)) < 2 * n^(6(k+1)), it holds
     for every larger n (each term of S grows by at most (1+1/n)^(k+1),
-    and that induction condition only improves as n grows), so the scan
-    stops there. The scan gives up at n = THRESHOLD_SCAN_LIMIT. A k above
-    THRESHOLD_MAX_K is refused with SearchBudgetExceeded before the scan.
+    and that induction condition only improves as n grows), so the shared
+    scan `_stable_run_start` stops there. A k above THRESHOLD_MAX_K is
+    refused with SearchBudgetExceeded before the scan.
     """
     _check_threshold_k(k)
     power = 6 * (k + 1)
-    run_start: int | None = None
-    for n in range(1, THRESHOLD_SCAN_LIMIT):
-        s = sum(n ** i for i in range(2, k + 2))
-        if s ** 6 < (1 << n):
-            if run_start is None:
-                run_start = n
-            if (n + 1) ** power < 2 * n ** power:
-                return run_start
-        else:
-            run_start = None
-    raise RuntimeError(f"no stable threshold below {THRESHOLD_SCAN_LIMIT}")
+    return _stable_run_start(lambda n: sum(n ** i for i in range(2, k + 2)) ** 6 < 1 << n,
+                             lambda n: (n + 1) ** power < 2 * n ** power)
 
 
 def lemma_bound(n: int, k: int = 2) -> Fraction:
@@ -145,8 +150,7 @@ def lemma_bound(n: int, k: int = 2) -> Fraction:
     if k < 2:
         raise ValueError("k must be at least 2")
     t = (n + 3) // 4
-    head = sum(comb(t, i) for i in range(min(k, t + 1)))  # comb(t, i) = 0 for i > t
-    return Fraction(comb(n - 1, 2) * head, 1 << t)
+    return Fraction(comb(n - 1, 2) * _tail_count(t, k), 1 << t)
 
 
 def lemma_threshold(k: int) -> int:
@@ -164,18 +168,11 @@ def lemma_threshold(k: int) -> int:
     - C(4t+3, 2) / C(4t-1, 2) < 4/3 once 16t^2 - 108t - 10 > 0, so for
       t >= 8.
     So the block maxima fall by a factor below 1 from the stop on. The
-    scan gives up at n = THRESHOLD_SCAN_LIMIT; k above THRESHOLD_MAX_K is
-    refused with SearchBudgetExceeded before the scan.
+    shared scan `_stable_run_start` stops at the end of that block, the
+    first n = 4t >= 4 max(3k, 8) with lemma_bound(n, k) < 1; k above
+    THRESHOLD_MAX_K is refused with SearchBudgetExceeded before the scan.
     """
     _check_threshold_k(k)
-    t0 = max(3 * k, 8)
-    run_start: int | None = None
-    for t in range(1, THRESHOLD_SCAN_LIMIT // 4):
-        for n in range(4 * t - 3, 4 * t + 1):
-            if lemma_bound(n, k) < 1:
-                run_start = run_start or n
-            else:
-                run_start = None
-        if t >= t0 and run_start is not None:  # then lemma_bound(4t, k) < 1
-            return run_start
-    raise RuntimeError(f"no stable lemma threshold below {THRESHOLD_SCAN_LIMIT}")
+    stop = 4 * max(3 * k, 8)
+    return _stable_run_start(lambda n: lemma_bound(n, k) < 1,
+                             lambda n: n % 4 == 0 and n >= stop)

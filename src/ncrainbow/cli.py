@@ -10,9 +10,12 @@ unknown), 4 internal failure (a self-check of the program failed).
 Each subcommand names its files once, as `files(args) -> (inputs,
 outputs)` beside its `func`. Commands return their manifest fields,
 `(exit code, command, parameters, outcome)`; `main` writes the manifest.
-Before the command runs, `main` refuses an output that resolves to an
-input or to another output, so nothing is written. The manifest lists
-outputs only on exit 0.
+Before the command runs, `main` reads and digests every input and
+refuses an output that resolves to an input or to another output or
+lies in a missing directory, so a refused run writes nothing. The
+manifest lists outputs only on exit 0; the scalar `group build`
+families refuse `--left`, `--right` and `--action`, so it lists only
+files a build reads.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ def _digests(paths) -> dict[str, str]:
     return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
-def _refuse_collisions(inputs, outputs) -> None:
+def _check_outputs(inputs, outputs) -> None:
     """Raise ValueError when an output resolves to an input or to another
-    output; called before the command runs, so nothing is written."""
+    output, or its directory does not exist; called before the command
+    runs, so nothing is written."""
     if not outputs:
         return  # a command that writes nothing resolves no path
     claimed = dict.fromkeys((Path(p).resolve() for p in inputs), "also an input")
@@ -58,6 +62,8 @@ def _refuse_collisions(inputs, outputs) -> None:
         path = Path(out).resolve()
         if path in claimed:
             raise ValueError(f"output {out} is {claimed[path]}")
+        if not path.parent.is_dir():
+            raise ValueError(f"output {out} is in a directory that does not exist")
         claimed[path] = "named twice"
 
 
@@ -78,6 +84,9 @@ def _cay_files(directory: str) -> list[Path]:
 def _build_group(args) -> Group:
     family = args.family
     if family in ("cyclic", "dihedral", "dicyclic", "metacyclic"):
+        for flag in ("left", "right", "action"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"family {family} takes no --{flag}")
         if args.params is None:
             raise ValueError(f"--params is required for family {family}")
         params = _ints(args.params)
@@ -310,10 +319,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         inputs, outputs = ([p for p in paths if p] for paths in args.files(args))
-        _refuse_collisions(inputs, outputs)
+        _check_outputs(inputs, outputs)
+        input_digests = _digests(inputs)  # every input is read before anything is written
         code, command, parameters, outcome = args.func(args)
         print(json.dumps({"command": command, "parameters": parameters,
-                          "inputs": _digests(inputs),
+                          "inputs": input_digests,
                           "outputs": _digests(outputs if code == 0 else []),
                           "outcome": outcome}, sort_keys=True))
         return code

@@ -9,6 +9,7 @@ immutable once built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -193,29 +194,18 @@ def _refine_classes(g1: Graph, g2: Graph) -> tuple[list[int], list[int]] | None:
     n = g1.vertex_count
     colors = [g1.degree(v) for v in range(n)] + [g2.degree(v) for v in range(n)]
     adj = list(g1.adj) + [m << n for m in g2.adj]
-
-    def histogram(cols):
-        h1, h2 = {}, {}
-        for v in range(n):
-            h1[cols[v]] = h1.get(cols[v], 0) + 1
-            h2[cols[n + v]] = h2.get(cols[n + v], 0) + 1
-        return h1, h2
-
     for _ in range(REFINE_ROUNDS):
-        h1, h2 = histogram(colors)
-        if h1 != h2:
+        if Counter(colors[:n]) != Counter(colors[n:]):
             return None
         table: dict[tuple, int] = {}
         nxt = []
         for v in range(2 * n):
             sig = (colors[v], tuple(sorted(colors[w] for w in iter_bits(adj[v]))))
             nxt.append(table.setdefault(sig, len(table)))
-        if len(set(nxt)) == len(set(colors)):
-            colors = nxt
-            break
+        if len(table) == len(set(colors)):  # no class split, so the histograms still match
+            return nxt[:n], nxt[n:]
         colors = nxt
-    h1, h2 = histogram(colors)
-    if h1 != h2:
+    if Counter(colors[:n]) != Counter(colors[n:]):
         return None
     return colors[:n], colors[n:]
 
@@ -242,9 +232,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
         return None
     c1, c2 = refined
 
-    class_sizes: dict[int, int] = {}
-    for c in c1:
-        class_sizes[c] = class_sizes.get(c, 0) + 1
+    class_sizes = Counter(c1)
     # Order: most neighbours already placed first, then rarest class, then
     # lowest index. by_attach[a] holds the unplaced vertices with a placed
     # neighbours; a count only grows, so placing a vertex moves each of its

@@ -397,20 +397,15 @@ def central_product(g: Group, h: Group, zg: int, zh: int) -> Group:
     gen = zg * nh + h.inverse(zh)
 
     coset_of = [-1] * prod.order
-    reps: list[int] = []
+    reps: list[int] = []  # d is the least member of its coset: lower ones are assigned
     for d in range(prod.order):
         if coset_of[d] != -1:
             continue
-        orbit = [d]
-        cur = prod.table[d][gen]
-        while cur != d:
-            orbit.append(cur)
+        cur = d
+        while coset_of[cur] == -1:  # around the coset d<gen>, back to d
+            coset_of[cur] = len(reps)
             cur = prod.table[cur][gen]
-        rep = min(orbit)
-        idx = len(reps)
-        reps.append(rep)
-        for x in orbit:
-            coset_of[x] = idx
+        reps.append(d)
     if len(reps) * k != prod.order:
         raise OrderMismatch("coset enumeration produced an unexpected order")
     table = [

@@ -208,6 +208,8 @@ def derandomized_two_coloring(g: Graph, k: int) -> tuple[EdgeColoring, Fraction]
               for t in range(top + 1) for r in range(base)]
     live = [sum(1 << b for b, s in enumerate(row) if b != a and weight[s])
             for a, row in enumerate(state)]
+    # Its own tail sum, not bounds._tail_count, so that the test of this start
+    # against failure_bound compares two computations, not one formula with itself.
     tails = 0  # the start scaled by 2^top: P(Bin(t, 1/2) < r) summed over the pairs
     for s, count in Counter(state[a][b] for a in range(n) for b in range(a)).items():
         t, r = divmod(s, base)

@@ -109,15 +109,11 @@ def multipartite_parameters(sizes: list[int]) -> PartitionSpec | None:
     sizes = sorted(sizes)
     if len(sizes) < 3:
         return None
-    if len(set(sizes)) == 1:
-        l, m, n = sizes[0], len(sizes) - 1, 1
-    else:
-        small, big = sizes[:-1], sizes[-1]
-        if len(set(small)) != 1 or big % small[0]:
-            return None
-        l, m, n = small[0], len(small), big // small[0]
+    small, big = sizes[:-1], sizes[-1]
+    if len(set(small)) != 1 or big % small[0]:
+        return None
     try:
-        return PartitionSpec(l, m, n)
+        return PartitionSpec(small[0], len(small), big // small[0])
     except InvalidSpec:
         return None
 

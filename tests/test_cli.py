@@ -256,6 +256,38 @@ def test_an_output_named_twice_is_refused(tmp_path, capsys, monkeypatch, argv, n
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--left", "nosuch.cay", {"error": "FileNotFoundError",
+                              "message": "[Errno 2] No such file or directory: 'nosuch.cay'"}),
+    ("--right", "z3.cay", {"error": "ValueError", "message": "family dihedral takes no --right"}),
+    ("--action", "z3.cay", {"error": "ValueError", "message": "family dihedral takes no --action"}),
+])
+def test_a_scalar_build_with_a_file_flag_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                         flag, value, error):
+    """Inputs are read before the command runs, and a scalar family refuses
+    the product families' file flags, so neither run writes --out."""
+    monkeypatch.chdir(tmp_path)
+    write_cayley_table(cyclic(3), "z3.cay")
+    code, manifest, captured = run(capsys, "group", "build", "--family", "dihedral",
+                                   "--params", "3", flag, value, "--out", "o.cay")
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == error
+    assert [p.name for p in tmp_path.iterdir()] == ["z3.cay"]
+
+
+def test_an_output_in_a_missing_directory_writes_nothing(tmp_path, capsys, monkeypatch):
+    """Refused before the command runs, so the other output is not written either."""
+    monkeypatch.chdir(tmp_path)
+    code, manifest, captured = run(capsys, "color", "multipartite", "--l", "1", "--m", "3",
+                                   "--n", "1", "--out-graph", "ok.graph",
+                                   "--out-coloring", "nodir/c.col")
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == {
+        "error": "ValueError",
+        "message": "output nodir/c.col is in a directory that does not exist"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_threshold_k_over_the_budget_exits_three(capsys):
     code, manifest, captured = run(capsys, "bounds", "threshold", "--k", "101")
     assert code == 3 and manifest is None
@@ -444,24 +476,6 @@ def test_semidirect_refuses_a_malformed_action(tmp_path, capsys, action, message
     assert one_error_line(captured) == {"error": "ValueError", "message": message}
 
 
-QUICK_PASS_LINES = [
-    "PASS  tau-floor               35 groups, min 6*tau/|G| = 3/2 at D8",
-    "PASS  multipartite-structure  13 graphs match",
-    "PASS  fiber-expansion         4 natural maps verified",
-    "PASS  coloring-grid           24 grid points certified",
-    "PASS  triangle-exclusion      all 8 two-colorings fail, a 3-coloring passes",
-    "PASS  exception-scan          22 flagged, dihedral/dicyclic clean through order 56,"
-    " every group from order 57 by tau >= |G|/4",
-    "PASS  johnson-fiber           verified, both order-32 graphs isomorphic",
-    "PASS  constructive-search     rc2 = 2 for all 35 graphs (13 searched, 22 structural)",
-    "PASS  inequality-chain        coarse fails at 108 and holds for every n >= 114"
-    " (115^18 < 2*114^18), mid <= coarse for every 1 <= z <= n",
-    "PASS  rainbow3-threshold      kappa = 7, rc3 = 2 for D14, thresholds"
-    " [126, 180, 237, 296, 357]",
-    "PASS  oracle-equivalence      40 colored graphs agree",
-]
-
-
 FULL_STDOUT = "".join(line + "\n" for line in [
     "PASS  tau-floor               35 groups, min 6*tau/|G| = 3/2 at D8",
     "PASS  multipartite-structure  13 graphs match",
@@ -480,6 +494,9 @@ FULL_STDOUT = "".join(line + "\n" for line in [
     '{"command": "reproduce", "inputs": {}, "outcome": {"criteria": 11, "failed": [],'
     ' "passed": true}, "outputs": {}, "parameters": {"quick": false}}',
 ])
+# The quick run prints the full run's criterion lines but checks fewer colored graphs.
+QUICK_PASS_LINES = [line.replace("200 colored graphs", "40 colored graphs")
+                    for line in FULL_STDOUT.splitlines()[:-1]]
 
 
 def test_reproduce_full_stdout_is_pinned(capsys):

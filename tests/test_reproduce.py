@@ -1,9 +1,11 @@
 """The rc2 routes of the reproduce pipeline: structure on relabelled groups,
 and search followed by certification."""
 
+import ast
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +267,13 @@ def test_oracle_equivalence_reports_a_refused_certificate(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("certificate refused at k=")
     assert "repeats a color" in result.detail
+
+
+def test_run_all_runs_the_benchmark_criteria_in_order():
+    """bench/layers.py's CRITERIA, which the benchmark and the CI smoke read,
+    names the criteria run_all runs, in its order."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "layers.py").read_text())
+    criteria = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["CRITERIA"])
+    assert [r.name for r in reproduce.run_all(quick=True)] == list(criteria)
