@@ -13,9 +13,9 @@ outputs)` beside its `func`. Commands return their manifest fields,
 Before the command runs, `main` reads and digests every input and
 refuses an output that resolves to an input or to another output or
 lies in a missing directory, so a refused run writes nothing. The
-manifest lists outputs only on exit 0; the scalar `group build`
-families refuse `--left`, `--right` and `--action`, so it lists only
-files a build reads.
+manifest lists outputs only on exit 0; each `group build` family
+refuses every flag it does not read, so the manifest lists only files
+and parameters a build reads.
 """
 
 from __future__ import annotations
@@ -83,10 +83,12 @@ def _cay_files(directory: str) -> list[Path]:
 
 def _build_group(args) -> Group:
     family = args.family
-    if family in ("cyclic", "dihedral", "dicyclic", "metacyclic"):
-        for flag in ("left", "right", "action"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"family {family} takes no --{flag}")
+    reads = {"direct": ("left", "right"), "semidirect": ("left", "right", "action"),
+             "central": ("left", "right", "zg", "zh")}.get(family, ("params",))
+    for flag in ("params", "left", "right", "zg", "zh", "action"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"family {family} takes no --{flag}")
+    if "params" in reads:
         if args.params is None:
             raise ValueError(f"--params is required for family {family}")
         params = _ints(args.params)

@@ -8,8 +8,8 @@ set in O(n^2 log n). Latin rows, an identity and associativity make a
 group, and a group's columns are Latin, so the columns are checked only
 when the identity or Light's test fails, to name a bad column first.
 An imported table is validated once, in its own labels, so every error
-names the caller's indices; only a valid table is then relabelled to
-move its identity to index 0. Groups are immutable.
+names the caller's indices; only then are the rows, a copy of the
+caller's, relabelled in place to put the identity at 0. Groups are immutable.
 """
 
 from __future__ import annotations
@@ -202,12 +202,15 @@ def _finish(table: list[list[int]], names: Sequence[str], name: str,
             identity: int = 0) -> Group:
     _validate_table(table, name, identity)
     if identity:
-        # Swap labels 0 <-> identity. Every row is a permutation by now, so
-        # no negative entry wraps; n >= 2, so the getters return tuples.
-        perm = list(range(len(table)))
-        perm[0], perm[identity] = identity, 0
-        swap = itemgetter(*perm)
-        table, names = [swap(itemgetter(*table[a])(perm)) for a in perm], swap(names)
+        # Swap labels 0 <-> identity in the rows the caller handed over: rows,
+        # then columns, then values; each row is a permutation by now.
+        table[0], table[identity] = table[identity], table[0]
+        for row in table:
+            row[0], row[identity] = row[identity], row[0]
+            a, b = row.index(0), row.index(identity)
+            row[a], row[b] = identity, 0
+        names = list(names)
+        names[0], names[identity] = names[identity], names[0]
     return Group(order=len(table), table=tuple(map(tuple, table)), names=tuple(names), name=name)
 
 

@@ -2,10 +2,13 @@
 
 The non-commuting graph of a non-abelian group has the non-central
 elements as vertices and an edge between x and y exactly when xy != yx.
-One row check ties the graph to the group: each row must equal the
-vertices outside C(x), so tau(x, y) = |G| - |C(x) ∪ C(y)|. The pairs are
-taken once per pair of twin classes (vertices with equal centralizers,
-so equal rows) and kept on the graph, for `pair_profile` and the floor.
+For z in the center Z, x and xz commute with the same elements, so the
+rows are compared once per pair of cosets of Z and copied to each
+coset's members. One row check ties the graph to the group: each row,
+copied or not, must equal the vertices outside C(x), so tau(x, y) =
+|G| - |C(x) ∪ C(y)|. The pairs are taken once per pair of twin classes
+(vertices with equal centralizers, so equal rows) and kept on the graph,
+for `pair_profile` and the floor.
 """
 
 from __future__ import annotations
@@ -52,15 +55,26 @@ def noncommuting_graph(group: Group) -> NonCommutingGraph:
         raise AbelianGroup(f"{group.name} is abelian")
     center_mask = group.center_mask
     vertices = [e for e in range(group.order) if not center_mask >> e & 1]
+    center = [z for z in range(group.order) if center_mask >> z & 1]
     table = group.table
-    adj = [0] * len(vertices)
-    for i, x in enumerate(vertices):
+    coset: dict[int, int] = {}  # element -> index of its coset xZ, whose rows are equal
+    reps: list[int] = []
+    for x in vertices:
+        if x not in coset:
+            coset.update((table[x][z], len(reps)) for z in center)
+            reps.append(x)
+    masks = [0] * len(reps)
+    for v, x in enumerate(vertices):
+        masks[coset[x]] |= 1 << v
+    adj = [0] * len(reps)
+    for i, x in enumerate(reps):
         row = table[x]
-        for j in range(i + 1, len(vertices)):
-            y = vertices[j]
+        for j in range(i + 1, len(reps)):
+            y = reps[j]
             if row[y] != table[y][x]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+                adj[i] |= masks[j]
+                adj[j] |= masks[i]
+    adj = [adj[coset[x]] for x in vertices]
     labels = tuple(group.names[e] for e in vertices)
     g = Graph(len(vertices), labels, tuple(adj))
     return NonCommutingGraph(g, group, tuple(vertices))

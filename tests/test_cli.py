@@ -275,6 +275,36 @@ def test_a_scalar_build_with_a_file_flag_writes_nothing(tmp_path, capsys, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["z3.cay"]
 
 
+@pytest.mark.parametrize("family, argv, flag", [
+    ("direct", ["--params", "7"], "params"),
+    ("direct", ["--action", "act.json"], "action"),
+    ("direct", ["--zg", "1"], "zg"),
+    ("direct", ["--zh", "1"], "zh"),
+    ("semidirect", ["--action", "act.json", "--params", "7"], "params"),
+    ("semidirect", ["--action", "act.json", "--zg", "1"], "zg"),
+    ("semidirect", ["--action", "act.json", "--zh", "1"], "zh"),
+    ("central", ["--zg", "0", "--zh", "0", "--params", "7"], "params"),
+    ("central", ["--zg", "0", "--zh", "0", "--action", "act.json"], "action"),
+    ("dihedral", ["--params", "3", "--zg", "1"], "zg"),
+    ("dicyclic", ["--params", "3", "--zh", "1"], "zh"),
+])
+def test_a_build_refuses_a_flag_its_family_does_not_read(tmp_path, capsys, monkeypatch,
+                                                         family, argv, flag):
+    """Every flag a family never reads is refused before anything is written,
+    so a manifest never records a parameter or input the build ignored."""
+    monkeypatch.chdir(tmp_path)
+    write_cayley_table(dihedral(3), "d6.cay")
+    write_cayley_table(cyclic(3), "z3.cay")
+    Path("act.json").write_text(json.dumps([list(range(6))] * 3))
+    files = [] if "--params" in argv[:1] else ["--left", "d6.cay", "--right", "z3.cay"]
+    code, manifest, captured = run(capsys, "group", "build", "--family", family,
+                                   *files, *argv, "--out", "o.cay")
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == {"error": "ValueError",
+                                        "message": f"family {family} takes no --{flag}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["act.json", "d6.cay", "z3.cay"]
+
+
 def test_an_output_in_a_missing_directory_writes_nothing(tmp_path, capsys, monkeypatch):
     """Refused before the command runs, so the other output is not written either."""
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ncrainbow import groups
@@ -8,7 +10,8 @@ from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
                               group_from_cayley_table, load_cayley_table, metacyclic,
                               semidirect_product, write_cayley_table)
 from ncrainbow.reproduce import standard_suite
-from util import brute_center, group_isomorphism, mask_members
+from util import (brute_center, group_isomorphism, mask_members, reference_relabel,
+                  relabel_table)
 
 S3_TABLE = [
     [0, 1, 2, 3, 4, 5],
@@ -56,6 +59,26 @@ def test_identity_relocated_to_zero():
     assert g.table[0] == tuple(range(6))
     assert g.names[0] == "n0"
     assert g.center_mask.bit_count() == 1
+
+
+@pytest.mark.parametrize("group", [dihedral(3), dicyclic(2), dihedral(5),
+                                   direct_product(dihedral(4), cyclic(2))],
+                         ids=lambda g: g.name)
+def test_in_place_relabel_matches_the_itemgetter_reference(group):
+    """With the identity at every index in turn, the imported table and
+    names equal the copying relabel's, and the caller's rows are untouched
+    although the rows the import owns are swapped in place."""
+    rng = random.Random(group.order)
+    for i in range(group.order):
+        perm = rng.sample(range(group.order), group.order)
+        j = perm.index(i)
+        perm[0], perm[j] = i, perm[0]  # the identity, element 0, goes to index i
+        table, names = relabel_table(group, perm)
+        rows, before = list(table), [list(row) for row in table]
+        imported = group_from_cayley_table(table, names, group.name)
+        assert table == before and all(a is b for a, b in zip(table, rows))
+        assert (imported.table, imported.names) == reference_relabel(before, names, i)
+        assert imported.table[0] == tuple(range(group.order))
 
 
 def test_identity_found_anywhere():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,11 +6,11 @@ import pytest
 from ncrainbow.graphs import (Graph, detect_complete_multipartite, read_graph_file,
                               write_graph_file)
 from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direct_product,
-                              metacyclic)
+                              group_from_cayley_table, metacyclic, semidirect_product)
 from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
                                abelian_extension_check, common_neighbor_floor_check,
                                noncommuting_graph, pair_profile)
-from util import inject_min_tau
+from util import inject_min_tau, relabel_table
 
 
 def both_taus(ncg, x, y):
@@ -99,6 +100,7 @@ def test_cross_check_catches_a_flipped_edge():
 
 @pytest.mark.parametrize("group", [dihedral(4), dicyclic(3), metacyclic(8, 3),
                                    direct_product(dihedral(3), cyclic(3)),
+                                   direct_product(dihedral(4), cyclic(5)),
                                    central_product(dihedral(4), dihedral(4), 2, 2)],
                          ids=lambda g: g.name)
 def test_every_single_edge_flip_is_caught(group):
@@ -114,6 +116,32 @@ def test_every_single_edge_flip_is_caught(group):
             graph = Graph(n, ncg.graph.labels, tuple(adj))
             with pytest.raises(BoundViolated, match="tau mismatch"):
                 pair_profile(NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element))
+
+
+Z7_Z3 = semidirect_product(cyclic(7), cyclic(3),
+                           [[pow(2, y, 7) * x % 7 for x in range(7)] for y in range(3)])
+
+
+@pytest.mark.parametrize("group, center_size", [
+    (dihedral(75), 1), (Z7_Z3, 1), (dihedral(50), 2),
+    (direct_product(dihedral(5), cyclic(6)), 6), (metacyclic(100, 51), 50),
+], ids=lambda g: getattr(g, "name", None))
+def test_graph_is_the_commutation_relation_of_a_relabelled_group(group, center_size):
+    """Rows are made once per coset of the center and copied to its members.
+    Relabelled at random, so the identity moves and no coset is a run of
+    vertices, the graph still equals x*y != y*x read from the table."""
+    rng = random.Random(group.order)
+    for _ in range(2):
+        table, names = relabel_table(group, rng.sample(range(group.order), group.order))
+        g = group_from_cayley_table(table, names, group.name)
+        t, n = g.table, g.order
+        vertices = [x for x in range(n) if any(t[x][y] != t[y][x] for y in range(n))]
+        assert n - len(vertices) == center_size
+        ncg = noncommuting_graph(g)
+        assert ncg.vertex_to_element == tuple(vertices)
+        assert ncg.graph.labels == tuple(g.names[x] for x in vertices)
+        assert ncg.graph.adj == tuple(sum(1 << j for j, y in enumerate(vertices)
+                                          if t[x][y] != t[y][x]) for x in vertices)
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dicyclic(3), metacyclic(8, 3)])

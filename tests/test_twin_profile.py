@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ncrainbow.groups import (central_product, cyclic, dicyclic, dihedral, direct_product,
                               group_from_cayley_table, metacyclic)
 from ncrainbow.ncgraph import common_neighbor_floor_check, noncommuting_graph, pair_profile
-from util import brute_pair_profile, brute_pairs
+from util import brute_pair_profile, brute_pairs, relabel_table
 
 BASES = ([dihedral(n) for n in range(3, 21)] + [dicyclic(m) for m in range(2, 11)]
          + [dihedral(50), direct_product(dihedral(5), cyclic(6)), metacyclic(60, 49),
@@ -24,14 +24,8 @@ BASES = ([dihedral(n) for n in range(3, 21)] + [dicyclic(m) for m in range(2, 11
 @st.composite
 def relabelled_groups(draw):
     base = draw(st.sampled_from(BASES))
-    n = base.order
-    perm = draw(st.permutations(range(n)))
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[perm[x]][perm[y]] = perm[base.table[x][y]]
-    return group_from_cayley_table(table, [f"e{perm.index(i)}" for i in range(n)],
-                                   name=base.name)
+    table, names = relabel_table(base, draw(st.permutations(range(base.order))))
+    return group_from_cayley_table(table, names, name=base.name)
 
 
 def test_bases_cover_many_and_large_twin_classes():

@@ -5,6 +5,7 @@ ncrainbow.check."""
 
 from collections import Counter
 from itertools import permutations
+from operator import itemgetter
 
 from ncrainbow import ncgraph, rainbow
 from ncrainbow.check import short_rainbow_counts
@@ -36,6 +37,29 @@ def inject_min_tau(monkeypatch, tau_of_order):
         yield tau_of_order(ncg.group.order), False, 1, (0, 1)
 
     monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
+
+
+def relabel_table(group, perm):
+    """group's table and names with element x renamed perm[x], as lists:
+    the identity sits at perm[0], and names[perm[x]] is f"e{x}"."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[group.table[x][y]]
+    return table, [f"e{perm.index(i)}" for i in range(n)]
+
+
+def reference_relabel(table, names, identity):
+    """The relabel of an imported table as groups._finish made it before it
+    swapped in place: labels 0 and identity exchanged by two itemgetter
+    passes per row over a fresh copy. The reference for the table and names
+    of group_from_cayley_table."""
+    perm = list(range(len(table)))
+    perm[0], perm[identity] = identity, 0
+    swap = itemgetter(*perm)
+    rows = [swap(itemgetter(*table[a])(perm)) for a in perm]
+    return tuple(map(tuple, rows)), tuple(swap(names))
 
 
 def brute_center(table):
