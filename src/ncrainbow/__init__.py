@@ -1,8 +1,8 @@
 """Finite groups from Cayley tables, their non-commuting graphs, and exact
 rainbow-connectivity certificates."""
 
-from .bounds import (DyadicBound, coarse_bound, coarse_bound_holds, failure_bound,
-                     graph_failure_bound, mid_bound, threshold_for_k)
+from .bounds import (DyadicBound, coarse_bound, coarse_bound_holds, failure_bound, mid_bound,
+                     threshold_for_k)
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
                         multipartite_two_coloring, random_two_coloring, transfer_coloring)
 from .graphs import (Graph, SearchBudgetExceeded, are_isomorphic, complete_graph,

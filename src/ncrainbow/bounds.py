@@ -15,7 +15,7 @@ from math import comb
 
 from .graphs import SearchBudgetExceeded
 from .groups import Group
-from .ncgraph import NonCommutingGraph, noncommuting_graph, pair_profile
+from .ncgraph import pair_profile
 
 
 def _tail_count(t: int, r: int) -> int:
@@ -23,7 +23,7 @@ def _tail_count(t: int, r: int) -> int:
     return sum(comb(t, i) for i in range(min(r, t + 1)))
 
 
-def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
+def failure_bound(group: Group, k: int = 2) -> Fraction:
     """Union bound on the probability that a uniform random 2-coloring fails
     to make the non-commuting graph rainbow-k-connected.
 
@@ -33,22 +33,15 @@ def graph_failure_bound(ncg: NonCommutingGraph, k: int = 2) -> Fraction:
     non-adjacent pair needs k of them, so the per-pair terms are binomial
     tails at 1/2. A pair's term depends only on its tau and adjacency, so
     the sum runs over the keys of `pair_profile`, each term times its
-    count. Exact rational output; every denominator is a power of 2.
+    count, read from the group with no graph built. Exact rational output;
+    every denominator is a power of 2. AbelianGroup for an abelian group.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     total = Fraction(0)
-    for (t, adjacent), count in pair_profile(ncg).items():
+    for (t, adjacent), count in pair_profile(group).items():
         total += Fraction(count * _tail_count(t, k - adjacent), 1 << t)
     return total
-
-
-def failure_bound(group: Group, k: int = 2) -> Fraction:
-    """graph_failure_bound on the group's graph, built after k is checked
-    (AbelianGroup for an abelian group)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return graph_failure_bound(noncommuting_graph(group), k)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ outputs)` beside its `func`. Commands return their manifest fields,
 Before the command runs, `main` reads and digests every input and
 refuses an output that resolves to an input or to another output or
 lies in a missing directory, so a refused run writes nothing. The
-manifest lists outputs only on exit 0; each `group build` family
-refuses every flag it does not read, so the manifest lists only files
-and parameters a build reads.
+manifest lists outputs only on exit 0; each `group build` family and
+each `bounds` mode refuses every flag it does not read, so the manifest
+lists only files and parameters the command reads.
 """
 
 from __future__ import annotations
@@ -81,13 +81,19 @@ def _cay_files(directory: str) -> list[Path]:
     return files
 
 
+def _refuse_unread(args, flags, reads, what: str) -> None:
+    """Refuse each of flags that was given but that `what` does not read."""
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"{what} takes no --{flag}")
+
+
 def _build_group(args) -> Group:
     family = args.family
     reads = {"direct": ("left", "right"), "semidirect": ("left", "right", "action"),
              "central": ("left", "right", "zg", "zh")}.get(family, ("params",))
-    for flag in ("params", "left", "right", "zg", "zh", "action"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise ValueError(f"family {family} takes no --{flag}")
+    _refuse_unread(args, ("params", "left", "right", "zg", "zh", "action"), reads,
+                   f"family {family}")
     if "params" in reads:
         if args.params is None:
             raise ValueError(f"--params is required for family {family}")
@@ -174,19 +180,21 @@ def cmd_search(args):
 
 
 def cmd_bounds(args):
+    reads = {"coarse": ("n",), "threshold": ("k",)}.get(args.mode, ("group", "k"))
+    _refuse_unread(args, ("group", "k", "n"), reads, f"bounds {args.mode}")
+    k = 2 if args.k is None else args.k
     if args.mode == "coarse":
         if args.n is None:
             raise ValueError("bounds coarse needs --n")
         return 0, "bounds coarse", {"n": args.n}, {
             "holds": bounds_mod.coarse_bound_holds(args.n)}
     if args.mode == "threshold":
-        return 0, "bounds threshold", {"k": args.k}, {
-            "threshold": bounds_mod.threshold_for_k(args.k)}
+        return 0, "bounds threshold", {"k": k}, {"threshold": bounds_mod.threshold_for_k(k)}
     if args.group is None:
         raise ValueError("bounds needs --group FILE (or the coarse/threshold mode)")
     group = load_cayley_table(args.group)
-    value = bounds_mod.failure_bound(group, args.k)
-    return 0, "bounds", {"group": str(args.group), "k": args.k}, {
+    value = bounds_mod.failure_bound(group, k)
+    return 0, "bounds", {"group": str(args.group), "k": k}, {
         "id": group.name, "order": group.order, "p_num": str(value.numerator),
         "p_den": str(value.denominator), "flagged": value >= 1}
 
@@ -285,9 +293,9 @@ def build_parser() -> _Parser:
     p_bounds = sub.add_parser("bounds", help="exact failure bounds and inequalities")
     p_bounds.add_argument("mode", nargs="?", default="group",
                           choices=["group", "coarse", "threshold"])
-    p_bounds.add_argument("--group")
-    p_bounds.add_argument("--k", type=int, default=2)
-    p_bounds.add_argument("--n", type=int)
+    p_bounds.add_argument("--group", help="group mode only")
+    p_bounds.add_argument("--k", type=int, help="group and threshold modes (default 2)")
+    p_bounds.add_argument("--n", type=int, help="coarse mode only")
     p_bounds.set_defaults(func=cmd_bounds,
                           files=lambda a: ([a.group] if a.mode == "group" else [], []))
 

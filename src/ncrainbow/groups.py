@@ -115,6 +115,35 @@ class Group:
         full = (1 << self.order) - 1
         return sum(1 << z for z, c in enumerate(self._centralizer_masks) if c == full)
 
+    @cached_property
+    def _twin_classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(centralizer, members) per twin class, the non-central elements
+        with one centralizer, by least member."""
+        members: dict[int, list[int]] = {}
+        center = self.center_mask
+        for e, c in enumerate(self._centralizer_masks):
+            if not center >> e & 1:
+                members.setdefault(c, []).append(e)
+        return tuple((c, tuple(es)) for c, es in members.items())
+
+    @cached_property
+    def _class_pairs(self) -> tuple[tuple[int, bool, int, tuple[int, int]], ...]:
+        """(tau, adjacent, pair count, first pair) per pair of twin classes and
+        within each class of two or more, class by class.
+
+        tau(x, y) = |G| - |C(x) ∪ C(y)| counts the common neighbours of x and
+        y in the non-commuting graph, as Z lies in C(x), and x ~ y when y lies
+        outside C(x). Both read only the two centralizers, so one pair stands
+        for its class pair; twins commute, so no pair within a class is adjacent.
+        """
+        pairs, n, classes = [], self.order, self._twin_classes
+        for i, (cx, xs) in enumerate(classes):
+            if len(xs) > 1:
+                pairs.append((n - cx.bit_count(), False, len(xs) * (len(xs) - 1) // 2, xs[:2]))
+            pairs += [(n - (cx | cy).bit_count(), not cx >> ys[0] & 1, len(xs) * len(ys),
+                       (xs[0], ys[0])) for cy, ys in classes[i + 1:]]
+        return tuple(pairs)
+
 
 def _validate_table(table: list[list[int]], name: str, identity: int = 0) -> None:
     """Raise the matching GroupError unless table is a group with that identity.

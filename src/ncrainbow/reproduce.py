@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import wraps
 from importlib import resources
 
-from .bounds import (coarse_bound_holds, graph_failure_bound, lemma_bound, lemma_threshold,
+from .bounds import (coarse_bound_holds, failure_bound, lemma_bound, lemma_threshold,
                      mid_bound, threshold_for_k)
 from .check import brute_force_vertex_connectivity, short_rainbow_counts, validate_certificate
 from .colorings import (EdgeColoring, InvalidSpec, PartitionSpec, j62_graph_and_coloring,
@@ -160,10 +160,11 @@ def _criterion(name: str):
 @_criterion("tau-floor")
 def check_tau_floor(suite: Suite):
     """6*tau >= |G| on every suite group (raised inside the floor check),
-    and 4*tau >= |G|, the hypothesis of lemma_bound, raised here."""
+    and 4*tau >= |G|, the hypothesis of lemma_bound, raised here. tau is
+    read from the group; each suite graph's rows matched it when built."""
     worst = None
     for name, ncg in suite.items():
-        min_tau, _ = common_neighbor_floor_check(ncg)  # the row check guards every tau
+        min_tau, _ = common_neighbor_floor_check(ncg.group)
         order = ncg.group.order
         if 4 * min_tau < order:
             raise BoundViolated(f"{name}: 4*tau = {4 * min_tau} < {order}")
@@ -259,7 +260,7 @@ def check_exception_scan(suite: Suite, values: dict[str, Fraction]):
         value = values.get(name)
         if value is None:
             grp = family(param)
-            value = graph_failure_bound(noncommuting_graph(grp))
+            value = failure_bound(grp)
             computed.append((name, order, grp.center_mask.bit_count(), value))
         if (value >= 1) != (order <= 16):  # flagged exactly through D16 and Q16
             problems.append(f"{name} on the wrong side of 1")
@@ -344,7 +345,7 @@ def check_inequality_chain():
 @_criterion("rainbow3-threshold")
 def check_rainbow3(suite: Suite):
     problems = []
-    if graph_failure_bound(suite["D6"], 3) != Fraction(55, 8):
+    if failure_bound(suite["D6"].group, 3) != Fraction(55, 8):
         problems.append("failure_bound(D6, 3) moved")
     g14 = suite["D14"].graph
     kappa = vertex_connectivity(g14)
@@ -402,7 +403,7 @@ def check_oracle_equivalence(quick: bool):
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Every criterion, in order; one that fails does not stop the rest."""
     suite = suite_graphs()
-    values = {name: graph_failure_bound(ncg) for name, ncg in suite.items()}
+    values = {name: failure_bound(ncg.group) for name, ncg in suite.items()}
     return [
         check_tau_floor(suite),
         check_multipartite_structure(suite),

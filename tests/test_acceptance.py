@@ -113,7 +113,7 @@ def assert_lemma_links(group, ks):
     """Every pair has tau >= |G|/4, failure_bound(G, k) <= lemma_bound(|G|, k)
     for each k in ks, and failure_bound(G, 2) <= mid_bound(|G|, |Z|), the
     paper's per-group link. Returns the k = 2 value."""
-    taus = {t for t, _ in pair_profile(noncommuting_graph(group))}
+    taus = {t for t, _ in pair_profile(group)}
     assert 4 * min(taus) >= group.order, group.name
     values = [failure_bound(group, k) for k in ks]
     for k, value in zip(ks, values):

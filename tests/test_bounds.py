@@ -10,7 +10,8 @@ from ncrainbow.bounds import (DyadicBound, coarse_bound, coarse_bound_holds,
                               threshold_for_k)
 from ncrainbow.graphs import SearchBudgetExceeded
 from ncrainbow.groups import cyclic, dicyclic, dihedral, direct_product, metacyclic
-from ncrainbow.ncgraph import AbelianGroup, noncommuting_graph, pair_profile
+from ncrainbow.ncgraph import AbelianGroup, NonCommutingGraph, noncommuting_graph, pair_profile
+from ncrainbow.rainbow import certify_rc2, search_two_coloring
 from util import brute_pair_profile, brute_pairs
 
 SUITE = [dihedral(n) for n in range(3, 9)] + [dicyclic(m) for m in (2, 3, 4)] + [
@@ -67,7 +68,7 @@ def per_pair_sum(group, k):
 
 @pytest.mark.parametrize("group", SUITE, ids=lambda g: g.name)
 def test_pair_profile_matches_brute(group):
-    assert pair_profile(noncommuting_graph(group)) == brute_pair_profile(group)
+    assert pair_profile(group) == brute_pair_profile(group)
 
 
 @pytest.mark.parametrize("group", SUITE, ids=lambda g: g.name)
@@ -107,6 +108,28 @@ def test_failure_bound_work_does_not_grow_with_k(monkeypatch):
     monkeypatch.setattr(bounds, "comb", counted_comb)
     # each pair's binomial tail is all of 2^t, so the bound is the pair count C(17, 2)
     assert failure_bound(dihedral(9), 10 ** 12) == 136
+
+
+def test_a_bound_builds_no_graph(monkeypatch):
+    """failure_bound reads the group's centralizers, so it makes no
+    NonCommutingGraph; a build, bound, search and certify, in the order a
+    certify run makes them, makes one graph."""
+    built = []
+    check = NonCommutingGraph.__post_init__
+
+    def counted(ncg):
+        built.append(ncg.group.name)
+        check(ncg)
+
+    monkeypatch.setattr(NonCommutingGraph, "__post_init__", counted)
+    for group in SUITE:
+        for k in (2, 3):
+            failure_bound(group, k)
+    assert built == []
+    ncg = noncommuting_graph(dihedral(20))
+    assert failure_bound(ncg.group, 2) < 1
+    certify_rc2(ncg.graph, search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1))
+    assert built == ["D40"]
 
 
 def test_coarse_bound():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncrainbow import graphs, rainbow, reproduce
+from ncrainbow import graphs, ncgraph, rainbow, reproduce
 from ncrainbow.bounds import DyadicBound, lemma_bound
 from ncrainbow.cli import main
 from ncrainbow.colorings import EdgeColoring, read_coloring_file, write_coloring_file
@@ -318,6 +318,55 @@ def test_an_output_in_a_missing_directory_writes_nothing(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["threshold", "--k", "2", "--n", "500"], "n"),
+    (["threshold", "--k", "2", "--group", "d6.cay"], "group"),
+    (["coarse", "--n", "108", "--k", "9", "--group", "d6.cay"], "group"),
+    (["coarse", "--n", "108", "--k", "2"], "k"),
+    (["--group", "d6.cay", "--n", "6"], "n"),
+    (["group", "--group", "d6.cay", "--k", "3", "--n", "6"], "n"),
+])
+def test_bounds_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys, monkeypatch, argv, flag):
+    """coarse reads only --n, threshold only --k, the group mode only
+    --group and --k; any other flag, even at a default value, is refused
+    with one JSON line, so a manifest never drops a flag it was given."""
+    monkeypatch.chdir(tmp_path)
+    write_cayley_table(dihedral(3), "d6.cay")
+    mode = "group" if argv[0].startswith("--") else argv[0]
+    code, manifest, captured = run(capsys, "bounds", *argv)
+    assert code == 2 and manifest is None
+    assert one_error_line(captured) == {"error": "ValueError",
+                                        "message": f"bounds {mode} takes no --{flag}"}
+
+
+def test_bounds_k_defaults_to_two_where_it_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_cayley_table(dihedral(3), "d6.cay")
+    code, manifest, _ = run(capsys, "bounds", "--group", "d6.cay")
+    assert code == 0 and manifest["parameters"] == {"group": "d6.cay", "k": 2}
+    assert (manifest["outcome"]["p_num"], manifest["outcome"]["p_den"]) == ("19", "8")
+    code, manifest, _ = run(capsys, "bounds", "threshold")
+    assert code == 0 and manifest["parameters"] == {"k": 2}
+    assert manifest["outcome"]["threshold"] == 126
+
+
+def test_ncgraph_refuses_a_build_that_disagrees_with_its_group(tmp_path, capsys, monkeypatch):
+    """A fault in the build is caught where the graph is made: with one
+    copied row altered, `ncgraph` exits 4 on one BoundViolated line and
+    writes no graph. In D8 the last vertex, r^3*s, is r*s times the central
+    r^2, so its row is a copy; the fault drops its edge to r, vertex 0."""
+    monkeypatch.chdir(tmp_path)
+    write_cayley_table(dihedral(4), "d8.cay")
+    real = ncgraph.Graph
+    monkeypatch.setattr(ncgraph, "Graph",
+                        lambda n, labels, adj: real(n, labels, adj[:-1] + (adj[-1] ^ 1,)))
+    code, manifest, captured = run(capsys, "ncgraph", "--group", "d8.cay", "--out", "d8.graph")
+    assert code == 4 and manifest is None
+    assert one_error_line(captured) == {"error": "BoundViolated",
+                                        "message": "tau mismatch at (5,0): graph edge 0, group 1"}
+    assert [p.name for p in tmp_path.iterdir()] == ["d8.cay"]
+
+
 def test_threshold_k_over_the_budget_exits_three(capsys):
     code, manifest, captured = run(capsys, "bounds", "threshold", "--k", "101")
     assert code == 3 and manifest is None
@@ -384,30 +433,30 @@ def test_reproduce_exits_four_on_a_tau_below_a_quarter(capsys, monkeypatch):
 
 def test_reproduce_exits_four_on_a_value_above_the_lemma_bound(capsys, monkeypatch):
     """Every computed failure bound must lie at or under lemma_bound. Every
-    value reproduce computes comes through reproduce.graph_failure_bound:
+    value reproduce computes comes through reproduce.failure_bound:
     passed through, the calls are the suite's at k = 2, then D34..D56 and
     Q36..Q56, then D6 at k = 3, and the stdout is the pinned one; one
     value set 1/2^t above the lemma for D40 (t = ceil(40/4)) exits 4."""
-    real = reproduce.graph_failure_bound
+    real = reproduce.failure_bound
     calls = []
 
-    def spy(ncg, k=2):
-        calls.append((ncg.group.name, k))
-        return real(ncg, k)
+    def spy(group, k=2):
+        calls.append((group.name, k))
+        return real(group, k)
 
-    monkeypatch.setattr(reproduce, "graph_failure_bound", spy)
+    monkeypatch.setattr(reproduce, "failure_bound", spy)
     assert main(["reproduce"]) == 0
     assert capsys.readouterr().out == FULL_STDOUT
     suite = [g.name for g in reproduce.standard_suite()]
     sweep = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
     assert calls == [(name, 2) for name in suite + sweep] + [("D6", 3)]
 
-    def faulty(ncg, k=2):
-        if ncg.group.name == "D40":
+    def faulty(group, k=2):
+        if group.name == "D40":
             return lemma_bound(40, 2) + Fraction(1, 2 ** 10)
-        return real(ncg, k)
+        return real(group, k)
 
-    monkeypatch.setattr(reproduce, "graph_failure_bound", faulty)
+    monkeypatch.setattr(reproduce, "failure_bound", faulty)
     code, manifest, captured = run(capsys, "reproduce")
     assert code == 4 and manifest is None
     error = one_error_line(captured)
@@ -692,9 +741,8 @@ PINNED_MANIFESTS = {
         {"command": "bounds coarse", "parameters": {"n": 108},
          "inputs": [], "outputs": [], "outcome": {"holds": False}}),
     "bounds coarse --group": (
-        "bounds coarse --n 108 --group {tmp}/d18.cay", 0,
-        {"command": "bounds coarse", "parameters": {"n": 108},
-         "inputs": [], "outputs": [], "outcome": {"holds": False}}),
+        "bounds coarse --n 108 --group {tmp}/d18.cay", 2,
+        {"error": "ValueError", "message": "bounds coarse takes no --group"}),
     "bounds threshold": (
         "bounds threshold --k 3", 0,
         {"command": "bounds threshold", "parameters": {"k": 3},
@@ -725,11 +773,16 @@ PINNED_MANIFESTS = {
 def test_every_manifest_is_pinned(workdir, capsys, case):
     """The whole manifest of one run of each command and mode: the digest
     beside each file is that file's SHA-256, and the files the run leaves
-    behind are exactly the outputs its manifest lists."""
+    behind are exactly the outputs its manifest lists. A refused run (exit
+    2) prints its one error line instead, and writes nothing."""
     argv, want_code, want = PINNED_MANIFESTS[case]
     before = files_under(workdir)
-    code, manifest, _ = run(capsys, *argv.format(tmp=workdir).split())
+    code, manifest, captured = run(capsys, *argv.format(tmp=workdir).split())
     assert code == want_code
+    if code == 2:
+        assert manifest is None and one_error_line(captured) == want
+        assert files_under(workdir) == before
+        return
     for role in ("inputs", "outputs"):
         for path, digest in manifest[role].items():
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -13,9 +13,10 @@ from ncrainbow.ncgraph import (AbelianGroup, BoundViolated, NonCommutingGraph,
 from util import inject_min_tau, relabel_table
 
 
-def both_taus(ncg, x, y):
-    """tau(x, y) counted on the graph side and from |G| - |C(x) ∪ C(y)|."""
-    adj, group = ncg.graph.adj, ncg.group
+def both_taus(ncg, x, y, adj=None):
+    """tau(x, y) counted on the graph side (ncg's rows, or adj) and from
+    |G| - |C(x) ∪ C(y)|."""
+    adj, group = adj or ncg.graph.adj, ncg.group
     cx, cy = (group.centralizer_mask(ncg.vertex_to_element[v]) for v in (x, y))
     return (adj[x] & adj[y]).bit_count(), group.order - (cx | cy).bit_count()
 
@@ -34,7 +35,9 @@ def test_abelian_rejected():
     with pytest.raises(AbelianGroup):
         noncommuting_graph(cyclic(5))
     with pytest.raises(AbelianGroup):
-        common_neighbor_floor_check(noncommuting_graph(cyclic(6)))
+        common_neighbor_floor_check(cyclic(6))
+    with pytest.raises(AbelianGroup):
+        pair_profile(cyclic(6))
 
 
 def test_labels_are_element_names():
@@ -48,7 +51,7 @@ def test_tau_values_d6():
     assert both_taus(ncg, 0, 2) == (2, 2)   # rotation vs reflection
     assert both_taus(ncg, 0, 1) == (3, 3)   # the commuting rotation pair
     assert both_taus(ncg, 2, 3) == (3, 3)   # two reflections
-    assert pair_profile(ncg) == {(2, True): 6, (3, True): 3, (3, False): 1}
+    assert pair_profile(ncg.group) == {(2, True): 6, (3, True): 3, (3, False): 1}
 
 
 def test_tau_values_d8():
@@ -57,7 +60,7 @@ def test_tau_values_d8():
     adjacent = next((x, y) for x in range(6) for y in range(x + 1, 6)
                     if g.adjacent(x, y))
     assert both_taus(ncg, *adjacent) == (2, 2)
-    assert pair_profile(ncg)[(2, True)] == g.edge_count
+    assert pair_profile(ncg.group)[(2, True)] == g.edge_count
 
 
 @pytest.mark.parametrize("group", [dihedral(3), dihedral(4), dihedral(7), dicyclic(2),
@@ -75,13 +78,13 @@ def test_tau_matches_neighbor_intersection(group):
             common = len(nx & set(g.neighbors(y)))
             assert both_taus(ncg, x, y) == (common, common)
             expected[(common, g.adjacent(x, y))] += 1
-    assert pair_profile(ncg) == expected
+    assert pair_profile(group) == expected
 
 
 def test_cross_check_catches_a_flipped_edge():
     # Toggle the edge a-b on both sides of the D8 graph: the common-neighbor
     # count of a and any other neighbor c of b moves by one on the graph
-    # side only, so the centralizer-union cross-check must fire.
+    # side only, so the row check must refuse to build the graph.
     ncg = noncommuting_graph(dihedral(4))
     a, b = 0, 1
     c = next(v for v in ncg.graph.neighbors(b) if v != a)
@@ -89,13 +92,12 @@ def test_cross_check_catches_a_flipped_edge():
     adj[a] ^= 1 << b
     adj[b] ^= 1 << a
     graph = Graph(ncg.graph.vertex_count, ncg.graph.labels, tuple(adj))
-    bad = NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element)
     assert both_taus(ncg, a, c) == (2, 2)
-    graph_side, group_side = both_taus(bad, a, c)
+    graph_side, group_side = both_taus(ncg, a, c, adj)
     assert graph_side != group_side
-    pair_profile(ncg)
+    NonCommutingGraph(ncg.graph, ncg.group, ncg.vertex_to_element)
     with pytest.raises(BoundViolated, match="tau mismatch"):
-        pair_profile(bad)
+        NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element)
 
 
 @pytest.mark.parametrize("group", [dihedral(4), dicyclic(3), metacyclic(8, 3),
@@ -105,7 +107,8 @@ def test_cross_check_catches_a_flipped_edge():
                          ids=lambda g: g.name)
 def test_every_single_edge_flip_is_caught(group):
     # Toggling any one vertex pair on both sides makes that pair's row
-    # disagree with the group side, whether it adds or removes an edge.
+    # disagree with the group side, whether it adds or removes an edge,
+    # so no such graph can be built.
     ncg = noncommuting_graph(group)
     n = ncg.graph.vertex_count
     for a in range(n):
@@ -113,9 +116,9 @@ def test_every_single_edge_flip_is_caught(group):
             adj = list(ncg.graph.adj)
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            graph = Graph(n, ncg.graph.labels, tuple(adj))
             with pytest.raises(BoundViolated, match="tau mismatch"):
-                pair_profile(NonCommutingGraph(graph, ncg.group, ncg.vertex_to_element))
+                NonCommutingGraph(Graph(n, ncg.graph.labels, tuple(adj)), ncg.group,
+                                  ncg.vertex_to_element)
 
 
 Z7_Z3 = semidirect_product(cyclic(7), cyclic(3),
@@ -151,30 +154,30 @@ def test_floor_witness_is_the_first_pair_with_least_tau(group):
     pairs = [(x, y) for x in range(g.vertex_count) for y in range(x + 1, g.vertex_count)]
     taus = [len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in pairs]
     x, y = pairs[taus.index(min(taus))]
-    min_tau, witness = common_neighbor_floor_check(ncg)
+    min_tau, witness = common_neighbor_floor_check(group)
     assert min_tau == min(taus)
     assert witness == (g.labels[x], g.labels[y])
 
 
 def test_floor_reports():
-    min_tau, witness = common_neighbor_floor_check(noncommuting_graph(dihedral(3)))
+    min_tau, witness = common_neighbor_floor_check(dihedral(3))
     assert min_tau == 2 and 6 * min_tau == 2 * 6  # 6*tau/|G| = 2
     assert witness == ("r^1", "r^0*s")
-    min_tau, _ = common_neighbor_floor_check(noncommuting_graph(dicyclic(2)))
+    min_tau, _ = common_neighbor_floor_check(dicyclic(2))
     assert 6 * min_tau >= 8
 
 
-@pytest.mark.parametrize("group", [dihedral(3), dihedral(24)], ids=lambda g: g.name)
-def test_floor_guard_passes_at_a_sixth_and_raises_below(monkeypatch, group):
+@pytest.mark.parametrize("n", [3, 24], ids=["D6", "D48"])
+def test_floor_guard_passes_at_a_sixth_and_raises_below(monkeypatch, n):
     """6 * tau >= |G| is a theorem, so only an injected tau reaches the guard:
-    tau = |G|/6 exactly passes, one less raises. A graph makes its pairs
-    once, so each injection gets a fresh graph."""
+    tau = |G|/6 exactly passes, one less raises. A group makes its pairs
+    once, so each injection gets a fresh group."""
     inject_min_tau(monkeypatch, lambda order: order // 6)
-    min_tau, _ = common_neighbor_floor_check(noncommuting_graph(group))
-    assert min_tau == group.order // 6 and 6 * min_tau == group.order
+    min_tau, _ = common_neighbor_floor_check(dihedral(n))
+    assert min_tau == 2 * n // 6 and 6 * min_tau == 2 * n
     inject_min_tau(monkeypatch, lambda order: order // 6 - 1)
-    with pytest.raises(BoundViolated, match=f"= {group.order - 6} < {group.order}"):
-        common_neighbor_floor_check(noncommuting_graph(group))
+    with pytest.raises(BoundViolated, match=f"= {2 * n - 6} < {2 * n}"):
+        common_neighbor_floor_check(dihedral(n))
 
 
 def extension(group, n):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncrainbow import bounds, graphs, groups, ncgraph, rainbow, reproduce
-from ncrainbow.bounds import coarse_bound, graph_failure_bound, mid_bound
+from ncrainbow.bounds import coarse_bound, failure_bound, mid_bound
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import detect_complete_multipartite
 from ncrainbow.groups import (cyclic, dihedral, direct_product, group_from_cayley_table,
@@ -21,7 +21,7 @@ from ncrainbow.reproduce import (EXPECTED_FLAGGED, CriterionResult, certify_by_s
                                  check_constructive_search, check_johnson_fiber,
                                  check_oracle_equivalence, check_rainbow3, check_tau_floor,
                                  standard_suite, suite_graphs)
-from util import counting_validator, inject_min_tau
+from util import counting_validator, inject_min_tau, wrap_class_pairs
 
 SWEEP = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15)]
 
@@ -29,7 +29,7 @@ SWEEP = [f"D{2 * n}" for n in range(17, 29)] + [f"Q{4 * m}" for m in range(9, 15
 def suite_and_values():
     """The suite's graphs and their failure bounds at k = 2, as run_all makes them."""
     suite = suite_graphs()
-    return suite, {name: graph_failure_bound(ncg) for name, ncg in suite.items()}
+    return suite, {name: failure_bound(ncg.group) for name, ncg in suite.items()}
 
 
 def relabelled(group, seed):
@@ -163,25 +163,25 @@ def test_inequality_chain_fails_on_a_flipped_coarse_verdict(monkeypatch, n):
 
 def test_exception_scan_computes_only_the_dq_groups_the_suite_lacks(monkeypatch):
     """The bound runs once, at k = 2, for each of D34..D56 and Q36..Q56,
-    whose graphs are the only ones built, and never for a D/Q group the
-    suite holds, whose suite value serves."""
+    with no graph built, and never for a D/Q group the suite holds, whose
+    suite value serves."""
     suite, values = suite_and_values()
-    real_bound, real_build = reproduce.graph_failure_bound, reproduce.noncommuting_graph
+    real_bound, real_build = reproduce.failure_bound, reproduce.noncommuting_graph
     seen, built = [], []
 
-    def spy(ncg, k=2):
-        seen.append((ncg.group.name, k))
-        return real_bound(ncg, k)
+    def spy(group, k=2):
+        seen.append((group.name, k))
+        return real_bound(group, k)
 
     def build(group):
         built.append(group.name)
         return real_build(group)
 
-    monkeypatch.setattr(reproduce, "graph_failure_bound", spy)
+    monkeypatch.setattr(reproduce, "failure_bound", spy)
     monkeypatch.setattr(reproduce, "noncommuting_graph", build)
     assert reproduce.check_exception_scan(suite, values).passed
     assert seen == [(name, 2) for name in SWEEP]
-    assert built == SWEEP
+    assert built == []
 
 
 def _criterion_caller() -> tuple[bool, bool]:
@@ -196,35 +196,36 @@ def _criterion_caller() -> tuple[bool, bool]:
 
 def test_run_all_builds_and_pairs_each_graph_once(monkeypatch):
     """One run_all builds each suite graph once, outside every criterion,
-    and no criterion builds a suite group; each graph makes its class pairs
-    once; beyond the suite, only D34..D56 and Q36..Q56 are bounded, each
-    once at k = 2, and D6 x Z2 is the one other graph built."""
+    and no criterion builds a suite group; each bounded group makes its
+    class pairs once; beyond the suite, only D34..D56 and Q36..Q56 are
+    bounded, each once at k = 2 and with no graph, and D6 x Z2 is the one
+    other graph built. Every graph made, by any route, runs its row check
+    once, so the builds are counted there."""
     suite = [g.name for g in standard_suite()]
     built, made, paired, bounded = [], [], [], []
-    real_build, real_pairs = ncgraph.noncommuting_graph, ncgraph._class_pairs
-    real_finish, real_bound = groups._finish, bounds.graph_failure_bound
+    real_check = ncgraph.NonCommutingGraph.__post_init__
+    real_finish, real_bound = groups._finish, bounds.failure_bound
 
-    def build(group):
-        built.append((group.name, *_criterion_caller()))
-        return real_build(group)
+    def build(ncg):
+        built.append((ncg.group.name, *_criterion_caller()))
+        real_check(ncg)
 
     def finish(table, names, name, *rest):
         made.append((name, *_criterion_caller()))
         return real_finish(table, names, name, *rest)
 
-    def pairs(ncg):
-        paired.append(ncg.group.name)
-        return real_pairs(ncg)
+    def pairs(group, made):
+        paired.append(group.name)
+        return made
 
-    def bound(ncg, k=2):
-        bounded.append((ncg.group.name, k))
-        return real_bound(ncg, k)
+    def bound(group, k=2):
+        bounded.append((group.name, k))
+        return real_bound(group, k)
 
-    for module in (ncgraph, bounds, reproduce):
-        monkeypatch.setattr(module, "noncommuting_graph", build)
+    monkeypatch.setattr(ncgraph.NonCommutingGraph, "__post_init__", build)
     for module in (bounds, reproduce):
-        monkeypatch.setattr(module, "graph_failure_bound", bound)
-    monkeypatch.setattr(ncgraph, "_class_pairs", pairs)
+        monkeypatch.setattr(module, "failure_bound", bound)
+    wrap_class_pairs(monkeypatch, pairs)
     monkeypatch.setattr(groups, "_finish", finish)
     assert all(r.passed for r in reproduce.run_all())
 
@@ -232,8 +233,8 @@ def test_run_all_builds_and_pairs_each_graph_once(monkeypatch):
     assert all(under_run_all for _, under_run_all, _ in built)
     assert not [name for name, _, in_criterion in built if in_criterion and name in suite]
     assert not [name for name, _, in_criterion in made if in_criterion and name in suite]
-    assert Counter(name for name, _, _ in built) == Counter(suite + SWEEP + ["D6xZ2"])  # 54
-    assert Counter(paired) == Counter(suite + SWEEP)  # one pass per bounded graph, 53
+    assert Counter(name for name, _, _ in built) == Counter(suite + ["D6xZ2"])  # 36
+    assert Counter(paired) == Counter(suite + SWEEP)  # one pass per bounded group, 53
     assert bounded == [(name, 2) for name in suite + SWEEP] + [("D6", 3)]
 
 

@@ -1,17 +1,19 @@
 """Brute-force reference implementations used as independent oracles, a
-call counter for the certificate validator, and a least-tau fault
-injector. The oracles that the package itself runs live in
-ncrainbow.check."""
+call counter for the certificate validator, a wrapper for a group's
+class pairs and the least-tau fault injector built on it. The oracles
+that the package itself runs live in ncrainbow.check."""
 
 from collections import Counter
+from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 
-from ncrainbow import ncgraph, rainbow
+from ncrainbow import rainbow
 from ncrainbow.check import short_rainbow_counts
 from ncrainbow.colorings import EdgeColoring
 from ncrainbow.graphs import Graph, _refine_classes, iter_bits
-from ncrainbow.groups import AssociativityViolation, NoIdentity, NotLatinSquare, _generating_set
+from ncrainbow.groups import (AssociativityViolation, Group, NoIdentity, NotLatinSquare,
+                              _generating_set)
 
 
 def counting_validator(monkeypatch) -> list[int]:
@@ -28,15 +30,22 @@ def counting_validator(monkeypatch) -> list[int]:
     return calls
 
 
+_MAKE_CLASS_PAIRS = Group._class_pairs.func
+
+
+def wrap_class_pairs(monkeypatch, wrap):
+    """Make Group._class_pairs, still made once per group, return
+    wrap(group, pairs) for the pairs the package makes. A group keeps the
+    pairs it made first, so only a group whose pairs are made later sees it."""
+    made = cached_property(lambda group: wrap(group, _MAKE_CLASS_PAIRS(group)))
+    made.__set_name__(Group, "_class_pairs")
+    monkeypatch.setattr(Group, "_class_pairs", made)
+
+
 def inject_min_tau(monkeypatch, tau_of_order):
-    """Make ncgraph._class_pairs also yield a class pair of the given least tau."""
-    real = ncgraph._class_pairs
-
-    def faulty(ncg):
-        yield from real(ncg)
-        yield tau_of_order(ncg.group.order), False, 1, (0, 1)
-
-    monkeypatch.setattr(ncgraph, "_class_pairs", faulty)
+    """Make Group._class_pairs also hold a class pair of the given least tau."""
+    wrap_class_pairs(monkeypatch, lambda group, pairs:
+                     pairs + ((tau_of_order(group.order), False, 1, (0, 1)),))
 
 
 def relabel_table(group, perm):
