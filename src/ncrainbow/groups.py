@@ -15,8 +15,8 @@ caller's, relabelled in place to put the identity at 0. Groups are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import eq, itemgetter
+from functools import cached_property, reduce
+from operator import and_, eq, itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -94,6 +94,8 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
+        """Whether the center is the whole group; reads only `center_mask`,
+        so an abelian group never computes a centralizer per element."""
         return self.center_mask.bit_count() == self.order
 
     def centralizer_mask(self, g: int) -> int:
@@ -101,19 +103,37 @@ class Group:
         the center."""
         return self._centralizer_masks[self._element(g)]
 
+    def _commuting(self, g: int) -> int:
+        """C(g) as a mask by one comparison of g's row with its column; the
+        one place commutation is decided on the group side."""
+        # Bit x is x*g == g*x, read as a binary numeral.
+        col = map(itemgetter(g), self.table)
+        return int(bytes(map(eq, col, self.table[g])).translate(_BITS)[::-1], 2)
+
     @cached_property
     def _centralizer_masks(self) -> tuple[int, ...]:
-        """Centralizer of every element as a mask; the one place commutation
-        is decided on the group side."""
-        # Bit x of g's mask is x*g == g*x, read as a binary numeral.
-        return tuple(int(bytes(map(eq, col, row)).translate(_BITS)[::-1], 2)
-                     for col, row in zip(zip(*self.table), self.table))
+        """Centralizer of every element as a mask. Central elements get the
+        full mask. For z in Z, xz commutes with what x does, so each coset xZ
+        of a non-central x takes one `_commuting` comparison, given to its
+        members x*z: n/|Z| - 1 comparisons in place of n."""
+        n, center = self.order, self.center_mask
+        full = (1 << n) - 1
+        center_elements = [z for z in range(n) if center >> z & 1]
+        masks = [full if center >> x & 1 else 0 for x in range(n)]
+        for x, row in enumerate(self.table):
+            if not masks[x]:  # no centralizer is empty, so x's coset is new
+                c = self._commuting(x)
+                for z in center_elements:
+                    masks[row[z]] = c
+        return tuple(masks)
 
     @cached_property
     def center_mask(self) -> int:
-        """Mask of the z whose centralizer is the whole group."""
+        """Mask of Z(G), the intersection of C(s) over a generating set S,
+        |S| <= log2 n: an element commuting with each generator commutes
+        with every product of them."""
         full = (1 << self.order) - 1
-        return sum(1 << z for z, c in enumerate(self._centralizer_masks) if c == full)
+        return reduce(and_, map(self._commuting, _generating_set(self.table)), full)
 
     @cached_property
     def _twin_classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from ncrainbow import groups
-from ncrainbow.groups import (AssociativityViolation, InvalidTwist, NoIdentity,
+from ncrainbow.groups import (AssociativityViolation, Group, InvalidTwist, NoIdentity,
                               NotAutomorphism, NotCentral, NotHomomorphism,
                               NotLatinSquare, OrderMismatch, _two_generator_table,
                               central_product, cyclic, dicyclic, dihedral, direct_product,
                               group_from_cayley_table, load_cayley_table, metacyclic,
                               semidirect_product, write_cayley_table)
 from ncrainbow.reproduce import standard_suite
-from util import (brute_center, group_isomorphism, mask_members, reference_relabel,
-                  relabel_table)
+from util import (brute_center, brute_centralizers, group_isomorphism, mask_members,
+                  reference_relabel, relabel_table)
 
 S3_TABLE = [
     [0, 1, 2, 3, 4, 5],
@@ -286,6 +286,36 @@ def test_centralizers():
     assert mask_members(d6.centralizer_mask(1)) == [0, 1, 2]     # <r>
     assert mask_members(d6.centralizer_mask(3)) == [0, 3]        # {e, s}
     assert d6.centralizer_mask(0).bit_count() == d6.order
+
+
+@pytest.mark.parametrize("group, center_size", [
+    (semidirect_product(cyclic(7), cyclic(3),
+                        [[pow(2, y, 7) * x % 7 for x in range(7)] for y in range(3)]), 1),
+    (dihedral(75), 1), (dihedral(50), 2), (direct_product(dihedral(5), cyclic(6)), 6),
+    (metacyclic(100, 51), 50), (cyclic(12), 12), (direct_product(cyclic(2), cyclic(4)), 8),
+], ids=lambda g: getattr(g, "name", None))
+def test_centralizers_match_the_brute_oracle_at_every_center_size(group, center_size,
+                                                                   monkeypatch):
+    """Relabelled at random, so no coset of Z is a run of indices, every
+    centralizer equals {x : x*g == g*x}, and the center and is_abelian agree
+    with them. The center comes from a generating set, so an abelian group
+    computes no centralizer per element, and the centralizers take one
+    row-against-column comparison per coset xZ of a non-central x."""
+    rng = random.Random(group.order)
+    table, names = relabel_table(group, rng.sample(range(group.order), group.order))
+    g = group_from_cayley_table(table, names, group.name)
+    n, brute = g.order, brute_centralizers(g.table)
+    center = brute_center(g.table)
+    assert len(center) == center_size  # the case's premise, from the oracle alone
+    assert g.is_abelian == (center_size == n)
+    assert "_centralizer_masks" not in g.__dict__
+    assert mask_members(g.center_mask) == center
+    compared = []
+    commuting = Group._commuting
+    monkeypatch.setattr(Group, "_commuting",
+                        lambda self, x: compared.append(x) or commuting(self, x))
+    assert [set(mask_members(g.centralizer_mask(x))) for x in range(n)] == brute
+    assert len(compared) == n // center_size - 1
 
 
 @pytest.mark.parametrize("bad", [-1, 6])

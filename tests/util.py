@@ -71,10 +71,17 @@ def reference_relabel(table, names, identity):
     return tuple(map(tuple, rows)), tuple(swap(names))
 
 
-def brute_center(table):
+def brute_centralizers(table):
+    """C(g) = {x : x*g == g*x} for each g, as sets, read entry by entry from
+    the table; the one brute-force oracle for centralizers."""
     n = len(table)
-    return [z for z in range(n)
-            if all(table[z][g] == table[g][z] for g in range(n))]
+    return [{x for x in range(n) if table[x][g] == table[g][x]} for g in range(n)]
+
+
+def brute_center(table):
+    """The z whose centralizer is the whole group, in increasing order."""
+    n = len(table)
+    return [z for z, c in enumerate(brute_centralizers(table)) if len(c) == n]
 
 
 def mask_members(mask):
@@ -88,7 +95,7 @@ def brute_pairs(group):
     sets, adjacency from the table."""
     n = group.order
     table = group.table
-    centralizer = [{x for x in range(n) if table[x][g] == table[g][x]} for g in range(n)]
+    centralizer = brute_centralizers(table)
     vertices = [g for g in range(n) if len(centralizer[g]) < n]
     for i, x in enumerate(vertices):
         for y in vertices[i + 1:]:
