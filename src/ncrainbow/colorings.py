@@ -172,23 +172,20 @@ def multipartite_two_coloring(spec: PartitionSpec) -> tuple[Graph, EdgeColoring]
     correctness: the verifier is the arbiter.
     """
     g = spec.graph()
-    special: set[tuple[int, int]] = set()
+    special = [0] * g.vertex_count  # special[u]: the color-1 neighbors of u
     for (j1, i1), (j2, i2) in distinguished_edges(spec):
         u, v = spec.vertex(j1, i1), spec.vertex(j2, i2)
         if not g.adjacent(u, v):
             raise InvalidSpec(
                 f"family references non-edge ({j1},{i1})-({j2},{i2}) for {spec}"
             )
-        key = (min(u, v), max(u, v))
-        if key in special:
+        if special[u] >> v & 1:
             raise InvalidSpec(
                 f"family lists edge ({j1},{i1})-({j2},{i2}) twice for {spec}"
             )
-        special.add(key)
-    coloring = EdgeColoring.from_function(
-        g, 2, lambda u, v: 1 if (u, v) in special else 2
-    )
-    return g, coloring
+        special[u] |= 1 << v
+        special[v] |= 1 << u
+    return g, EdgeColoring.from_function(g, 2, lambda u, v: 1 if special[u] >> v & 1 else 2)
 
 
 def j62_graph_and_coloring() -> tuple[Graph, EdgeColoring]:

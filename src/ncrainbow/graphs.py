@@ -83,16 +83,13 @@ def graph_from_edges(
     if len(set(labels)) != n:
         raise ValueError("labels are not distinct")
     adj = [0] * n
-    seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range")
         if u == v:
             raise ValueError(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
+        if adj[u] >> v & 1:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(labels), tuple(adj))
@@ -117,16 +114,11 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     n = sum(part_sizes)
     full = (1 << n) - 1
     labels = []
-    part_masks = []
-    start = 0
+    adj = []
     for p, s in enumerate(part_sizes, start=1):
         labels.extend(f"p{p}_{j}" for j in range(1, s + 1))
-        part_masks.append(((1 << s) - 1) << start)
-        start += s
-    adj = []
-    for pm in part_masks:
-        block = full & ~pm
-        adj.extend(block for _ in range(pm.bit_count()))
+        # the part starts at vertex len(adj); its vertices see every vertex outside it
+        adj.extend([full ^ (((1 << s) - 1) << len(adj))] * s)
     return Graph(n, tuple(labels), tuple(adj))
 
 

@@ -289,33 +289,28 @@ def check_johnson_fiber(suite: Suite):
 
 @_criterion("constructive-search")
 def check_constructive_search(suite: Suite, values: dict[str, Fraction]):
-    searched = certified = 0
+    certified = {"searched": 0, "structural": 0}
     problems = []
     for name, ncg in suite.items():
-        if values[name] < 1:
-            # a returned coloring passes the verifier's count; certify it here
-            coloring = search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1)
-            if coloring is None:
-                problems.append(f"search failed for {name}")
-                continue
-            try:
-                certify_rc2(ncg.graph, coloring)
-            except ColoringRejected as exc:
-                problems.append(f"searched coloring rejected for {name}: {exc}")
-                continue
-            searched += 1
-        else:
-            try:
+        route = "searched" if values[name] < 1 else "structural"
+        try:
+            if route == "searched":
+                # a returned coloring passes the verifier's count; certify it here
+                coloring = search_two_coloring(ncg.graph, 2, 10 ** 4, seed=1)
+                cert = None if coloring is None else certify_rc2(ncg.graph, coloring)
+            else:
                 cert = certify_by_structure(ncg)
-            except ColoringRejected as exc:
-                problems.append(f"structural coloring rejected for {name}: {exc}")
-                continue
-            if cert is None:
-                problems.append(f"no structural certificate for {name}")
-                continue
-            certified += 1
-    return problems, (f"rc2 = 2 for all {searched + certified} graphs"
-                      f" ({searched} searched, {certified} structural)")
+        except ColoringRejected as exc:
+            problems.append(f"{route} coloring rejected for {name}: {exc}")
+            continue
+        if cert is None:
+            problems.append(f"search failed for {name}" if route == "searched"
+                            else f"no structural certificate for {name}")
+            continue
+        certified[route] += 1
+    searched, structural = certified.values()
+    return problems, (f"rc2 = 2 for all {searched + structural} graphs"
+                      f" ({searched} searched, {structural} structural)")
 
 
 @_criterion("inequality-chain")

@@ -3,7 +3,8 @@ a header line ``<keyword> <int> ...``, an optional names line and one line
 of ints per record. Blank lines are ignored and keywords are whole tokens.
 Record tokens are read through a table of the canonical decimals
 ``"0"``..``"r-1"`` (r records), and a line with any other token through
-``int()``, so both paths give the same ints and the same errors.
+``int()``, so both paths give the same ints and the same errors. Each line
+is checked as it is read, so of several faulty lines the first is reported.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ def read(path: str | Path, header: str, names_keyword: str | None, width: int | 
                 rows.append(list(map(canonical, tokens)))
             except KeyError:
                 rows.append(list(map(int, tokens)))
-        for ln, row in zip(lines[1:], rows):
-            if width is not None and len(row) != width:
+            if width is not None and len(tokens) != width:
                 raise ValueError(f"line {ln.strip()!r} is not {width} integers")
         return build(list(map(int, head[1:])), names, rows)
     except ValueError as exc:

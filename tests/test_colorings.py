@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from ncrainbow import colorings
 from ncrainbow.colorings import (EdgeColoring, InvalidSpec, PartitionSpec,
                                  distinguished_edges, j62_graph_and_coloring,
                                  multipartite_two_coloring, random_two_coloring,
@@ -197,3 +198,24 @@ def test_masks_match_assignment():
                 for v in range(n):
                     key = (min(u, v), max(u, v))
                     assert (rows[u] >> v & 1) == (assigned.get(key) == c)
+
+
+def test_a_family_edge_listed_twice_is_refused(monkeypatch):
+    """The repeat is the first family edge reversed, so it is found from the
+    color-1 masks whichever end is listed first."""
+    real = colorings.distinguished_edges
+    monkeypatch.setattr(colorings, "distinguished_edges",
+                        lambda spec: [*real(spec), real(spec)[0][::-1]])
+    spec = PartitionSpec(2, 3, 1)
+    (j1, i1), (j2, i2) = real(spec)[0]
+    with pytest.raises(InvalidSpec, match=re.escape(
+            f"family lists edge ({j2},{i2})-({j1},{i1}) twice for {spec}")):
+        multipartite_two_coloring(spec)
+
+
+def test_a_family_pair_inside_one_part_is_refused(monkeypatch):
+    monkeypatch.setattr(colorings, "distinguished_edges", lambda spec: [((1, 1), (2, 1))])
+    spec = PartitionSpec(2, 3, 1)
+    with pytest.raises(InvalidSpec, match=re.escape(
+            f"family references non-edge (1,1)-(2,1) for {spec}")):
+        multipartite_two_coloring(spec)

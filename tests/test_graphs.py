@@ -4,12 +4,13 @@ import pytest
 
 from ncrainbow import graphs
 from ncrainbow.check import brute_force_vertex_connectivity as brute_vertex_connectivity
+from ncrainbow.colorings import j62_graph_and_coloring
 from ncrainbow.graphs import (SearchBudgetExceeded, _max_vertex_disjoint, are_isomorphic,
                               complete_graph, complete_multipartite,
                               detect_complete_multipartite, edgeless_graph,
                               graph_from_edges, johnson, lexicographic_product,
                               read_graph_file, vertex_connectivity, write_graph_file)
-from ncrainbow.groups import dicyclic, dihedral, metacyclic
+from ncrainbow.groups import central_product, dicyclic, dihedral, metacyclic
 from ncrainbow.ncgraph import noncommuting_graph
 from util import brute_isomorphic, complement, recursive_are_isomorphic
 
@@ -27,6 +28,20 @@ def test_complete_multipartite_counts():
     octa = complete_multipartite([2, 2, 2])
     assert (octa.vertex_count, octa.edge_count) == (6, 12)
     assert all(octa.degree(v) == 4 for v in range(6))
+
+
+@pytest.mark.parametrize("sizes", [[1], [3], [1, 1], [2, 1], [1, 3], [2, 2, 2],
+                                   [1, 2, 3], [3, 1, 2, 1], [4, 1, 1, 1, 5]])
+def test_complete_multipartite_matches_a_brute_construction(sizes):
+    """u ~ v exactly when their parts differ; labels are p<part>_<j>, 1-based."""
+    part = [p for p, s in enumerate(sizes, start=1) for _ in range(s)]
+    n = len(part)
+    g = complete_multipartite(sizes)
+    assert g.vertex_count == n
+    assert g.labels == tuple(f"p{p}_{j}" for p, s in enumerate(sizes, start=1)
+                             for j in range(1, s + 1))
+    assert g.adj == tuple(sum(1 << v for v in range(n) if part[v] != part[u])
+                          for u in range(n))
 
 
 @pytest.mark.parametrize("s,k", [(1, 4), (2, 3), (3, 5), (4, 2)])
@@ -156,6 +171,18 @@ def test_isomorphism_budget(monkeypatch):
     monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 2)
     with pytest.raises(SearchBudgetExceeded):
         are_isomorphic(c6, triangles)
+
+
+def test_isomorphism_budget_is_exact_at_its_boundary(monkeypatch):
+    """Mapping the (D8)o(D8) graph onto the J(6,2) fiber graph takes exactly
+    145 search nodes: a budget of 145 finds the map and 144 runs out."""
+    d8d8 = noncommuting_graph(central_product(dihedral(4), dihedral(4), 2, 2)).graph
+    j62 = j62_graph_and_coloring()[0]
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 145)
+    assert are_isomorphic(d8d8, j62) is not None
+    monkeypatch.setattr(graphs, "ISO_NODE_BUDGET", 144)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 144 nodes"):
+        are_isomorphic(d8d8, j62)
 
 
 def relabelled(rng, g):
@@ -372,6 +399,8 @@ def test_graph_from_edges_validation():
         graph_from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        graph_from_edges(3, [(2, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 5)])

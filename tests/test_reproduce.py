@@ -89,6 +89,34 @@ def test_rejected_searched_coloring_is_a_problem_line(monkeypatch):
     assert all(p.startswith("searched coloring rejected for ") for p in problems)
 
 
+@pytest.mark.parametrize("step, line, count", [
+    ("search_two_coloring", "search failed for D18", 13),
+    ("certify_by_structure", "no structural certificate for D6", 22),
+])
+def test_a_route_that_gives_no_certificate_is_a_problem_line(monkeypatch, step, line, count):
+    """A search that finds nothing and a graph that fits no model each fail the
+    criterion on their own line, one per group of that route."""
+    monkeypatch.setattr(reproduce, step, lambda *args, **kwargs: None)
+    result = check_constructive_search(*suite_and_values())
+    assert not result.passed
+    problems = result.detail.split("; ")
+    assert len(problems) == count and line in problems
+    prefix = line.rsplit(" ", 1)[0]
+    assert all(p.startswith(prefix + " ") for p in problems)
+
+
+def test_rejected_structural_coloring_is_a_problem_line(monkeypatch):
+    def rejected(ncg):
+        raise rainbow.ColoringRejected("pair (0, 1) has only 1 disjoint rainbow paths")
+
+    monkeypatch.setattr(reproduce, "certify_by_structure", rejected)
+    result = check_constructive_search(*suite_and_values())
+    problems = result.detail.split("; ")
+    assert not result.passed and len(problems) == 22
+    assert ("structural coloring rejected for D6: pair (0, 1) has only 1 disjoint"
+            " rainbow paths") in problems
+
+
 def test_tau_floor_raises_on_a_tau_one_below_a_quarter_of_an_odd_order(monkeypatch):
     """On Z7:Z3 (order 21, least tau 12), an injected tau of 5 keeps
     6*tau >= |G| but gives 4*tau = 20 < 21, so the quarter guard raises;

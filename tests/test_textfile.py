@@ -174,6 +174,20 @@ def test_refused_inputs_name_the_file(tmp_path, suffix, text):
         _assert_refused_naming(path, ["iso", "--graph", str(path), "--graph2", str(path)])
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("graph 3 2\n0 1 2\n1 x\n", "line '0 1 2' is not 2 integers"),
+    ("graph 3 2\n1 x\n0 1 2\n", "invalid literal for int() with base 10: 'x'"),
+], ids=["width-then-token", "token-then-width"])
+def test_a_file_with_two_faults_names_the_first_faulty_line(tmp_path, text, fault):
+    """A line of the wrong width and a line with a bad token: whichever comes
+    first in the file is the one reported."""
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_graph_file(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
 def test_undecodable_file_names_the_file(tmp_path):
     path = tmp_path / "bad.cay"
     path.write_bytes(b"cayley 1\n\xff\xfe\n")
